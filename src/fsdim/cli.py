@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import dimension, separator
@@ -23,6 +24,9 @@ from .infocontent import CostResult, kt
 from .precision import PrecisionQuery, kdelta, kdelta_profile
 
 DEFAULT_BURST_WARNING = 64
+
+#: precision scale whose default caps apply to a delta that is not base**-n
+FALLBACK_SCALE = 14
 
 
 def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) -> list[tuple[str, Fst]]:
@@ -136,14 +140,14 @@ def cmd_kdelta(args) -> int:
     t = _load_fst(args.fst)
     x = RealSpec.parse(args.x)
     if args.n is not None:
-        n = args.n
-        delta = Fraction(1, args.base ** n)
+        n, delta = args.n, None
     else:
         delta = parse_delta(args.delta, args.base)
         n = delta_exponent(delta, args.base)
-    cap_in = args.cap_in if args.cap_in is not None else 4 * ((n if n is not None else 14) + 2)
-    cap_out = args.cap_out if args.cap_out is not None else max(1, t.max_burst()) * cap_in
-    q = PrecisionQuery(x, args.base, delta, cap_in, cap_out)
+    q = PrecisionQuery.at_scale(x, args.base, FALLBACK_SCALE if n is None else n,
+                                args.cap_in, args.cap_out, max_burst=t.max_burst())
+    if n is None:
+        q = replace(q, delta=delta)
     res = kdelta(t, q)
     _emit(args, res.line(), _cost_json(res))
     return 0
@@ -181,7 +185,7 @@ def cmd_dim(args) -> int:
 def cmd_normality(args) -> int:
     report = dimension.normality_report(RealSpec.parse(args.x), args.base, args.nmax,
                                         max_block_len=args.k,
-                                        threshold=Fraction(args.threshold).limit_denominator(10**6))
+                                        threshold=args.threshold)
     _report_out(args, report)
     return 0
 
@@ -204,6 +208,20 @@ def cmd_pool(args) -> int:
             fh.write(format_fst(t))
     print(f"wrote {len(pool)} files to {args.out}")
     return 0
+
+
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--copies", type=int, default=1)
     pg.add_argument("--train", default="champernowne", help="real spec to train huffman on")
     pg.add_argument("--train-len", type=int, default=1024)
-    pg.add_argument("--block-len", type=int, default=2)
+    pg.add_argument("--block-len", type=_positive_int, default=2)
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_fst_gen)
 
@@ -275,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--k", type=int, default=4, help="largest huffman block length")
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=_fraction_arg, default=dimension.NORMALITY_THRESHOLD,
+                   help="exact rational, e.g. 0.95 or 19/20")
     common(p)
     p.set_defaults(func=cmd_normality)
 

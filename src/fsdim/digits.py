@@ -258,7 +258,8 @@ class BorrowStream(DigitStream):
         self._n = n
         head = x.prefix(n)
         k = max(i for i in range(n) if head[i] > 0)  # x >= b**-n guarantees one
-        self._head = head[:k] + [head[k] - 1] + [self.base - 1] * (n - k - 1)
+        # one byte per digit: interval bounds are kept for a whole precision grid
+        self._head = bytes(head[:k] + [head[k] - 1] + [self.base - 1] * (n - k - 1))
         if x.value is not None:
             self.value = x.value - Fraction(1, self.base ** n)
 
@@ -267,8 +268,8 @@ class BorrowStream(DigitStream):
 
     def prefix(self, m: int) -> list[int]:
         if m <= self._n:
-            return self._head[:m]
-        return self._head + [self._x.digit(i) for i in range(self._n, m)]
+            return list(self._head[:m])
+        return list(self._head) + [self._x.digit(i) for i in range(self._n, m)]
 
 
 class CarryStream(DigitStream):
@@ -283,7 +284,7 @@ class CarryStream(DigitStream):
         self._n = n
         head = x.prefix(n)
         k = max(i for i in range(n) if head[i] < self.base - 1)  # sum < 1 guarantees one
-        self._head = head[:k] + [head[k] + 1] + [0] * (n - k - 1)
+        self._head = bytes(head[:k] + [head[k] + 1] + [0] * (n - k - 1))
         if x.value is not None:
             self.value = x.value + Fraction(1, self.base ** n)
 
@@ -292,8 +293,8 @@ class CarryStream(DigitStream):
 
     def prefix(self, m: int) -> list[int]:
         if m <= self._n:
-            return self._head[:m]
-        return self._head + [self._x.digit(i) for i in range(self._n, m)]
+            return list(self._head[:m])
+        return list(self._head) + [self._x.digit(i) for i in range(self._n, m)]
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,23 @@ the lower interval endpoint L = x - delta, so configurations are just
 (state, matched length along E(L)) and each emitted digit is classified by
 comparison against the expansions of L and of H = x + delta. All boundary
 decisions are exact; no floats.
+
+The interval depends only on (x, b, delta), not on the transducer, so it is
+built once per (x, b, delta) and shared by every search at that precision: a
+profile over F transducers and G precisions builds G intervals, not F * G.
+The digit stream of a digit-only point is likewise made once per (x, b). A
+digit file's key includes its size and modification time, so a file rewritten
+on disk is read again.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .digits import (
     BorrowStream,
@@ -22,6 +31,7 @@ from .digits import (
     DigitStream,
     FractionStream,
     RealSpec,
+    check_base,
     delta_exponent,
     digits_to_str,
 )
@@ -48,6 +58,7 @@ class PrecisionQuery:
     def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None, cap_output=None,
                  max_burst: int = 1) -> "PrecisionQuery":
         """Query at delta = base**-n with the default cap policy."""
+        check_base(base)
         if n < 0:
             raise FsdimError(f"n must be >= 0, got {n}")
         if cap_input is None:
@@ -57,14 +68,37 @@ class PrecisionQuery:
         return cls(x, base, Fraction(1, base ** n), cap_input, cap_output)
 
 
+#: entries kept by each memo; dimension.FULL_GRID_LIMIT caps the number of
+#: precisions one estimator grid uses, so a whole grid stays resident
+MEMO_SIZE = 256
+
+
+def _file_stamp(x: RealSpec):
+    """Part of a memo key that changes when a digit file changes on disk."""
+    if x.kind != "digitfile":
+        return None
+    st = os.stat(x.path)
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
+    return x.stream(base)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _bounds(x: RealSpec, base: int, delta: Fraction, stamp) -> "_Bounds":
+    return _Bounds(x, base, delta, stamp)
+
+
 class _Bounds:
     """Digit-level view of the acceptance interval (x - delta, x + delta)."""
 
-    def __init__(self, x: RealSpec, base: int, delta: Fraction):
+    def __init__(self, x: RealSpec, base: int, delta: Fraction, stamp):
         self.base = base
         self.delta = delta
         xval = x.exact_value(base)
-        stream = None if xval is not None else x.stream(base)
+        stream = None if xval is not None else _stream(x, base, stamp)
         n = delta_exponent(delta, base)
         if xval is None and n is None:
             raise InsufficientDigits(
@@ -104,11 +138,12 @@ class _Bounds:
 
 
 def _split_bound(delta: Fraction, base: int) -> int:
-    # smallest m with base**-m <= 2*delta, so expansions differ by index m
+    # smallest m with base**-m <= 2*delta, so expansions differ by index m;
+    # with delta = num/den that is den <= 2*num*base**m
     m = 0
-    scale = Fraction(1)
-    while scale > 2 * delta:
-        scale /= base
+    reach = 2 * delta.numerator
+    while reach < delta.denominator:
+        reach *= base
         m += 1
     return m
 
@@ -162,7 +197,7 @@ def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
     (x - delta, x + delta), with the witness input and output."""
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
-    bounds = _Bounds(q.x, q.base, q.delta)
+    bounds = _bounds(q.x, q.base, q.delta, _file_stamp(q.x))
     if bounds.lambda_accepted:
         return CostResult(FOUND, 0, "", "")
 

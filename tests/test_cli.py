@@ -57,6 +57,34 @@ class TestKdeltaCommand:
         assert capsys.readouterr().out.startswith("found,2")
 
 
+class TestBadValuesExitCleanly:
+    @pytest.mark.parametrize("argv", [
+        ["kdelta", "--x", "rat:1/3", "--n", "-2"],
+        ["kdelta", "--x", "rat:1/3", "--delta", "2^--2"],
+        ["kdelta", "--x", "rat:1/3", "--base", "0", "--n", "3"],
+        ["normality", "--x", "champernowne", "--nmax", "20", "--threshold", "nan"],
+        ["normality", "--x", "champernowne", "--nmax", "20", "--threshold", "1/0"],
+        ["fst", "gen", "--kind", "huffman", "--block-len", "0"],
+        ["fst", "gen", "--kind", "huffman", "--block-len", "-3"],
+    ])
+    def test_exit_code_without_traceback(self, id_fst, capsys, argv):
+        if argv[0] == "kdelta":
+            argv = argv + ["--fst", id_fst]
+        assert dispatch(argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.strip()
+
+    def test_kdelta_n_uses_scale_caps(self, id_fst, capsys):
+        assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", "3",
+                         "--cap-in", "1"]) == 0
+        assert capsys.readouterr().out.startswith("cap_exceeded")
+
+    def test_threshold_is_exact(self, capsys):
+        assert dispatch(["normality", "--x", "rat:1/3", "--nmax", "40",
+                         "--threshold", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"].startswith("no compression")
+
+
 class TestPool:
     def test_deterministic(self):
         a = gen_pool(7, 3, 4, 2, 2)

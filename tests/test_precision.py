@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fsdim.digits import RealSpec, real_value, seq_digits
+from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import make_identity, make_periodic_decoder
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
@@ -12,6 +14,7 @@ from fsdim.precision import (
     kdelta,
     kdelta_oracle,
     kdelta_profile,
+    _split_bound,
 )
 
 THIRD = RealSpec.rational(1, 3)
@@ -185,3 +188,55 @@ class TestProfile:
         solo = kdelta_profile([identity2], THIRD, 2, 5)
         for combined, alone in zip(rows, solo):
             assert combined.cost <= alone.cost
+
+
+def _split_bound_reference(delta: Fraction, base: int) -> int:
+    """The original Fraction loop: smallest m with base**-m <= 2*delta."""
+    m = 0
+    scale = Fraction(1)
+    while scale > 2 * delta:
+        scale /= base
+        m += 1
+    return m
+
+
+class TestSharedInterval:
+    @given(st.integers(1, 10**30), st.integers(0, 10**30), st.integers(2, 10))
+    def test_split_bound_matches_fraction_loop(self, den, extra, base):
+        delta = Fraction(den, den + extra)  # any rational in (0, 1]
+        assert _split_bound(delta, base) == _split_bound_reference(delta, base)
+
+    @given(st.integers(0, 300), st.integers(2, 10))
+    def test_split_bound_at_powers(self, n, base):
+        delta = Fraction(1, base**n)
+        assert _split_bound(delta, base) == _split_bound_reference(delta, base)
+
+    def test_rewritten_digit_file_is_read_again(self, tmp_path, identity2):
+        path = tmp_path / "x.txt"
+        path.write_text("0000000000000001")
+        x = RealSpec.digitfile(str(path))
+        first = kdelta(identity2, query(x, 3))
+        assert (first.status, first.cost) == (FOUND, 0)
+        path.write_text("111111111111111111111111")
+        second = kdelta(identity2, query(x, 3))
+        assert (second.status, second.cost, second.witness_output) == (FOUND, 3, "111")
+
+    def test_family_profile_reads_digit_file_once(self, tmp_path, monkeypatch, identity2, pool):
+        path = tmp_path / "d.txt"
+        path.write_text(seq_digits(THIRD, 2, 200) + "\n")
+        x = RealSpec.digitfile(str(path))
+        reads = []
+        from_file = FileDigitStream.from_file.__func__
+
+        def counting(cls, fname, base):
+            reads.append(fname)
+            return from_file(cls, fname, base)
+
+        monkeypatch.setattr(FileDigitStream, "from_file", classmethod(counting))
+        family = [identity2] + [t for _, t in pool[:5]]
+        rows = kdelta_profile(family, x, 2, 10)
+        assert len(rows) == 10
+        assert reads == [str(path)]
+        # the enumeration oracle stays independent of the shared stream
+        kdelta_oracle(identity2, query(x, 4), max_len=6)
+        assert len(reads) > 1
