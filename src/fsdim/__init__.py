@@ -35,6 +35,7 @@ from .separator import (
     SeparatorEnumerator,
     dimf_estimate,
     ktf_delta,
+    ktf_delta_oracle,
     make_block_permuted,
     make_canonical,
     make_targeted,

@@ -17,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, delta_exponent, parse_delta
+from .digits import RealSpec, check_base, delta_exponent, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -37,6 +37,7 @@ def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) 
     """
     if count < 1:
         raise FsdimError(f"count must be >= 1, got {count}")
+    check_base(base)
     rng = random.Random(seed)
     pool = []
     for i in range(count):
@@ -168,7 +169,7 @@ def cmd_profile(args) -> int:
 
 def cmd_dim(args) -> int:
     family = _load_family(args.fsts)
-    frac = Fraction(args.window_frac) if args.window_frac else Fraction(1, 2)
+    frac = args.window_frac
     if args.what == "point":
         report = dimension.dim_point_estimate(family, RealSpec.parse(args.x[0]),
                                               args.base, args.nmax, frac)
@@ -217,10 +218,24 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
+def _window_frac_arg(text: str) -> Fraction:
+    value = _fraction_arg(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as a usage error
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -284,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", action="append", required=True)
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--window-frac")
+    p.add_argument("--window-frac", type=_window_frac_arg, default=dimension.DEFAULT_WINDOW_FRAC,
+                   help="exact rational in (0, 1]: the tail share of precisions read")
     common(p)
     p.set_defaults(func=cmd_dim)
 
@@ -311,9 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="seeded random transducer pool")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=4)
+    p.add_argument("--max-states", type=_positive_int, default=4)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--max-burst", type=int, default=2)
+    p.add_argument("--max-burst", type=_nonnegative_int, default=2)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pool)
 
@@ -331,7 +347,7 @@ def dispatch(argv=None) -> int:
     except FsdimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or non-ASCII input files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digits import DigitStream, RealSpec
+from .digits import DigitStream, FileDigitStream, RealSpec
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import kt
@@ -184,10 +184,16 @@ def dim_set_estimate(family, xs, base: int, n_max: int,
 
 
 def detect_periods(s: DigitStream, probe_len: int = 256, max_period: int = 32) -> list[int]:
-    """Exact repetition periods of the first probe_len digits, shortest first."""
+    """Exact repetition periods of the first probe_len digits, shortest first.
+
+    A finite stream is probed over the digits it has; a period counts only
+    when at least one whole repeat of it is seen.
+    """
+    if isinstance(s, FileDigitStream):
+        probe_len = min(probe_len, len(s))
     digs = s.prefix(probe_len)
     found = []
-    for p in range(1, max_period + 1):
+    for p in range(1, min(max_period, probe_len // 2) + 1):
         if all(digs[i] == digs[i + p] for i in range(probe_len - p)):
             found.append(p)
     return found

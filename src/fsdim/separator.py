@@ -9,21 +9,41 @@ all-zero inputs enumerate exponentially long prefixes of a chosen point, so
 that the point's enumerator dimension collapses toward 0 while its canonical
 dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
+
+`ktf_delta` answers two kinds by an exact breadth-first search guided by the
+interval (x - delta, x + delta) that `kdelta` uses (`precision._Bounds`,
+memoized per precision), with no float and no call to f per node:
+
+- canonical: `kdelta` itself, with an output cap that cannot bind;
+- targeted: the better of `kdelta` and one search over (state, zeros
+  emitted) that evaluates f(0^k) once per k.
+
+`ktf_delta_oracle` keeps the plain enumeration of inputs, independent of these
+searches, as the reference they are tested against. It also answers every
+other enumerator (`blockperm` and any built by hand), and a digit-only point
+at a delta that is not base**-n, which `kdelta`'s interval cannot express.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .digits import RealSpec, digits_to_str, real_value, str_to_digits
 from collections import deque
+from fractions import Fraction
+from functools import partial
 
+from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_digits
 from .dimension import DimensionProfile, EstimateReport, _grid, _named, _window, _window_min
 from .errors import AllRowsFlagged, FsdimError, InvalidPermutation
-from .precision import ProfileRow
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, CostResult
+from .infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult
+from .precision import (
+    PrecisionQuery,
+    ProfileRow,
+    _file_stamp,
+    _path_to,
+    _stream,
+    _within,
+    kdelta,
+)
 
 #: outputs longer than this are not deduplicated during enumeration
 DEDUP_OUTPUT_LIMIT = 64
@@ -38,14 +58,19 @@ class SeparatorEnumerator:
         self.kind = kind
         self._eval = eval_fn
         self.description = description
+        # the kind's boundary-guided search(t, x, delta, max_input_len), set by
+        # the factory; None leaves ktf_delta to the enumeration
+        self._search = None
 
     def eval(self, w: str) -> Fraction:
         return self._eval(w)
 
 
 def make_canonical(base: int) -> SeparatorEnumerator:
-    return SeparatorEnumerator(base, "canonical",
-                               lambda w: real_value(w, base), f"canonical base {base}")
+    f = SeparatorEnumerator(base, "canonical", lambda w: real_value(w, base),
+                            f"canonical base {base}")
+    f._search = _canonical_search
+    return f
 
 
 def make_block_permuted(block_len: int, permutation: dict, base: int) -> SeparatorEnumerator:
@@ -87,12 +112,17 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
     def eval_fn(w: str) -> Fraction:
         str_to_digits(w, base)
         if w and set(w) == {"0"}:
-            m = 2 ** len(w)
-            return stream.exact_value_up_to(m)
+            return stream.exact_value_up_to(_target_len(len(w)))
         return real_value(w, base)
 
-    return SeparatorEnumerator(base, "targeted", eval_fn,
-                               f"targeted({x.describe()}) base {base}")
+    f = SeparatorEnumerator(base, "targeted", eval_fn, f"targeted({x.describe()}) base {base}")
+    f._search = partial(_targeted_search, f)
+    return f
+
+
+def _target_len(k: int) -> int:
+    """Digits of the target that the targeted enumerator gives 0^k."""
+    return 2 ** k
 
 
 def parse_enumerator(text: str, base: int) -> SeparatorEnumerator:
@@ -106,7 +136,11 @@ def parse_enumerator(text: str, base: int) -> SeparatorEnumerator:
         m_s, sep2, path = rest.partition(":")
         if not sep2:
             raise FsdimError(f"bad enumerator spec {text!r}, want blockperm:m:PERMFILE")
-        return make_block_permuted(int(m_s), load_permutation(path), base)
+        try:
+            m = int(m_s)
+        except ValueError:
+            raise FsdimError(f"bad block length {m_s!r} in {text!r}") from None
+        return make_block_permuted(m, load_permutation(path), base)
     raise FsdimError(f"unknown enumerator kind {text!r}")
 
 
@@ -130,24 +164,136 @@ def load_permutation(path: str) -> dict:
 
 def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
               max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
-    """Minimal input length whose output w satisfies |f(w) - x| < delta.
+    """Minimal input length (at most max_input_len) whose output w satisfies
+    |f(w) - x| < delta, with the witness input and output.
 
-    An arbitrary enumerator admits no boundary pruning, so inputs are simply
-    enumerated by increasing length (exponential; desk-scale by contract).
-    Inputs reaching an already-seen (state, output) pair are skipped while
-    outputs stay short enough to deduplicate.
+    The canonical and targeted enumerators are answered by the exact
+    boundary-guided searches described in the module docstring, so for them
+    delta must lie in (0, 1], as for `kdelta`; everything else falls back to
+    `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
+    no input qualifies and `cap_exceeded` when the input-length cap stopped it.
     """
+    _check_args(t, f, max_input_len)
+    if f._search is None:
+        return ktf_delta_oracle(t, f, x, delta, max_input_len)
+    if not 0 < delta <= 1:
+        raise FsdimError(f"delta must lie in (0, 1], got {delta}")
+    if x.exact_value(t.base) is None and delta_exponent(delta, t.base) is None:
+        # kdelta bounds a digit-only point's interval only at delta = base**-n
+        return ktf_delta_oracle(t, f, x, delta, max_input_len)
+    return f._search(t, x, delta, max_input_len)
+
+
+def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
     if t.base != f.base:
         raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
     if max_input_len < 0:
         raise FsdimError(f"max_input_len must be >= 0, got {max_input_len}")
+
+
+def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int) -> CostResult:
+    # an output of at most burst * max_len digits never meets kdelta's output cap
+    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len, max(1, t.max_burst()) * max_len))
+
+
+def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
+                     max_len: int) -> CostResult:
+    """An output with a nonzero digit keeps its canonical value, and a
+    nonempty all-zero output has canonical value 0, the value f gives the
+    empty output; so kdelta answers every output but 0^k (k >= 1) exactly,
+    and one more search over the all-zero outputs completes the minimum."""
+    best = _canonical_search(t, x, delta, max_len)
+    zeros = _zero_search(f, t, x, delta, best.cost if best.found else max_len)
+    found = [r for r in (best, zeros) if r.found]
+    if found:
+        return min(found, key=lambda r: (r.cost, r.witness_input))
+    return best if best.status == CAP_EXCEEDED else zeros
+
+
+def _zero_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
+                 max_len: int) -> CostResult:
+    """Cheapest input whose output is 0^k, k >= 1, with |f(0^k) - x| < delta.
+
+    Configurations are (state, k); transitions that emit a nonzero digit are
+    dropped and f(0^k) is evaluated once per k. f(0^k) is the
+    _target_len(k)-digit truncation of the target, so every f(0^k') with
+    k' >= k lies in [f(0^k), f(0^k) + b**-_target_len(k)); once that range
+    misses the interval, no configuration with k' >= k can be accepted and
+    all are dropped.
+    """
+    cmp = _stream(x, t.base, _file_stamp(x)).compare  # sign of x - r, exact
+    rejected: set = set()
+    dead = None  # least k from which no all-zero output is accepted
+
+    def step(cfg, a):
+        nonlocal dead
+        state, k = cfg
+        q2, out = t.transitions[state][a]
+        k2 = k + len(out)
+        if any(out) or (dead is not None and k2 >= dead):
+            return None
+        if k2 and k2 not in rejected:
+            value = f.eval("0" * k2)
+            below_high = cmp(value - delta) > 0
+            if below_high and cmp(value + delta) < 0:
+                return _ACCEPT
+            rejected.add(k2)
+            reach = value + Fraction(1, t.base ** _target_len(k2))
+            if not below_high or cmp(reach + delta) >= 0:
+                dead = k2
+                return None
+        return q2, k2
+
+    return _bfs(t, (t.start, 0), step, max_len)
+
+
+_ACCEPT = object()
+
+
+def _bfs(t: Fst, start, step, max_len: int) -> CostResult:
+    """Breadth-first search over configurations of T, at most max_len inputs
+    deep. step(cfg, a) returns _ACCEPT, None to drop the transition, or the
+    next configuration; the first accepted input is minimal and, among those,
+    lexicographically least."""
+    visited = {start}
+    parents: dict = {}
+    frontier = [start]
+    level = 0
+    while frontier and level < max_len:
+        next_frontier = []
+        for cfg in frontier:
+            for a in range(t.base):
+                nxt = step(cfg, a)
+                if nxt is _ACCEPT:
+                    pi = digits_to_str(_path_to(parents, cfg) + [a])
+                    return CostResult(FOUND, level + 1, pi, t.run(pi))
+                if nxt is not None and nxt not in visited:
+                    visited.add(nxt)
+                    parents[nxt] = (cfg, a)
+                    next_frontier.append(nxt)
+        frontier = next_frontier
+        level += 1
+    return CostResult(CAP_EXCEEDED if frontier else UNREACHABLE)
+
+
+def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
+                     max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
+    """Enumeration oracle for ktf_delta: inputs in length-then-lex order, the
+    first whose output w satisfies |f(w) - x| < delta.
+
+    It evaluates f on every output and uses no interval bounds, so it works
+    for any enumerator (exponential; desk-scale by contract). Inputs reaching
+    an already-seen (state, output) pair are skipped while outputs stay short
+    enough to deduplicate. Not found is always cap_exceeded.
+    """
+    _check_args(t, f, max_input_len)
     base = t.base
     seen = {(t.start, ())}
     frontier = deque([((), (), t.start)])
     while frontier:
         pi, out, state = frontier.popleft()
         w = digits_to_str(out)
-        if _within_f(f, x, base, w, delta):
+        if _within(x, base, f.eval(w), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
         if len(pi) == max_input_len:
             continue
@@ -163,20 +309,11 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
     return CostResult(CAP_EXCEEDED)
 
 
-def _within_f(f: SeparatorEnumerator, x: RealSpec, base: int, w: str, delta: Fraction) -> bool:
-    value = f.eval(w)
-    xval = x.exact_value(base)
-    if xval is not None:
-        return abs(value - xval) < delta
-    stream = x.stream(base)
-    return stream.compare(value - delta) > 0 and stream.compare(value + delta) < 0
-
-
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
                   window_frac: Fraction = Fraction(1, 2),
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
     """Enumerator-dimension upper bound; same proxy shape as the point and set
-    estimators with ktf_delta in place of the boundary-guided search."""
+    estimators with ktf_delta in place of kdelta."""
     if isinstance(xs, RealSpec):
         xs = [xs]
     xs = list(xs)
@@ -201,7 +338,8 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
                 else:
                     rows.append(ProfileRow(n, -1, Fraction(0),
                                            running if running is not None else Fraction(0),
-                                           flags="cap"))
+                                           flags="cap" if res.status == CAP_EXCEEDED
+                                           else "unreachable"))
             if len(xs) == 1:
                 profiles[name] = DimensionProfile(tuple(rows), (name,), (n_lo, n_hi))
             proxy = _window_min(rows, n_lo)

@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsdim.cli import dispatch, gen_pool
 from fsdim.fst import format_fst, make_identity, parse_fst
@@ -11,6 +14,14 @@ def id_fst(tmp_path):
     path = tmp_path / "id2.fst"
     path.write_text(format_fst(make_identity(2)))
     return str(path)
+
+
+@pytest.fixture()
+def family_dir(tmp_path):
+    fdir = tmp_path / "fam"
+    fdir.mkdir()
+    (fdir / "id.fst").write_text(format_fst(make_identity(2)))
+    return str(fdir)
 
 
 @pytest.fixture()
@@ -73,6 +84,29 @@ class TestBadValuesExitCleanly:
         assert dispatch(argv) in (1, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.strip()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["dim", "point", "--window-frac", "abc"], 2, "not an exact rational"),
+        (["dim", "point", "--window-frac", "3/2"], 2, "must lie in (0, 1]"),
+        (["dim", "point", "--window-frac", "0"], 2, "must lie in (0, 1]"),
+        (["pool", "--max-states", "0"], 2, "--max-states: must be >= 1"),
+        (["pool", "--max-burst", "-1"], 2, "--max-burst: must be >= 0"),
+        (["sedim", "--f", "blockperm:x:PERM"], 1, "bad block length 'x'"),
+        (["sedim", "--f", "blockperm:1:BINARY"], 1, "can't decode byte 0xff"),
+    ])
+    def test_flag_values(self, family_dir, tmp_path, capsys, argv, code, message):
+        perm = tmp_path / "perm.txt"
+        perm.write_text("0 -> 1\n1 -> 0\n")
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff0 -> 1\n")
+        if argv[0] == "pool":
+            argv = argv + ["--seed", "1", "--count", "2", "--out", str(tmp_path / "p")]
+        else:
+            argv = [a.replace("PERM", str(perm)).replace("BINARY", str(binary)) for a in argv]
+            argv = argv + ["--fsts", family_dir, "--x", "rat:1/3", "--nmax", "6"]
+        assert dispatch(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
 
     def test_kdelta_n_uses_scale_caps(self, id_fst, capsys):
         assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", "3",
@@ -151,6 +185,14 @@ class TestOtherCommands:
                          "--nmax", "40"]) == 0
         assert "compressible" in capsys.readouterr().out
 
+    def test_normality_short_digit_file(self, tmp_path, capsys):
+        # fewer digits than the 256 the period probe reads from an endless stream
+        path = tmp_path / "d.txt"
+        rng = random.Random(3)
+        path.write_text("".join(rng.choice("01") for _ in range(100)))
+        assert dispatch(["normality", "--x", f"digitfile:{path}", "--nmax", "40"]) == 0
+        assert "estimate=" in capsys.readouterr().out
+
     def test_sedim_targeted(self, id_fst, tmp_path, capsys):
         import shutil
 
@@ -161,3 +203,37 @@ class TestOtherCommands:
                          "--x", "rat:1/3", "--base", "2", "--nmax", "20", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["estimate_float"] <= 0.5
+
+
+class TestArgumentFuzz:
+    """Every argument vector ends in exit code 0, 1 or 2 with no traceback."""
+
+    FLAG_VALUES = st.sampled_from(["0", "1", "2", "-1", "3/2", "1/2", "abc", "nan", "1/0", "0.95", ""])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes(self, family_dir, tmp_path, capsys, data):
+        perm = tmp_path / "perm.txt"
+        perm.write_text("0 -> 1\n1 -> 0\n")
+        digits = tmp_path / "d.txt"
+        digits.write_text("0110100110010110")
+        value = data.draw(self.FLAG_VALUES)
+        command = data.draw(st.sampled_from(["pool", "dim", "sedim", "normality"]))
+        if command == "pool":
+            flag = data.draw(st.sampled_from(["--seed", "--count", "--max-states", "--base", "--max-burst"]))
+            argv = ["pool", "--seed", "1", "--count", "2", "--out", str(tmp_path / "p"), flag, value]
+        elif command == "dim":
+            argv = ["dim", "point", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", "6",
+                    "--window-frac", value]
+        elif command == "sedim":
+            f = data.draw(st.sampled_from([
+                "canonical", "targeted:rat:1/3", "targeted:rat:1/0", "targeted:bogus",
+                f"blockperm:1:{perm}", f"blockperm:2:{perm}", f"blockperm:x:{perm}",
+                f"blockperm:0:{perm}", "blockperm:1", f"blockperm:1:{tmp_path / 'missing'}", "nope"]))
+            x = data.draw(st.sampled_from(["rat:1/3", "rat:0/1", f"digitfile:{digits}", "champernowne"]))
+            argv = ["sedim", "--f", f, "--fsts", family_dir, "--x", x, "--nmax", "4",
+                    "--max-input-len", value]
+        else:
+            argv = ["normality", "--x", "rat:1/3", "--nmax", "4", "--threshold", value]
+        assert dispatch(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

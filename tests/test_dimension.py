@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsdim.digits import RealSpec
+from fsdim.digits import FileDigitStream, RealSpec
 from fsdim.dimension import (
     COMPRESSIBLE,
     NO_COMPRESSION,
@@ -146,6 +146,11 @@ class TestNormality:
         assert detect_periods(THIRD.stream(2))[0] == 2
         assert detect_periods(RealSpec.periodic("001").stream(2))[0] == 3
         assert detect_periods(RealSpec.champernowne().stream(2)) == []
+
+    def test_detect_periods_on_short_file(self):
+        # 20 digits: periods up to 10 can be seen repeating, longer ones cannot
+        stream = FileDigitStream([0, 1, 1, 0] * 5, 2)
+        assert detect_periods(stream) == [4, 8]
 
     def test_family_composition(self):
         names = [name for name, _ in normality_family(THIRD, 2, 60)]

@@ -4,11 +4,12 @@ import pytest
 
 from fsdim.digits import RealSpec, real_value, seq_digits
 from fsdim.errors import FsdimError, InvalidPermutation
-from fsdim.fst import make_identity
-from fsdim.precision import PrecisionQuery, kdelta
+from fsdim.fst import Fst, make_identity
+from fsdim.precision import PrecisionQuery, _within, kdelta
 from fsdim.separator import (
     dimf_estimate,
     ktf_delta,
+    ktf_delta_oracle,
     load_permutation,
     make_block_permuted,
     make_canonical,
@@ -109,7 +110,7 @@ class TestKtfDelta:
             for n in range(1, 6):
                 q = PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 12, 24)
                 a = kdelta(t, q)
-                b = ktf_delta(t, f, THIRD, Fraction(1, 2**n), max_input_len=12)
+                b = ktf_delta_oracle(t, f, THIRD, Fraction(1, 2**n), max_input_len=12)
                 if a.found or b.found:
                     assert a.found and b.found and a.cost == b.cost
 
@@ -122,6 +123,73 @@ class TestKtfDelta:
             if prev is not None:
                 assert res.cost <= prev
             prev = res.cost
+
+
+SWAP1 = {"0": "1", "1": "0"}
+ROTATE2 = {"00": "10", "01": "00", "10": "11", "11": "01"}
+ENUMERATORS = {
+    "canonical": make_canonical(2),
+    "targeted(1/3)": make_targeted(THIRD, 2),
+    "targeted(5/24)": make_targeted(RealSpec.rational(5, 24), 2),
+    "blockperm(m=1)": make_block_permuted(1, SWAP1, 2),
+    "blockperm(m=2)": make_block_permuted(2, ROTATE2, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def short_digits(tmp_path_factory):
+    path = tmp_path_factory.mktemp("digits") / "d.txt"
+    path.write_text("0110100110010110" "1001011001101001" "0011101000101101" "1100010111010010\n")
+    return RealSpec.digitfile(str(path))
+
+
+class TestKtfDeltaMatchesOracle:
+    """The boundary-guided searches against the enumeration they replace."""
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_pool_slice(self, pool, short_digits, name):
+        f = ENUMERATORS[name]
+        points = [RealSpec.rational(0, 1), THIRD, RealSpec.rational(1, 2),
+                  RealSpec.rational(5, 24), short_digits]
+        for _, t in pool[:40]:
+            for x in points:
+                for n in range(1, 7):
+                    delta = Fraction(1, 2**n)
+                    a = ktf_delta(t, f, x, delta, max_input_len=7)
+                    b = ktf_delta_oracle(t, f, x, delta, max_input_len=7)
+                    assert a.found == b.found, (x, n, a, b)
+                    if a.found:
+                        assert a.cost == b.cost, (x, n, a, b)
+                        assert len(a.witness_input) == a.cost
+                        assert t.run(a.witness_input) == a.witness_output
+                        assert _within(x, 2, f.eval(a.witness_output), delta)
+
+    def test_unmatched_target_prunes_zero_outputs(self):
+        # only all-zero outputs, whose targeted values approach 1/3, never 1/2:
+        # enumeration would build a 2**80-digit truncation here
+        zeros = Fst(2, 1, 0, (((0, (0, 0)), (0, (0, 0))),))
+        f = make_targeted(THIRD, 2)
+        res = ktf_delta(zeros, f, RealSpec.rational(1, 2), Fraction(1, 8), max_input_len=40)
+        assert res.status == "unreachable"
+
+    def test_zero_output_reaches_other_point(self):
+        # f(00) is the 4-digit truncation 0.0101 of 1/3, i.e. 5/16
+        zeros = Fst(2, 1, 0, (((0, (0, 0)), (0, (0, 0))),))
+        f = make_targeted(THIRD, 2)
+        res = ktf_delta(zeros, f, RealSpec.rational(5, 16), Fraction(1, 64))
+        assert (res.cost, res.witness_output) == (1, "00")
+
+    def test_digit_point_at_delta_not_power_of_base(self, pool, short_digits):
+        # kdelta bounds a digit-only point only at delta = 2**-n; 1/3 is enumerated
+        for name in ("canonical", "targeted(1/3)"):
+            f = ENUMERATORS[name]
+            for _, t in pool[:10]:
+                a = ktf_delta(t, f, short_digits, Fraction(1, 3), max_input_len=6)
+                assert a == ktf_delta_oracle(t, f, short_digits, Fraction(1, 3), max_input_len=6)
+
+    def test_bad_delta(self, identity2):
+        with pytest.raises(FsdimError):
+            ktf_delta(identity2, make_canonical(2), THIRD, Fraction(0))
 
 
 class TestDimfEstimate:
