@@ -8,7 +8,6 @@ from .digits import (
     FractionStream,
     RealSpec,
     comp,
-    interval_endpoints,
     real_value,
     seq_digits,
 )
@@ -21,13 +20,11 @@ from .dimension import (
 )
 from .fst import (
     Fst,
-    complement_lift,
     format_fst,
     make_block_huffman,
     make_identity,
     make_periodic_decoder,
     parse_fst,
-    run,
 )
 from .infocontent import CostResult, kt, kt_oracle
 from .precision import PrecisionQuery, kdelta, kdelta_oracle, kdelta_profile

@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fsts", required=True, help="directory of .fst files")
     p.add_argument("--x", required=True)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--k", type=int, default=4, help="largest huffman block length")
+    p.add_argument("--k", type=_nonnegative_int, default=4, help="largest huffman block length")
     p.add_argument("--threshold", type=_fraction_arg, default=dimension.NORMALITY_THRESHOLD,
                    help="exact rational, e.g. 0.95 or 19/20")
     common(p)
@@ -342,6 +342,9 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.command == "dim" and args.what != "set" and len(args.x) > 1:
+        print(f"error: dim {args.what} takes one --x, got {len(args.x)}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except FsdimError as exc:

@@ -406,23 +406,6 @@ def seq_digits(spec: RealSpec, base: int, count: int) -> str:
     return spec.stream(base).prefix_str(count)
 
 
-def interval_endpoints(spec: RealSpec, base: int, n: int):
-    """(max(0, x - b**-n), min(1, x + b**-n), canonical stream of the lower end).
-
-    Requires a spec with an exact value; digit-only specs cannot produce exact
-    endpoints and raise InsufficientDigits.
-    """
-    if n < 0:
-        raise FsdimError(f"n must be >= 0, got {n}")
-    x = spec.exact_value(base)
-    if x is None:
-        raise InsufficientDigits(f"{spec.describe()} has no exact value for endpoint arithmetic")
-    delta = Fraction(1, base ** n)
-    lower = max(Fraction(0), x - delta)
-    upper = min(Fraction(1), x + delta)
-    return lower, upper, FractionStream(lower, base)
-
-
 def delta_exponent(delta: Fraction, base: int) -> Optional[int]:
     """n such that delta == base**-n, or None when delta is not of that form."""
     if delta.numerator != 1:

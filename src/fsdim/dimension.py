@@ -5,18 +5,23 @@ tail window of n values, and the infimum over all transducers by the minimum
 over a supplied finite family. Enlarging the family can only lower an
 estimate, so every number reported here is an upper bound; nothing in this
 module claims a lower bound.
+
+Every estimator is `estimate` with one row source: a point is a set of one,
+a digit sequence is a point whose rows come from `kt` on its prefixes, and
+`separator.dimf_estimate` reads `ktf_delta` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .digits import DigitStream, FileDigitStream, RealSpec
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import kt
-from .precision import ProfileRow, kdelta_profile
+from .precision import kdelta_profile, profile_rows
 
 #: above this many precisions the profile grid is subsampled to keep the
 #: number of searches bounded; the estimate is then a minimum over fewer
@@ -33,19 +38,12 @@ NO_COMPRESSION = "no compression found (consistent with normality)"
 
 
 @dataclass(frozen=True)
-class DimensionProfile:
-    rows: tuple  # tuple[ProfileRow, ...]
-    family: tuple  # transducer identifiers
-    window: tuple  # (n_lo, n_hi)
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     estimate: Fraction
     per_transducer: dict
     window: tuple
     verdict: str = ""
-    profiles: dict = field(default_factory=dict)
+    profiles: dict = field(default_factory=dict)  # name -> tuple of ProfileRow, one point only
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,48 +55,56 @@ class EstimateReport:
         }
 
 
-def _named(family) -> list[tuple[str, Fst]]:
-    out = []
-    for i, member in enumerate(family):
-        if isinstance(member, tuple):
-            out.append(member)
-        else:
-            out.append((f"T{i}", member))
-    if not out:
+def _grid(n_lo: int, n_hi: int) -> list[int]:
+    """All n in [1, n_hi] when small, else an evenly spaced subsample."""
+    if n_hi <= FULL_GRID_LIMIT:
+        return list(range(1, n_hi + 1))
+    span = n_hi - n_lo + 1
+    head = {max(1, round(1 + (n_lo - 2) * i / (HEAD_SAMPLES - 1))) for i in range(HEAD_SAMPLES)}
+    window = {n_lo + round((span - 1) * i / (WINDOW_SAMPLES - 1)) for i in range(WINDOW_SAMPLES)}
+    return sorted(head | window)
+
+
+def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_of) -> EstimateReport:
+    """The one estimator shape: per transducer the worst point's minimum
+    ratio over the tail window [ceil(window_frac * n_max), n_max] (sup
+    inside), then the best transducer (inf outside). A point is a set of one.
+
+    `family` holds transducers or (name, transducer) pairs, all reading base
+    `base`. rows_of(t, x, grid) gives one point's profile rows; flagged rows
+    are left out, and a transducer is dropped at its first point without a
+    usable row in the window.
+    """
+    points = list(points)
+    if not points:
+        raise FsdimError("need at least one point")
+    members = [m if isinstance(m, tuple) else (f"T{i}", m) for i, m in enumerate(family)]
+    if not members:
         raise FsdimError("family must be nonempty")
-    return out
-
-
-def _window(n_max: int, window_frac: Fraction) -> tuple[int, int]:
+    for name, t in members:
+        if t.base != base:
+            raise FsdimError(f"transducer {name} has base {t.base}, points are base {base}")
     if n_max < 2:
         raise FsdimError(f"n_max must be >= 2, got {n_max}")
-    return max(1, _ceil_frac(window_frac, n_max)), n_max
-
-
-def _ceil_frac(frac: Fraction, n_max: int) -> int:
-    v = frac * n_max
-    return int(-(-v.numerator // v.denominator))
-
-
-def _grid(n_lo: int, n_hi: int) -> list[int]:
-    """All n in [n_lo, n_hi] when small, else an evenly spaced subsample."""
-    span = n_hi - n_lo + 1
-    if n_hi <= FULL_GRID_LIMIT:
-        head = list(range(1, n_lo))
-        return head + list(range(n_lo, n_hi + 1))
-    head = sorted({max(1, round(1 + (n_lo - 2) * i / (HEAD_SAMPLES - 1))) for i in range(HEAD_SAMPLES)})
-    window = sorted({n_lo + round((span - 1) * i / (WINDOW_SAMPLES - 1)) for i in range(WINDOW_SAMPLES)})
-    return sorted(set(head) | set(window))
-
-
-def _window_min(rows, n_lo: int) -> Fraction | None:
-    best = None
-    for row in rows:
-        if row.flags or row.n < n_lo:
-            continue
-        if best is None or row.ratio < best:
-            best = row.ratio
-    return best
+    n_lo = max(1, math.ceil(window_frac * n_max))
+    grid = _grid(n_lo, n_max)
+    per = {}
+    profiles = {}
+    for name, t in members:
+        worst = Fraction(0)
+        for x in points:
+            rows = rows_of(t, x, grid)
+            if len(points) == 1:
+                profiles[name] = tuple(rows)
+            proxy = min((r.ratio for r in rows if not r.flags and r.n >= n_lo), default=None)
+            if proxy is None:
+                break  # a point this transducer cannot handle: drop it
+            worst = max(worst, proxy)
+        else:
+            per[name] = worst
+    if not per:
+        raise AllRowsFlagged("no transducer produced a usable row in the window for every point")
+    return EstimateReport(min(per.values()), per, (n_lo, n_max), profiles=profiles)
 
 
 def dim_point_estimate(family, x: RealSpec, base: int, n_max: int,
@@ -106,20 +112,8 @@ def dim_point_estimate(family, x: RealSpec, base: int, n_max: int,
                        cap_input=None, cap_output=None) -> EstimateReport:
     """Upper-bound estimate of the base-b finite-state dimension of a point:
     min over the family of the min cost/n over the tail window."""
-    members = _named(family)
-    n_lo, n_hi = _window(n_max, window_frac)
-    grid = _grid(n_lo, n_hi)
-    per = {}
-    profiles = {}
-    for name, t in members:
-        rows = kdelta_profile([t], x, base, n_max, cap_input, cap_output, grid=grid)
-        profiles[name] = DimensionProfile(tuple(rows), (name,), (n_lo, n_hi))
-        proxy = _window_min(rows, n_lo)
-        if proxy is not None:
-            per[name] = proxy
-    if not per:
-        raise AllRowsFlagged("no transducer produced a usable row in the window")
-    return EstimateReport(min(per.values()), per, (n_lo, n_hi), profiles=profiles)
+    return estimate(family, base, [x], n_max, window_frac, lambda t, x, grid: kdelta_profile(
+        [t], x, base, n_max, cap_input, cap_output, grid=grid))
 
 
 def dim_seq_estimate(family, s: DigitStream, n_max: int,
@@ -127,32 +121,17 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
                      cap=None) -> EstimateReport:
     """Upper-bound estimate of the finite-state dimension of a digit sequence:
     min over the family of the min kt(prefix of length n)/n over the window."""
-    members = _named(family)
-    n_lo, n_hi = _window(n_max, window_frac)
-    grid = _grid(n_lo, n_hi)
-    per = {}
-    profiles = {}
-    for name, t in members:
-        rows = []
-        running = None
-        for n in grid:
-            w = s.prefix_str(n)
-            res = kt(t, w, cap=cap if cap is not None else 2 * n + 8)
-            if res.found:
-                ratio = Fraction(res.cost, n)
-                running = ratio if running is None else min(running, ratio)
-                rows.append(ProfileRow(n, res.cost, ratio, running))
-            else:
-                rows.append(ProfileRow(n, -1, Fraction(0),
-                                       running if running is not None else Fraction(0),
-                                       flags="cap" if res.status == "cap_exceeded" else "unreachable"))
-        profiles[name] = DimensionProfile(tuple(rows), (name,), (n_lo, n_hi))
-        proxy = _window_min(rows, n_lo)
-        if proxy is not None:
-            per[name] = proxy
-    if not per:
-        raise AllRowsFlagged("no transducer produced a usable row in the window")
-    return EstimateReport(min(per.values()), per, (n_lo, n_hi), profiles=profiles)
+    words = {}  # the length-n prefix, read once per n for the whole family
+
+    def rows_of(t, seq, grid):
+        def search(n):
+            w = words.get(n)
+            if w is None:
+                w = words[n] = seq.prefix_str(n)
+            return kt(t, w, cap=cap if cap is not None else 2 * n + 8)
+        return profile_rows(grid, search)
+
+    return estimate(family, s.base, [s], n_max, window_frac, rows_of)
 
 
 def dim_set_estimate(family, xs, base: int, n_max: int,
@@ -160,27 +139,8 @@ def dim_set_estimate(family, xs, base: int, n_max: int,
                      cap_input=None, cap_output=None) -> EstimateReport:
     """Upper-bound estimate for a finite set: per transducer take the worst
     point (sup inside), then the best transducer (inf outside)."""
-    xs = list(xs)
-    if not xs:
-        raise FsdimError("need at least one point")
-    members = _named(family)
-    n_lo, n_hi = _window(n_max, window_frac)
-    grid = _grid(n_lo, n_hi)
-    per = {}
-    for name, t in members:
-        worst = None
-        for x in xs:
-            rows = kdelta_profile([t], x, base, n_max, cap_input, cap_output, grid=grid)
-            proxy = _window_min(rows, n_lo)
-            if proxy is None:
-                worst = None  # a point this transducer cannot handle: drop it
-                break
-            worst = proxy if worst is None or proxy > worst else worst
-        if worst is not None:
-            per[name] = worst
-    if not per:
-        raise AllRowsFlagged("no transducer produced usable rows for every point")
-    return EstimateReport(min(per.values()), per, (n_lo, n_hi))
+    return estimate(family, base, xs, n_max, window_frac, lambda t, x, grid: kdelta_profile(
+        [t], x, base, n_max, cap_input, cap_output, grid=grid))
 
 
 def detect_periods(s: DigitStream, probe_len: int = 256, max_period: int = 32) -> list[int]:
@@ -203,19 +163,20 @@ def normality_family(x: RealSpec, base: int, n_max: int, max_block_len: int = 4,
                      train_cap: int = 4096) -> list[tuple[str, Fst]]:
     """Built-in family for the normality report: identity, block-Huffman
     decoders trained on the point's own prefix, and periodic decoders for any
-    detected repetition."""
+    detected repetition. A digit file trains on at most the digits it has."""
     members = [("identity", make_identity(base))]
     stream = x.stream(base)
     train_len = min(n_max, train_cap)
+    if isinstance(stream, FileDigitStream):
+        train_len = min(train_len, len(stream))
     for k in range(1, max_block_len + 1):
         prefix_len = (train_len // k) * k
         if prefix_len < k:
             continue
         members.append((f"huffman(b{k})", make_block_huffman(stream, prefix_len, k, base)))
-    periods = detect_periods(x.stream(base))
+    periods = detect_periods(stream)
     if periods:
-        p = periods[0]
-        pattern = x.stream(base).prefix_str(p)
+        pattern = stream.prefix_str(periods[0])
         for copies in (1, 2, 4, 8, 16):
             members.append((f"periodic({pattern})x{copies}",
                             make_periodic_decoder(pattern, copies, base)))
@@ -233,6 +194,4 @@ def normality_report(x: RealSpec, base: int, n_max: int, max_block_len: int = 4,
     """
     family = normality_family(x, base, n_max, max_block_len)
     report = dim_point_estimate(family, x, base, n_max, window_frac)
-    verdict = COMPRESSIBLE if report.estimate < threshold else NO_COMPRESSION
-    return EstimateReport(report.estimate, report.per_transducer, report.window,
-                          verdict=verdict, profiles=report.profiles)
+    return replace(report, verdict=COMPRESSIBLE if report.estimate < threshold else NO_COMPRESSION)

@@ -55,9 +55,6 @@ class Fst:
                     if not (0 <= d < self.base):
                         raise InvalidDigit(f"output digit {d} of ({q},{a}) out of base {self.base}")
 
-    def step(self, q: int, a: int):
-        return self.transitions[q][a]
-
     def run_from(self, q: int, pi: str) -> tuple[str, int]:
         """Output and final state of running input pi from state q."""
         out = []
@@ -84,14 +81,6 @@ class Fst:
             for row in self.transitions
         )
         return Fst(b, self.state_count, self.start, rows)
-
-
-def run(t: Fst, pi: str) -> str:
-    return t.run(pi)
-
-
-def complement_lift(t: Fst) -> Fst:
-    return t.complement_lift()
 
 
 def format_fst(t: Fst) -> str:

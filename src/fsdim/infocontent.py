@@ -1,8 +1,13 @@
-"""Information content of a string relative to a transducer.
+"""Information content of a string relative to a transducer, and the search
+core every content search shares.
 
-kt finds the length of the shortest input whose output is exactly w, by
-breadth-first search over (state, matched-output-length) configurations.
-kt_oracle re-derives the same answer by plain enumeration of inputs in
+`bfs` walks T's configurations (state, pos) breadth-first, where pos is what
+a search needs to remember about the output so far; a search is one
+`advance(pos, out)` that says whether emitting `out` from pos accepts, dies,
+or moves to a new pos. `kt` is the exact-output search (pos = matched length
+of w); `precision.kdelta` and the targeted enumerator's all-zero-output search
+in `separator` are two more `advance` functions over the same loop.
+kt_oracle re-derives kt's answer by plain enumeration of inputs in
 length-then-lex order and exists so the two can be cross-checked.
 """
 
@@ -37,40 +42,37 @@ class CostResult:
         return f"{self.status},,"
 
 
-def kt(t: Fst, w: str, cap: int = 64) -> CostResult:
-    """Length of the shortest input pi with T(pi) = w, with a witness.
+#: what `advance` returns for a transition whose output is accepted
+ACCEPT = object()
 
-    Configurations (state, matched length) are deduplicated, so the search
-    space is finite: unreachable outputs are proved unreachable when the
-    frontier empties, and cap_exceeded is reported only when the input-length
-    cap truncates a still-live frontier. Among equal-cost witnesses the
-    lexicographically smallest input is returned.
+
+def bfs(t: Fst, advance, max_len: int) -> CostResult:
+    """Breadth-first search over configurations (state, pos) of T from
+    (start, 0), at most max_len inputs deep.
+
+    advance(pos, out) returns ACCEPT, None to drop the transition, or the next
+    pos. Configurations are deduplicated, so a finite pos space proves
+    unreachability when the frontier empties; cap_exceeded means the input
+    cap stopped a live frontier. The first accepted input is minimal and,
+    among those, lexicographically least.
     """
-    if cap < 0:
-        raise FsdimError(f"cap must be >= 0, got {cap}")
-    target = tuple(str_to_digits(w, t.base))
-    m = len(target)
-    if m == 0:
-        return CostResult(FOUND, 0, "", "")
-
     start = (t.start, 0)
     visited = {start}
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    frontier = deque([start])
+    parents: dict = {}
+    frontier = [start]
     level = 0
-    while frontier and level < cap:
-        next_frontier: deque = deque()
+    while frontier and level < max_len:
+        next_frontier = []
         for cfg in frontier:
-            q, i = cfg
-            for a in range(t.base):
-                q2, out = t.transitions[q][a]
-                j = i + len(out)
-                if j > m or target[i:j] != out:
+            pos = cfg[1]
+            for a, (q2, out) in enumerate(t.transitions[cfg[0]]):
+                pos2 = advance(pos, out)
+                if pos2 is None:
                     continue
-                nxt = (q2, j)
-                if j == m:
-                    pi = _path_to(parents, cfg) + [a]
-                    return CostResult(FOUND, level + 1, digits_to_str(pi), w)
+                if pos2 is ACCEPT:
+                    pi = digits_to_str(_path_to(parents, cfg) + [a])
+                    return CostResult(FOUND, level + 1, pi, t.run(pi))
+                nxt = (q2, pos2)
                 if nxt not in visited:
                     visited.add(nxt)
                     parents[nxt] = (cfg, a)
@@ -87,6 +89,46 @@ def _path_to(parents, cfg) -> list[int]:
         path.append(a)
     path.reverse()
     return path
+
+
+def best_of(results) -> CostResult:
+    """The cheapest found result (lexicographically least witness among equal
+    costs); else cap_exceeded if any search was capped, else unreachable."""
+    best = None
+    capped = False
+    for res in results:
+        if res.status == FOUND:
+            if best is None or (res.cost, res.witness_input) < (best.cost, best.witness_input):
+                best = res
+        elif res.status == CAP_EXCEEDED:
+            capped = True
+    if best is not None:
+        return best
+    return CostResult(CAP_EXCEEDED if capped else UNREACHABLE)
+
+
+def kt(t: Fst, w: str, cap: int = 64) -> CostResult:
+    """Length of the shortest input pi with T(pi) = w, with a witness.
+
+    pos is the matched length of w, so the search space is finite: unreachable
+    outputs are proved unreachable, and cap_exceeded is reported only when
+    the input-length cap truncates a still-live frontier. Among equal-cost
+    witnesses the lexicographically smallest input is returned.
+    """
+    if cap < 0:
+        raise FsdimError(f"cap must be >= 0, got {cap}")
+    target = tuple(str_to_digits(w, t.base))
+    m = len(target)
+    if m == 0:
+        return CostResult(FOUND, 0, "", "")
+
+    def advance(i, out):
+        j = i + len(out)
+        if j > m or target[i:j] != out:
+            return None
+        return ACCEPT if j == m else j
+
+    return bfs(t, advance, cap)
 
 
 def enumerate_outputs(t: Fst, max_len: int, keep=None):

@@ -1,12 +1,12 @@
 """Information content of a real at a precision: the cheapest transducer
 output whose value lands strictly within delta of x.
 
-The search walks the configuration graph (state, output-so-far) breadth-first.
-Every surviving non-accepted output is a prefix of the canonical expansion of
-the lower interval endpoint L = x - delta, so configurations are just
-(state, matched length along E(L)) and each emitted digit is classified by
-comparison against the expansions of L and of H = x + delta. All boundary
-decisions are exact; no floats.
+`kdelta` is the shared search core `infocontent.bfs` with one `advance`,
+`_classify`. Every surviving non-accepted output is a prefix of the canonical
+expansion of the lower interval endpoint L = x - delta, so pos is the matched
+length along E(L), and each emitted digit is classified by comparison
+against the expansions of L and of H = x + delta. All boundary decisions are
+exact; no floats.
 
 The interval depends only on (x, b, delta), not on the transducer, so it is
 built once per (x, b, delta) and shared by every search at that precision: a
@@ -14,13 +14,16 @@ profile over F transducers and G precisions builds G intervals, not F * G.
 The digit stream of a digit-only point is likewise made once per (x, b). A
 digit file's key includes its size and modification time, so a file rewritten
 on disk is read again.
+
+`profile_rows` turns one search per precision into profile rows; it is the
+row builder of `kdelta_profile` and of every estimator in `dimension` and
+`separator`.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +40,16 @@ from .digits import (
 )
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult, enumerate_outputs
+from .infocontent import (
+    ACCEPT,
+    CAP_EXCEEDED,
+    FOUND,
+    UNREACHABLE,
+    CostResult,
+    best_of,
+    bfs,
+    enumerate_outputs,
+)
 
 
 @dataclass(frozen=True)
@@ -95,8 +107,6 @@ class _Bounds:
     """Digit-level view of the acceptance interval (x - delta, x + delta)."""
 
     def __init__(self, x: RealSpec, base: int, delta: Fraction, stamp):
-        self.base = base
-        self.delta = delta
         xval = x.exact_value(base)
         stream = None if xval is not None else _stream(x, base, stamp)
         n = delta_exponent(delta, base)
@@ -148,50 +158,6 @@ def _split_bound(delta: Fraction, base: int) -> int:
     return m
 
 
-_PRUNE, _ACCEPT, _CONTINUE = 0, 1, 2
-
-
-def _classify(bounds: _Bounds, ell: int, out) -> tuple[int, int]:
-    """Classify the output E(L)[:ell] + out; returns (kind, new matched length)."""
-    low = bounds.low
-    j = ell
-    for idx in range(len(out)):
-        d = out[idx]
-        e = low.digit(j)
-        if d == e:
-            j += 1
-            continue
-        if d < e:
-            return _PRUNE, j
-        # diverged above E(L): value now strictly exceeds L
-        if bounds.high_unbounded:
-            return _ACCEPT, j
-        split = bounds.split
-        if j < split:
-            return _PRUNE, j  # also exceeds E(H) here, value >= H
-        if j > split:
-            return _ACCEPT, j  # already lexicographically below E(H)
-        high = bounds.high
-        h = high.digit(j)
-        if d < h:
-            return _ACCEPT, j
-        if d > h:
-            return _PRUNE, j
-        # tracking E(H) for the rest of this emission
-        k = j + 1
-        for idx2 in range(idx + 1, len(out)):
-            d2 = out[idx2]
-            h2 = high.digit(k)
-            if d2 < h2:
-                return _ACCEPT, k
-            if d2 > h2:
-                return _PRUNE, k
-            k += 1
-        # output equals E(H)[:k]; strictly below H unless H terminates by k
-        return (_PRUNE, k) if high.is_zero_from(k) else (_ACCEPT, k)
-    return _CONTINUE, j
-
-
 def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
     """Minimal input length whose output value lies strictly inside
     (x - delta, x + delta), with the witness input and output."""
@@ -201,46 +167,59 @@ def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
     if bounds.lambda_accepted:
         return CostResult(FOUND, 0, "", "")
 
-    start = (t.start, 0)
-    visited = {start}
-    parents: dict = {}
-    frontier = deque([start])
-    level = 0
+    low = bounds.low.digit
+    high = bounds.high
+    high_unbounded = bounds.high_unbounded
+    split = bounds.split
+    cap_output = q.cap_output
     truncated = False
-    while frontier and level < q.cap_input:
-        next_frontier: deque = deque()
-        for cfg in frontier:
-            state, ell = cfg
-            for a in range(t.base):
-                q2, out = t.transitions[state][a]
-                kind, ell2 = _classify(bounds, ell, out)
-                if kind == _PRUNE:
-                    continue
-                if kind == _ACCEPT:
-                    pi = _path_to(parents, cfg) + [a]
-                    pi_s = digits_to_str(pi)
-                    return CostResult(FOUND, level + 1, pi_s, t.run(pi_s))
-                nxt = (q2, ell2)
-                if ell2 > q.cap_output:
-                    truncated = True
-                elif nxt not in visited:
-                    visited.add(nxt)
-                    parents[nxt] = (cfg, a)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-        level += 1
-    if frontier or truncated:
+
+    def _classify(ell, out):
+        """Classify the output E(L)[:ell] + out: ACCEPT, None (pruned), or the
+        new matched length along E(L) of a still-live output."""
+        nonlocal truncated
+        j = ell
+        for idx in range(len(out)):
+            d = out[idx]
+            e = low(j)
+            if d == e:
+                j += 1
+                continue
+            if d < e:
+                return None
+            # diverged above E(L): value now strictly exceeds L
+            if high_unbounded:
+                return ACCEPT
+            if j < split:
+                return None  # also exceeds E(H) here, value >= H
+            if j > split:
+                return ACCEPT  # already lexicographically below E(H)
+            h = high.digit(j)
+            if d < h:
+                return ACCEPT
+            if d > h:
+                return None
+            # tracking E(H) for the rest of this emission
+            k = j + 1
+            for idx2 in range(idx + 1, len(out)):
+                d2 = out[idx2]
+                h2 = high.digit(k)
+                if d2 < h2:
+                    return ACCEPT
+                if d2 > h2:
+                    return None
+                k += 1
+            # output equals E(H)[:k]; strictly below H unless H terminates by k
+            return None if high.is_zero_from(k) else ACCEPT
+        if j > cap_output:
+            truncated = True
+            return None
+        return j
+
+    res = bfs(t, _classify, q.cap_input)
+    if res.status == UNREACHABLE and truncated:
         return CostResult(CAP_EXCEEDED)
-    return CostResult(UNREACHABLE)
-
-
-def _path_to(parents, cfg) -> list[int]:
-    path = []
-    while cfg in parents:
-        cfg, a = parents[cfg]
-        path.append(a)
-    path.reverse()
-    return path
+    return res
 
 
 def _within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
@@ -312,7 +291,34 @@ class ProfileRow:
     cost: int
     ratio: Fraction
     running_inf: Fraction
-    flags: str = ""  # "cap" when any transducer hit a cap at this n
+    flags: str = ""  # "cap", "unreachable" or "insufficient" when nothing was found at this n
+
+
+def profile_rows(grid, search) -> list[ProfileRow]:
+    """Rows (n, cost, cost/n, running infimum) for each n in grid, where
+    search(n) returns a CostResult.
+
+    A row whose search found nothing is flagged "cap" or "unreachable", and
+    one whose point ran out of digits (InsufficientDigits) "insufficient".
+    Flagged rows carry the running infimum unchanged and are left out of
+    every estimate.
+    """
+    rows = []
+    running = None
+    for n in grid:
+        try:
+            res = search(n)
+        except InsufficientDigits:
+            flags = "insufficient"
+        else:
+            if res.status == FOUND:
+                ratio = Fraction(res.cost, n)
+                running = ratio if running is None else min(running, ratio)
+                rows.append(ProfileRow(n, res.cost, ratio, running))
+                continue
+            flags = "cap" if res.status == CAP_EXCEEDED else "unreachable"
+        rows.append(ProfileRow(n, -1, Fraction(0), Fraction(0) if running is None else running, flags))
+    return rows
 
 
 def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
@@ -320,32 +326,14 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
     """Rows (n, min cost over the family, cost/n, running infimum) for
     n = 1..n_max (or a supplied sub-grid) at delta = base**-n.
 
-    Rows where every transducer hit a cap are flagged and excluded from the
-    running infimum.
+    A row where no transducer found an output is flagged "cap" when any of
+    them hit a cap, else "unreachable"; see profile_rows.
     """
     ts = list(ts)
     if not ts:
         raise FsdimError("need at least one transducer")
     if grid is None:
         grid = range(1, n_max + 1)
-    rows = []
-    running = None
-    for n in grid:
-        best = None
-        capped = False
-        for t in ts:
-            pq = PrecisionQuery.at_scale(x, base, n, cap_input, cap_output,
-                                         max_burst=t.max_burst())
-            res = kdelta(t, pq)
-            if res.found:
-                best = res.cost if best is None else min(best, res.cost)
-            elif res.status == CAP_EXCEEDED:
-                capped = True
-        if best is None:
-            rows.append(ProfileRow(n, -1, Fraction(0), running if running is not None else Fraction(0),
-                                   flags="cap" if capped else "unreachable"))
-            continue
-        ratio = Fraction(best, n)
-        running = ratio if running is None else min(running, ratio)
-        rows.append(ProfileRow(n, best, ratio, running))
-    return rows
+    return profile_rows(grid, lambda n: best_of(
+        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input, cap_output, max_burst=t.max_burst()))
+        for t in ts))

@@ -10,18 +10,22 @@ that the point's enumerator dimension collapses toward 0 while its canonical
 dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
 
-`ktf_delta` answers two kinds by an exact breadth-first search guided by the
-interval (x - delta, x + delta) that `kdelta` uses (`precision._Bounds`,
-memoized per precision), with no float and no call to f per node:
+`ktf_delta` answers two kinds with the shared search core
+(`infocontent.bfs`) guided by the interval (x - delta, x + delta) that
+`kdelta` uses (`precision._Bounds`, memoized per precision), with no float
+and no call to f per node:
 
 - canonical: `kdelta` itself, with an output cap that cannot bind;
-- targeted: the better of `kdelta` and one search over (state, zeros
-  emitted) that evaluates f(0^k) once per k.
+- targeted: the `best_of` `kdelta`'s answer and one more `bfs` whose pos is
+  the number of zeros emitted, which evaluates f(0^k) once per k.
 
 `ktf_delta_oracle` keeps the plain enumeration of inputs, independent of these
 searches, as the reference they are tested against. It also answers every
 other enumerator (`blockperm` and any built by hand), and a digit-only point
 at a delta that is not base**-n, which `kdelta`'s interval cannot express.
+
+`dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
+`kdelta` rows.
 """
 
 from __future__ import annotations
@@ -31,19 +35,11 @@ from fractions import Fraction
 from functools import partial
 
 from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_digits
-from .dimension import DimensionProfile, EstimateReport, _grid, _named, _window, _window_min
-from .errors import AllRowsFlagged, FsdimError, InvalidPermutation
+from .dimension import EstimateReport, estimate
+from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult
-from .precision import (
-    PrecisionQuery,
-    ProfileRow,
-    _file_stamp,
-    _path_to,
-    _stream,
-    _within,
-    kdelta,
-)
+from .infocontent import ACCEPT, CAP_EXCEEDED, FOUND, CostResult, best_of, bfs
+from .precision import PrecisionQuery, _file_stamp, _stream, _within, kdelta, profile_rows
 
 #: outputs longer than this are not deduplicated during enumeration
 DEDUP_OUTPUT_LIMIT = 64
@@ -203,32 +199,26 @@ def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fractio
     empty output; so kdelta answers every output but 0^k (k >= 1) exactly,
     and one more search over the all-zero outputs completes the minimum."""
     best = _canonical_search(t, x, delta, max_len)
-    zeros = _zero_search(f, t, x, delta, best.cost if best.found else max_len)
-    found = [r for r in (best, zeros) if r.found]
-    if found:
-        return min(found, key=lambda r: (r.cost, r.witness_input))
-    return best if best.status == CAP_EXCEEDED else zeros
+    return best_of((best, _zero_search(f, t, x, delta, best.cost if best.found else max_len)))
 
 
 def _zero_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
                  max_len: int) -> CostResult:
     """Cheapest input whose output is 0^k, k >= 1, with |f(0^k) - x| < delta.
 
-    Configurations are (state, k); transitions that emit a nonzero digit are
-    dropped and f(0^k) is evaluated once per k. f(0^k) is the
-    _target_len(k)-digit truncation of the target, so every f(0^k') with
-    k' >= k lies in [f(0^k), f(0^k) + b**-_target_len(k)); once that range
-    misses the interval, no configuration with k' >= k can be accepted and
-    all are dropped.
+    pos is k; transitions that emit a nonzero digit are dropped and f(0^k) is
+    evaluated once per k. f(0^k) is the _target_len(k)-digit truncation of
+    the target, so every f(0^k') with k' >= k lies in
+    [f(0^k), f(0^k) + b**-_target_len(k)); once that range misses the
+    interval, no configuration with k' >= k can be accepted and all are
+    dropped.
     """
     cmp = _stream(x, t.base, _file_stamp(x)).compare  # sign of x - r, exact
     rejected: set = set()
     dead = None  # least k from which no all-zero output is accepted
 
-    def step(cfg, a):
+    def advance(k, out):
         nonlocal dead
-        state, k = cfg
-        q2, out = t.transitions[state][a]
         k2 = k + len(out)
         if any(out) or (dead is not None and k2 >= dead):
             return None
@@ -236,44 +226,15 @@ def _zero_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
             value = f.eval("0" * k2)
             below_high = cmp(value - delta) > 0
             if below_high and cmp(value + delta) < 0:
-                return _ACCEPT
+                return ACCEPT
             rejected.add(k2)
             reach = value + Fraction(1, t.base ** _target_len(k2))
             if not below_high or cmp(reach + delta) >= 0:
                 dead = k2
                 return None
-        return q2, k2
+        return k2
 
-    return _bfs(t, (t.start, 0), step, max_len)
-
-
-_ACCEPT = object()
-
-
-def _bfs(t: Fst, start, step, max_len: int) -> CostResult:
-    """Breadth-first search over configurations of T, at most max_len inputs
-    deep. step(cfg, a) returns _ACCEPT, None to drop the transition, or the
-    next configuration; the first accepted input is minimal and, among those,
-    lexicographically least."""
-    visited = {start}
-    parents: dict = {}
-    frontier = [start]
-    level = 0
-    while frontier and level < max_len:
-        next_frontier = []
-        for cfg in frontier:
-            for a in range(t.base):
-                nxt = step(cfg, a)
-                if nxt is _ACCEPT:
-                    pi = digits_to_str(_path_to(parents, cfg) + [a])
-                    return CostResult(FOUND, level + 1, pi, t.run(pi))
-                if nxt is not None and nxt not in visited:
-                    visited.add(nxt)
-                    parents[nxt] = (cfg, a)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-        level += 1
-    return CostResult(CAP_EXCEEDED if frontier else UNREACHABLE)
+    return bfs(t, advance, max_len)
 
 
 def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
@@ -312,43 +273,9 @@ def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fractio
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
                   window_frac: Fraction = Fraction(1, 2),
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
-    """Enumerator-dimension upper bound; same proxy shape as the point and set
-    estimators with ktf_delta in place of kdelta."""
+    """Enumerator-dimension upper bound; the point and set estimators' shape
+    (`dimension.estimate`) with ktf_delta in place of kdelta."""
     if isinstance(xs, RealSpec):
         xs = [xs]
-    xs = list(xs)
-    if not xs:
-        raise FsdimError("need at least one point")
-    members = _named(family)
-    n_lo, n_hi = _window(n_max, window_frac)
-    grid = _grid(n_lo, n_hi)
-    per = {}
-    profiles = {}
-    for name, t in members:
-        worst = None
-        for x in xs:
-            rows = []
-            running = None
-            for n in grid:
-                res = ktf_delta(t, f, x, Fraction(1, base ** n), max_input_len)
-                if res.found:
-                    ratio = Fraction(res.cost, n)
-                    running = ratio if running is None else min(running, ratio)
-                    rows.append(ProfileRow(n, res.cost, ratio, running))
-                else:
-                    rows.append(ProfileRow(n, -1, Fraction(0),
-                                           running if running is not None else Fraction(0),
-                                           flags="cap" if res.status == CAP_EXCEEDED
-                                           else "unreachable"))
-            if len(xs) == 1:
-                profiles[name] = DimensionProfile(tuple(rows), (name,), (n_lo, n_hi))
-            proxy = _window_min(rows, n_lo)
-            if proxy is None:
-                worst = None
-                break
-            worst = proxy if worst is None or proxy > worst else worst
-        if worst is not None:
-            per[name] = worst
-    if not per:
-        raise AllRowsFlagged("no transducer produced usable rows in the window")
-    return EstimateReport(min(per.values()), per, (n_lo, n_hi), profiles=profiles)
+    return estimate(family, base, xs, n_max, window_frac, lambda t, x, grid: profile_rows(
+        grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n), max_input_len)))

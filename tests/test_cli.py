@@ -93,6 +93,13 @@ class TestBadValuesExitCleanly:
         (["pool", "--max-burst", "-1"], 2, "--max-burst: must be >= 0"),
         (["sedim", "--f", "blockperm:x:PERM"], 1, "bad block length 'x'"),
         (["sedim", "--f", "blockperm:1:BINARY"], 1, "can't decode byte 0xff"),
+        (["dim", "point", "--x", "rat:1/5"], 2, "dim point takes one --x, got 2"),
+        (["dim", "seq", "--x", "rat:1/5"], 2, "dim seq takes one --x, got 2"),
+        (["profile", "--nmax", "0"], 2, "--nmax: must be >= 1"),
+        (["profile", "--nmax", "-3"], 2, "--nmax: must be >= 1"),
+        (["normality", "--k", "-1"], 2, "--k: must be >= 0"),
+        (["dim", "seq", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
+        (["dim", "point", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
     ])
     def test_flag_values(self, family_dir, tmp_path, capsys, argv, code, message):
         perm = tmp_path / "perm.txt"
@@ -117,6 +124,46 @@ class TestBadValuesExitCleanly:
         assert dispatch(["normality", "--x", "rat:1/3", "--nmax", "40",
                          "--threshold", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"].startswith("no compression")
+
+
+class TestShortDigitFile:
+    """A digit file shorter than the precisions asked for gives flagged rows,
+    not an aborted run."""
+
+    @pytest.fixture()
+    def digits(self, tmp_path):
+        path = tmp_path / "d.txt"
+        rng = random.Random(3)
+        path.write_text("".join(rng.choice("01") for _ in range(100)))
+        return f"digitfile:{path}"
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "point", "--fsts", "FAM", "--x", "X", "--nmax", "150"],
+        ["dim", "seq", "--fsts", "FAM", "--x", "X", "--nmax", "150"],
+        ["dim", "set", "--fsts", "FAM", "--x", "X", "--x", "rat:1/3", "--nmax", "150"],
+        ["normality", "--x", "X", "--nmax", "150"],
+    ])
+    def test_estimates_exit_zero(self, family_dir, digits, capsys, argv):
+        argv = [family_dir if a == "FAM" else digits if a == "X" else a for a in argv]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out.startswith("estimate=")
+
+    def test_profile_flags_insufficient_rows(self, family_dir, digits, capsys):
+        assert dispatch(["profile", "--fsts", family_dir, "--x", digits, "--nmax", "110"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 110
+        assert all(r[4] == "" for r in rows[:99])
+        assert {r[4] for r in rows[100:]} == {"insufficient"}
+        assert all(r[1] == "" and r[2] == "" for r in rows if r[4])
+
+    def test_sedim_gives_its_own_answer(self, family_dir, digits, capsys):
+        code = dispatch(["sedim", "--f", "canonical", "--fsts", family_dir, "--x", digits,
+                         "--nmax", "150"])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert "supplies 100 digits" not in err
+        if code == 1:
+            assert err == "error: no transducer produced a usable row in the window for every point\n"
 
 
 class TestPool:

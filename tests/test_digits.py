@@ -13,7 +13,6 @@ from fsdim.digits import (
     RealSpec,
     comp,
     delta_exponent,
-    interval_endpoints,
     parse_delta,
     real_value,
     seq_digits,
@@ -120,28 +119,11 @@ class TestComp:
         assert comp(comp(w, base), base) == w
 
 
-class TestIntervalEndpoints:
-    def test_third(self):
-        lo, hi, _ = interval_endpoints(RealSpec.rational(1, 3), 2, 3)
-        assert (lo, hi) == (Fraction(5, 24), Fraction(11, 24))
-
-    def test_clamped_at_zero(self):
-        lo, hi, _ = interval_endpoints(RealSpec.rational(0, 1), 2, 2)
-        assert (lo, hi) == (Fraction(0), Fraction(1, 4))
-
-    def test_lower_stream(self):
-        # 1/3 - 1/4 = 1/12 = 0.000101...(binary), by long division
-        _, _, stream = interval_endpoints(RealSpec.rational(1, 3), 2, 2)
-        assert stream.prefix_str(4) == "0001"
-
-    def test_digitfile_has_no_exact_endpoints(self, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("0101\n")
-        with pytest.raises(InsufficientDigits):
-            interval_endpoints(RealSpec.digitfile(str(path)), 2, 2)
-
-
 class TestStreams:
+    def test_fraction_stream_one_twelfth(self):
+        # 1/3 - 1/4 = 1/12 = 0.000101...(binary), by long division
+        assert FractionStream(Fraction(1, 12), 2).prefix_str(4) == "0001"
+
     def test_file_stream_ignores_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("01 01 # header\n1100\n")

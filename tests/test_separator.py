@@ -200,8 +200,8 @@ class TestDimfEstimate:
         a = dimf_estimate([("id", identity2)], f, THIRD, 2, 12, max_input_len=16)
         b = dim_point_estimate([("id", identity2)], THIRD, 2, 12)
         assert a.estimate == b.estimate
-        rows_a = a.profiles["id"].rows
-        rows_b = b.profiles["id"].rows
+        rows_a = a.profiles["id"]
+        rows_b = b.profiles["id"]
         assert [(r.n, r.cost) for r in rows_a] == [(r.n, r.cost) for r in rows_b]
 
     def test_targeted_collapses_dimension(self, identity2):
