@@ -25,7 +25,7 @@ from .precision import PrecisionQuery, kdelta, kdelta_profile
 
 DEFAULT_BURST_WARNING = 64
 
-#: precision scale whose default caps apply to a delta that is not base**-n
+#: precision scale whose default input cap applies to a delta that is not base**-n
 FALLBACK_SCALE = 14
 
 
@@ -145,8 +145,7 @@ def cmd_kdelta(args) -> int:
     else:
         delta = parse_delta(args.delta, args.base)
         n = delta_exponent(delta, args.base)
-    q = PrecisionQuery.at_scale(x, args.base, FALLBACK_SCALE if n is None else n,
-                                args.cap_in, args.cap_out, max_burst=t.max_burst())
+    q = PrecisionQuery.at_scale(x, args.base, FALLBACK_SCALE if n is None else n, args.cap_in)
     if n is None:
         q = replace(q, delta=delta)
     res = kdelta(t, q)
@@ -281,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int)
     group.add_argument("--delta")
     p.add_argument("--cap-in", type=int)
-    p.add_argument("--cap-out", type=int)
     common(p)
     p.set_defaults(func=cmd_kdelta)
 

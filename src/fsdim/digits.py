@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count, islice
 from typing import Optional
 
 from .errors import (
@@ -70,18 +72,38 @@ def comp(w: str, base: int) -> str:
 class DigitStream:
     """Canonical base-b expansion read one digit at a time.
 
-    Subclasses implement digit(i). `value` is the exact rational value when
-    known, else None (digit-only streams: files, champernowne).
+    This is the one class that holds digits: those already known sit in a
+    byte buffer, and more are drawn on demand from `source`, an iterator of
+    digits. Reading past the point where the source runs dry raises
+    InsufficientDigits. `value` is the exact rational value when known, else
+    None (digit-only streams: files, champernowne).
     """
 
-    base: int
-    value: Optional[Fraction] = None
+    origin = "<digits>"
+
+    def __init__(self, base: int, source=(), digits=b"", value: Optional[Fraction] = None):
+        self.base = base
+        self.value = value
+        self._digits = bytearray(digits)
+        self._source = iter(source)
+
+    def _fill(self, m: int) -> None:
+        digits = self._digits
+        digits.extend(islice(self._source, m - len(digits)))
+        if len(digits) < m:
+            raise InsufficientDigits(f"{self.origin} supplies {len(digits)} digits, {m} requested")
 
     def digit(self, i: int) -> int:
-        raise NotImplementedError
+        try:
+            return self._digits[i]
+        except IndexError:  # cheaper than a length test on the hot path
+            self._fill(i + 1)
+            return self._digits[i]
 
     def prefix(self, m: int) -> list[int]:
-        return [self.digit(i) for i in range(m)]
+        if m > len(self._digits):
+            self._fill(m)
+        return list(self._digits[:m])
 
     def prefix_str(self, m: int) -> str:
         return digits_to_str(self.prefix(m))
@@ -93,28 +115,29 @@ class DigitStream:
             num = num * self.base + d
         return Fraction(num, self.base ** m)
 
-    def is_zero_from(self, m: int, lookahead: int = DEFAULT_LOOKAHEAD) -> bool:
+    def is_zero_from(self, m: int) -> bool:
         """Whether every digit at index >= m is zero (the expansion terminates).
 
         Digit-only streams can refute this by exhibiting a nonzero digit but can
-        never confirm it; they raise InsufficientDigits after `lookahead` zeros.
+        never confirm it; they raise InsufficientDigits after DEFAULT_LOOKAHEAD
+        zeros.
         """
         if self.value is not None:
             scaled = self.value * self.base ** m
             return scaled.denominator == 1
-        for i in range(m, m + lookahead):
+        for i in range(m, m + DEFAULT_LOOKAHEAD):
             if self.digit(i) != 0:
                 return False
         raise InsufficientDigits(
-            f"cannot confirm an all-zero tail from index {m} within {lookahead} digits"
+            f"cannot confirm an all-zero tail from index {m} within {DEFAULT_LOOKAHEAD} digits"
         )
 
-    def compare(self, r: Fraction, lookahead: int = DEFAULT_LOOKAHEAD) -> int:
+    def compare(self, r: Fraction) -> int:
         """Exact three-way comparison of this real against a rational r.
 
         Returns -1, 0 or +1. Digit-only streams refine until the cylinder
         around the known prefix separates from r, raising InsufficientDigits
-        if `lookahead` doublings do not settle it.
+        if DEFAULT_LOOKAHEAD doublings do not settle it.
         """
         if self.value is not None:
             return (self.value > r) - (self.value < r)
@@ -123,7 +146,7 @@ class DigitStream:
         if r >= 1:
             return -1
         m = 8
-        for _ in range(lookahead):
+        for _ in range(DEFAULT_LOOKAHEAD):
             lo = self.exact_value_up_to(m)
             if r < lo:
                 return 1
@@ -145,25 +168,14 @@ class FractionStream(DigitStream):
         value = Fraction(value)
         if not (0 <= value < 1):
             raise SpecOutOfRange(f"value {value} not in [0,1)")
-        self.base = base
-        self.value = value
-        self._digits: list[int] = []
-        self._rem = value.numerator  # remainder of the long division
-        self._den = value.denominator
+        super().__init__(base, _long_division(value.numerator, value.denominator, base),
+                         value=value)
 
-    def _ensure(self, m: int) -> None:
-        while len(self._digits) < m:
-            self._rem *= self.base
-            d, self._rem = divmod(self._rem, self._den)
-            self._digits.append(d)
 
-    def digit(self, i: int) -> int:
-        self._ensure(i + 1)
-        return self._digits[i]
-
-    def prefix(self, m: int) -> list[int]:
-        self._ensure(m)
-        return self._digits[:m]
+def _long_division(rem: int, den: int, base: int):
+    while True:
+        d, rem = divmod(rem * base, den)
+        yield d
 
 
 class ChampernowneStream(DigitStream):
@@ -171,30 +183,16 @@ class ChampernowneStream(DigitStream):
 
     def __init__(self, base: int):
         check_base(base)
-        self.base = base
-        self._digits: list[int] = []
-        self._next = 1  # next integer to append
+        super().__init__(base, _numerals(base))
 
-    def _ensure(self, m: int) -> None:
-        while len(self._digits) < m:
-            n, b = self._next, self.base
-            self._next += 1
-            rep = []
-            while n:
-                n, d = divmod(n, b)
-                rep.append(d)
-            self._digits.extend(reversed(rep))
 
-    def digit(self, i: int) -> int:
-        self._ensure(i + 1)
-        return self._digits[i]
-
-    def prefix(self, m: int) -> list[int]:
-        self._ensure(m)
-        return self._digits[:m]
-
-    def is_zero_from(self, m: int, lookahead: int = DEFAULT_LOOKAHEAD) -> bool:
-        return False  # the word contains every numeral, so every tail has a 1
+def _numerals(base: int):
+    for n in count(1):
+        rep = []
+        while n:
+            n, d = divmod(n, base)
+            rep.append(d)
+        yield from reversed(rep)
 
 
 class FileDigitStream(DigitStream):
@@ -208,9 +206,8 @@ class FileDigitStream(DigitStream):
         for d in digits:
             if not (0 <= d < base):
                 raise InvalidDigit(f"digit {d} out of range for base {base} in {origin}")
-        self.base = base
+        super().__init__(base, digits=digits)
         self.origin = origin
-        self._digits = digits
 
     @classmethod
     def from_file(cls, path: str, base: int) -> "FileDigitStream":
@@ -229,72 +226,39 @@ class FileDigitStream(DigitStream):
     def __len__(self) -> int:
         return len(self._digits)
 
-    def digit(self, i: int) -> int:
-        if i >= len(self._digits):
-            raise InsufficientDigits(
-                f"{self.origin} supplies {len(self._digits)} digits, index {i} requested"
-            )
-        return self._digits[i]
 
-    def prefix(self, m: int) -> list[int]:
-        if m > len(self._digits):
-            raise InsufficientDigits(
-                f"{self.origin} supplies {len(self._digits)} digits, {m} requested"
-            )
-        return self._digits[:m]
+def _shifted(x: DigitStream, n: int, sign: int) -> DigitStream:
+    """x + sign * base**-n (sign -1 or +1), given that it lies in [0, 1).
 
-
-class BorrowStream(DigitStream):
-    """Canonical expansion of x - base**-n, given x >= base**-n.
-
-    Only the first n digits change: 1 is subtracted at index n-1 with the
-    borrow running left through zeros. The tail is shared with x, so the
-    result is canonical whenever x is.
+    Only the first n digits change: a borrow (carry) runs left from index n-1
+    through 0s ((b-1)s) and leaves (b-1)s (0s) behind. The changed head seeds
+    the buffer and the tail is read from x, so the result is canonical
+    whenever x is.
     """
-
-    def __init__(self, x: DigitStream, n: int):
-        self.base = x.base
-        self._x = x
-        self._n = n
-        head = x.prefix(n)
-        k = max(i for i in range(n) if head[i] > 0)  # x >= b**-n guarantees one
-        # one byte per digit: interval bounds are kept for a whole precision grid
-        self._head = bytes(head[:k] + [head[k] - 1] + [self.base - 1] * (n - k - 1))
-        if x.value is not None:
-            self.value = x.value - Fraction(1, self.base ** n)
-
-    def digit(self, i: int) -> int:
-        return self._head[i] if i < self._n else self._x.digit(i)
-
-    def prefix(self, m: int) -> list[int]:
-        if m <= self._n:
-            return list(self._head[:m])
-        return list(self._head) + [self._x.digit(i) for i in range(self._n, m)]
+    base = x.base
+    head = x.prefix(n)
+    edge = 0 if sign < 0 else base - 1  # the digits a borrow or carry runs through
+    k = max(i for i in range(n) if head[i] != edge)  # the range condition guarantees one
+    head[k:] = [head[k] + sign] + [base - 1 - edge] * (n - k - 1)
+    value = None if x.value is None else x.value + Fraction(sign, base ** n)
+    s = DigitStream(base, _tail(x, n), head, value)
+    s.origin = x.origin
+    return s
 
 
-class CarryStream(DigitStream):
-    """Canonical expansion of x + base**-n, given x + base**-n < 1.
+def _tail(x: DigitStream, start: int):
+    """x's digits from index start on, ending where x's own digits end."""
+    try:
+        for i in count(start):
+            yield x.digit(i)
+    except InsufficientDigits:
+        return
 
-    1 is added at index n-1 with the carry running left through (b-1)s.
-    """
 
-    def __init__(self, x: DigitStream, n: int):
-        self.base = x.base
-        self._x = x
-        self._n = n
-        head = x.prefix(n)
-        k = max(i for i in range(n) if head[i] < self.base - 1)  # sum < 1 guarantees one
-        self._head = bytes(head[:k] + [head[k] + 1] + [0] * (n - k - 1))
-        if x.value is not None:
-            self.value = x.value + Fraction(1, self.base ** n)
-
-    def digit(self, i: int) -> int:
-        return self._head[i] if i < self._n else self._x.digit(i)
-
-    def prefix(self, m: int) -> list[int]:
-        if m <= self._n:
-            return list(self._head[:m])
-        return list(self._head) + [self._x.digit(i) for i in range(self._n, m)]
+#: x - base**-n, given x >= base**-n
+BorrowStream = partial(_shifted, sign=-1)
+#: x + base**-n, given x + base**-n < 1
+CarryStream = partial(_shifted, sign=1)
 
 
 @dataclass(frozen=True)

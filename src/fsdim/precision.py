@@ -11,9 +11,9 @@ exact; no floats.
 The interval depends only on (x, b, delta), not on the transducer, so it is
 built once per (x, b, delta) and shared by every search at that precision: a
 profile over F transducers and G precisions builds G intervals, not F * G.
-The digit stream of a digit-only point is likewise made once per (x, b). A
-digit file's key includes its size and modification time, so a file rewritten
-on disk is read again.
+The digit stream of a digit-only point is likewise made once per (x, b). Both
+memos keep every key a process asks for; a digit file's key includes its size
+and modification time, so a file rewritten on disk is read again.
 
 `profile_rows` turns one search per precision into profile rows; it is the
 row builder of `kdelta_profile` and of every estimator in `dimension` and
@@ -26,7 +26,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .digits import (
     BorrowStream,
@@ -44,7 +44,6 @@ from .infocontent import (
     ACCEPT,
     CAP_EXCEEDED,
     FOUND,
-    UNREACHABLE,
     CostResult,
     best_of,
     bfs,
@@ -58,31 +57,22 @@ class PrecisionQuery:
     base: int
     delta: Fraction
     cap_input: int
-    cap_output: int
 
     def __post_init__(self):
         if self.delta <= 0 or self.delta > 1:
             raise FsdimError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.cap_input < 0 or self.cap_output < 0:
-            raise FsdimError("caps must be >= 0")
+        if self.cap_input < 0:
+            raise FsdimError(f"cap_input must be >= 0, got {self.cap_input}")
 
     @classmethod
-    def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None, cap_output=None,
-                 max_burst: int = 1) -> "PrecisionQuery":
-        """Query at delta = base**-n with the default cap policy."""
+    def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None) -> "PrecisionQuery":
+        """Query at delta = base**-n with the default input cap 4 * (n + 2)."""
         check_base(base)
         if n < 0:
             raise FsdimError(f"n must be >= 0, got {n}")
         if cap_input is None:
             cap_input = 4 * (n + 2)
-        if cap_output is None:
-            cap_output = max(1, max_burst) * cap_input
-        return cls(x, base, Fraction(1, base ** n), cap_input, cap_output)
-
-
-#: entries kept by each memo; dimension.FULL_GRID_LIMIT caps the number of
-#: precisions one estimator grid uses, so a whole grid stays resident
-MEMO_SIZE = 256
+        return cls(x, base, Fraction(1, base ** n), cap_input)
 
 
 def _file_stamp(x: RealSpec):
@@ -93,12 +83,12 @@ def _file_stamp(x: RealSpec):
     return st.st_ino, st.st_mtime_ns, st.st_size
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
     return x.stream(base)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _bounds(x: RealSpec, base: int, delta: Fraction, stamp) -> "_Bounds":
     return _Bounds(x, base, delta, stamp)
 
@@ -171,13 +161,10 @@ def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
     high = bounds.high
     high_unbounded = bounds.high_unbounded
     split = bounds.split
-    cap_output = q.cap_output
-    truncated = False
 
     def _classify(ell, out):
         """Classify the output E(L)[:ell] + out: ACCEPT, None (pruned), or the
         new matched length along E(L) of a still-live output."""
-        nonlocal truncated
         j = ell
         for idx in range(len(out)):
             d = out[idx]
@@ -211,15 +198,9 @@ def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
                 k += 1
             # output equals E(H)[:k]; strictly below H unless H terminates by k
             return None if high.is_zero_from(k) else ACCEPT
-        if j > cap_output:
-            truncated = True
-            return None
         return j
 
-    res = bfs(t, _classify, q.cap_input)
-    if res.status == UNREACHABLE and truncated:
-        return CostResult(CAP_EXCEEDED)
-    return res
+    return bfs(t, _classify, q.cap_input)
 
 
 def _within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
@@ -322,7 +303,7 @@ def profile_rows(grid, search) -> list[ProfileRow]:
 
 
 def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
-                   cap_input=None, cap_output=None, grid=None) -> list[ProfileRow]:
+                   cap_input=None, grid=None) -> list[ProfileRow]:
     """Rows (n, min cost over the family, cost/n, running infimum) for
     n = 1..n_max (or a supplied sub-grid) at delta = base**-n.
 
@@ -335,5 +316,4 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
     if grid is None:
         grid = range(1, n_max + 1)
     return profile_rows(grid, lambda n: best_of(
-        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input, cap_output, max_burst=t.max_burst()))
-        for t in ts))
+        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input)) for t in ts))

@@ -15,7 +15,7 @@ for these kinds; it is declared, not verified.
 `kdelta` uses (`precision._Bounds`, memoized per precision), with no float
 and no call to f per node:
 
-- canonical: `kdelta` itself, with an output cap that cannot bind;
+- canonical: `kdelta` itself;
 - targeted: the `best_of` `kdelta`'s answer and one more `bfs` whose pos is
   the number of zeros emitted, which evaluates f(0^k) once per k.
 
@@ -188,8 +188,7 @@ def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
 
 
 def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int) -> CostResult:
-    # an output of at most burst * max_len digits never meets kdelta's output cap
-    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len, max(1, t.max_burst()) * max_len))
+    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len))
 
 
 def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,

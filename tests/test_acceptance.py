@@ -51,7 +51,7 @@ def _spec(f: Fraction) -> RealSpec:
 
 
 def _query(x: RealSpec, n: int) -> PrecisionQuery:
-    return PrecisionQuery(x, 2, Fraction(1, 2**n), CAP, 2 * CAP)
+    return PrecisionQuery(x, 2, Fraction(1, 2**n), CAP)
 
 
 def test_criterion_1_kt_oracle_equivalence(pool):

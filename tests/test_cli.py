@@ -100,6 +100,7 @@ class TestBadValuesExitCleanly:
         (["normality", "--k", "-1"], 2, "--k: must be >= 0"),
         (["dim", "seq", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
         (["dim", "point", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
+        (["kdelta", "--n", "3", "--cap-out", "5"], 2, "unrecognized arguments: --cap-out 5"),
     ])
     def test_flag_values(self, family_dir, tmp_path, capsys, argv, code, message):
         perm = tmp_path / "perm.txt"
@@ -108,6 +109,8 @@ class TestBadValuesExitCleanly:
         binary.write_bytes(b"\xff0 -> 1\n")
         if argv[0] == "pool":
             argv = argv + ["--seed", "1", "--count", "2", "--out", str(tmp_path / "p")]
+        elif argv[0] == "kdelta":
+            argv = argv + ["--fst", str(tmp_path / "fam" / "id.fst"), "--x", "rat:1/3"]
         else:
             argv = [a.replace("PERM", str(perm)).replace("BINARY", str(binary)) for a in argv]
             argv = argv + ["--fsts", family_dir, "--x", "rat:1/3", "--nmax", "6"]

@@ -52,7 +52,7 @@ class TestStateRenumbering:
            cap_input=st.integers(0, 16))
     def test_kdelta(self, pool, data, x, n, cap_input):
         t, u = data.draw(machine_and_renumbering(pool))
-        q = PrecisionQuery.at_scale(x, 2, n, cap_input, max_burst=t.max_burst())
+        q = PrecisionQuery.at_scale(x, 2, n, cap_input)
         assert kdelta(u, q) == kdelta(t, q)
 
 

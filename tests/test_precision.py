@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsdim import precision
 from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
+from fsdim.dimension import dim_set_estimate
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import make_identity, make_periodic_decoder
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
@@ -21,22 +23,21 @@ THIRD = RealSpec.rational(1, 3)
 ZERO = RealSpec.rational(0, 1)
 
 
-def query(x, n, cap_in=16, cap_out=None):
-    return PrecisionQuery(x, 2, Fraction(1, 2**n), cap_in,
-                          cap_out if cap_out is not None else 4 * cap_in)
+def query(x, n, cap_in=16):
+    return PrecisionQuery(x, 2, Fraction(1, 2**n), cap_in)
 
 
 class TestKdelta:
     def test_identity_third_eighth(self, identity2):
-        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 8), 16, 32))
+        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 8), 16))
         assert (res.status, res.cost, res.witness_output) == (FOUND, 2, "01")
 
     def test_trivial_delta_accepts_empty(self, identity2):
-        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1), 16, 32))
+        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1), 16))
         assert (res.status, res.cost, res.witness_input) == (FOUND, 0, "")
 
     def test_doubling_quarter(self, doubling2):
-        res = kdelta(doubling2, PrecisionQuery(THIRD, 2, Fraction(1, 4), 16, 32))
+        res = kdelta(doubling2, PrecisionQuery(THIRD, 2, Fraction(1, 4), 16))
         assert (res.status, res.cost, res.witness_input, res.witness_output) == (
             FOUND, 2, "01", "0011",
         )
@@ -49,7 +50,7 @@ class TestKdelta:
     def test_witness_value_in_interval(self, pool):
         for _, t in pool[:40]:
             for n in range(1, 5):
-                res = kdelta(t, query(THIRD, n, cap_in=12, cap_out=24))
+                res = kdelta(t, query(THIRD, n, cap_in=12))
                 if res.found:
                     v = real_value(res.witness_output, 2)
                     assert abs(v - Fraction(1, 3)) < Fraction(1, 2**n)
@@ -57,7 +58,7 @@ class TestKdelta:
 
     def test_base_mismatch(self, identity2):
         with pytest.raises(FsdimError):
-            kdelta(identity2, PrecisionQuery(THIRD, 3, Fraction(1, 3), 8, 8))
+            kdelta(identity2, PrecisionQuery(THIRD, 3, Fraction(1, 3), 8))
 
     def test_exact_dyadic_hit(self, identity2):
         # 5/8 has expansion 101; the exact hit is accepted at every precision
@@ -67,8 +68,8 @@ class TestKdelta:
             assert res.found and res.cost <= 3
 
     def test_arbitrary_rational_delta(self, identity2):
-        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 12), 16, 32))
-        oracle = kdelta_oracle(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 12), 16, 32))
+        res = kdelta(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 12), 16))
+        oracle = kdelta_oracle(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 12), 16))
         assert res.found and res.cost == oracle.cost
 
 
@@ -80,7 +81,7 @@ class TestKdeltaOracle:
         assert kdelta_oracle(identity2, query(ZERO, 1), max_len=2).cost == 0
 
     def test_doubling(self, doubling2):
-        q = PrecisionQuery(THIRD, 2, Fraction(1, 4), 16, 32)
+        q = PrecisionQuery(THIRD, 2, Fraction(1, 4), 16)
         assert kdelta_oracle(doubling2, q, max_len=4).cost == 2
 
     def test_table_matches_per_call(self, pool):
@@ -103,8 +104,8 @@ class TestDigitStreamPath:
         filespec = RealSpec.digitfile(str(path))
         for _, t in list(pool[:10]) + [("id", identity2)]:
             for n in range(1, 9):
-                a = kdelta(t, query(THIRD, n, cap_in=12, cap_out=24))
-                b = kdelta(t, query(filespec, n, cap_in=12, cap_out=24))
+                a = kdelta(t, query(THIRD, n, cap_in=12))
+                b = kdelta(t, query(filespec, n, cap_in=12))
                 assert a.status == b.status
                 if a.found:
                     assert (a.cost, a.witness_input) == (b.cost, b.witness_input)
@@ -112,21 +113,21 @@ class TestDigitStreamPath:
     def test_champernowne_agrees_with_oracle(self, identity2):
         x = RealSpec.champernowne()
         for n in range(1, 8):
-            a = kdelta(identity2, query(x, n, cap_in=12, cap_out=24))
-            b = kdelta_oracle(identity2, query(x, n, cap_in=12, cap_out=24), max_len=12)
+            a = kdelta(identity2, query(x, n, cap_in=12))
+            b = kdelta_oracle(identity2, query(x, n, cap_in=12), max_len=12)
             assert a.found and b.found and a.cost == b.cost
 
     def test_digit_stream_needs_power_delta(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0101")
-        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 3), 8, 8)
+        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 3), 8)
         with pytest.raises(InsufficientDigits):
             kdelta(make_identity(2), q)
 
     def test_short_file_runs_out(self, tmp_path, identity2):
         path = tmp_path / "d.txt"
         path.write_text("01")
-        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 32), 16, 32)
+        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 32), 16)
         with pytest.raises(InsufficientDigits):
             kdelta(identity2, q)
 
@@ -136,7 +137,7 @@ class TestProperties:
         for _, t in pool[:40]:
             prev = None
             for n in range(6, 0, -1):  # delta increasing
-                res = kdelta(t, query(THIRD, n, cap_in=12, cap_out=24))
+                res = kdelta(t, query(THIRD, n, cap_in=12))
                 if res.found:
                     if prev is not None:
                         assert res.cost <= prev
@@ -149,7 +150,7 @@ class TestProperties:
                 w = seq_digits(THIRD, 2, n + 1)
                 res_kt = kt(t, w, cap=12)
                 if res_kt.found:
-                    res_kd = kdelta(t, query(THIRD, n, cap_in=12, cap_out=24))
+                    res_kd = kdelta(t, query(THIRD, n, cap_in=12))
                     assert res_kd.found and res_kd.cost <= res_kt.cost
 
     def test_identity_cost_near_precision(self, identity2):
@@ -210,6 +211,23 @@ class TestSharedInterval:
     def test_split_bound_at_powers(self, n, base):
         delta = Fraction(1, base**n)
         assert _split_bound(delta, base) == _split_bound_reference(delta, base)
+
+    def test_dim_set_builds_each_interval_once(self, monkeypatch, pool):
+        # 3 points x 100 precisions = 300 keys, enough for a bounded memo to
+        # evict intervals that the next transducer still needs
+        precision._bounds.cache_clear()
+        keys = []
+        init = precision._Bounds.__init__
+
+        def counting(self, x, base, delta, stamp):
+            keys.append((x, base, delta))
+            init(self, x, base, delta, stamp)
+
+        monkeypatch.setattr(precision._Bounds, "__init__", counting)
+        points = [RealSpec.parse(s) for s in ("rat:1/3", "periodic:001", "rat:5/24")]
+        report = dim_set_estimate(pool[:20], points, 2, 100)
+        assert len(keys) == len(set(keys)) == 300
+        assert report.estimate == Fraction(101, 100)
 
     def test_rewritten_digit_file_is_read_again(self, tmp_path, identity2):
         path = tmp_path / "x.txt"

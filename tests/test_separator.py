@@ -108,7 +108,7 @@ class TestKtfDelta:
         f = make_canonical(2)
         for _, t in pool[:25]:
             for n in range(1, 6):
-                q = PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 12, 24)
+                q = PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 12)
                 a = kdelta(t, q)
                 b = ktf_delta_oracle(t, f, THIRD, Fraction(1, 2**n), max_input_len=12)
                 if a.found or b.found:
