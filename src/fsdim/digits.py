@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import count, islice
 from typing import Optional
 
@@ -47,8 +46,11 @@ def str_to_digits(w: str, base: int) -> list[int]:
     return out
 
 
+_DIGIT_CHARS = bytes.maketrans(bytes(range(MAX_BASE)), b"0123456789")
+
+
 def digits_to_str(digits) -> str:
-    return "".join(chr(48 + d) for d in digits)
+    return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
 
 
 def real_value(w: str, base: int) -> Fraction:
@@ -56,11 +58,10 @@ def real_value(w: str, base: int) -> Fraction:
 
     The empty string has value 0.
     """
-    digs = str_to_digits(w, base)
-    num = 0
-    for d in digs:
-        num = num * base + d
-    return Fraction(num, base ** len(digs))
+    check_base(base)
+    if w.strip("0123456789"[:base]):
+        str_to_digits(w, base)  # raises InvalidDigit, naming the character
+    return Fraction(int(w or "0", base), base ** len(w))
 
 
 def comp(w: str, base: int) -> str:
@@ -99,6 +100,16 @@ class DigitStream:
         except IndexError:  # cheaper than a length test on the hot path
             self._fill(i + 1)
             return self._digits[i]
+
+    def available(self, m: int) -> int:
+        """How many of the first m digits exist: m, or fewer for a source
+        that runs dry first."""
+        if m > len(self._digits):
+            try:
+                self._fill(m)
+            except InsufficientDigits:
+                return len(self._digits)
+        return m
 
     def prefix(self, m: int) -> list[int]:
         if m > len(self._digits):
@@ -227,40 +238,6 @@ class FileDigitStream(DigitStream):
         return len(self._digits)
 
 
-def _shifted(x: DigitStream, n: int, sign: int) -> DigitStream:
-    """x + sign * base**-n (sign -1 or +1), given that it lies in [0, 1).
-
-    Only the first n digits change: a borrow (carry) runs left from index n-1
-    through 0s ((b-1)s) and leaves (b-1)s (0s) behind. The changed head seeds
-    the buffer and the tail is read from x, so the result is canonical
-    whenever x is.
-    """
-    base = x.base
-    head = x.prefix(n)
-    edge = 0 if sign < 0 else base - 1  # the digits a borrow or carry runs through
-    k = max(i for i in range(n) if head[i] != edge)  # the range condition guarantees one
-    head[k:] = [head[k] + sign] + [base - 1 - edge] * (n - k - 1)
-    value = None if x.value is None else x.value + Fraction(sign, base ** n)
-    s = DigitStream(base, _tail(x, n), head, value)
-    s.origin = x.origin
-    return s
-
-
-def _tail(x: DigitStream, start: int):
-    """x's digits from index start on, ending where x's own digits end."""
-    try:
-        for i in count(start):
-            yield x.digit(i)
-    except InsufficientDigits:
-        return
-
-
-#: x - base**-n, given x >= base**-n
-BorrowStream = partial(_shifted, sign=-1)
-#: x + base**-n, given x + base**-n < 1
-CarryStream = partial(_shifted, sign=1)
-
-
 @dataclass(frozen=True)
 class RealSpec:
     """A real number in [0,1) given symbolically.
@@ -375,13 +352,16 @@ def delta_exponent(delta: Fraction, base: int) -> Optional[int]:
     if delta.numerator != 1:
         return None
     den = delta.denominator
+    powers = [base]  # base**(2**k) up to den
+    while powers[-1] ** 2 <= den:
+        powers.append(powers[-1] ** 2)
     n = 0
-    while den > 1:
-        den, r = divmod(den, base)
-        if r:
-            return None
-        n += 1
-    return n
+    for k in range(len(powers) - 1, -1, -1):  # strip the binary digits of n, largest first
+        quot, rem = divmod(den, powers[k])
+        if not rem:
+            den = quot
+            n += 1 << k
+    return n if den == 1 else None
 
 
 def parse_delta(text: str, base: int) -> Fraction:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .digits import DigitStream, FileDigitStream, RealSpec
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
-from .infocontent import kt
+from .infocontent import PrefixSearch, kt
 from .precision import kdelta_profile, profile_rows
 
 #: above this many precisions the profile grid is subsampled to keep the
@@ -120,16 +120,16 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
                      window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
     """Upper-bound estimate of the finite-state dimension of a digit sequence:
     min over the family of the min kt(prefix of length n)/n over the window,
-    each kt search capped at 2n + 8 inputs."""
-    words = {}  # the length-n prefix, read once per n for the whole family
+    each kt search capped at 2n + 8 inputs. One search per transducer walks
+    the sequence's longest prefix and answers every shorter one."""
+    word = s.prefix_str(s.available(n_max))  # read once for the whole family
+
+    def prefix(n):
+        return word[:n] if n <= len(word) else s.prefix_str(n)  # raises past a file's end
 
     def rows_of(t, seq, grid):
-        def search(n):
-            w = words.get(n)
-            if w is None:
-                w = words[n] = seq.prefix_str(n)
-            return kt(t, w, cap=2 * n + 8)
-        return profile_rows(grid, search)
+        search = PrefixSearch(t, word)
+        return profile_rows(grid, lambda n: kt(t, prefix(n), cap=2 * n + 8, search=search))
 
     return estimate(family, s.base, [s], n_max, window_frac, rows_of)
 

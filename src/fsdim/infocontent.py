@@ -1,12 +1,19 @@
 """Information content of a string relative to a transducer, and the search
 core every content search shares.
 
-`bfs` walks T's configurations (state, pos) breadth-first, where pos is what
-a search needs to remember about the output so far; a search is one
-`advance(pos, out)` that says whether emitting `out` from pos accepts, dies,
-or moves to a new pos. `kt` is the exact-output search (pos = matched length
-of w); `precision.kdelta` and the targeted enumerator's all-zero-output search
-in `separator` are two more `advance` functions over the same loop.
+`Search` walks T's configurations (state, pos) breadth-first, where pos is
+what a search needs to remember about the output so far. It is resumable:
+one search per (transducer, target) walks its levels once and answers every
+goal of that target from the level where the goal resolved. A search is a
+subclass with one `advance(pos, out)`, which drops the emission of `out`
+from pos or moves to a new pos, and which records the goals that the
+emission resolves. `PrefixSearch` is the exact-output search: pos is the
+matched length of a word, and one search answers `kt` for every prefix of
+that word. `precision.PrecisionSearch` answers `kdelta` at every precision
+b^-n, and the targeted enumerator's all-zero-output search in `separator` is
+a third subclass. A witness is built from parent pointers only for the goal
+that is asked.
+
 kt_oracle re-derives kt's answer by plain enumeration of inputs in
 length-then-lex order and exists so the two can be cross-checked.
 """
@@ -17,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .digits import digits_to_str, str_to_digits
-from .errors import FsdimError
+from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
 
 FOUND = "found"
@@ -42,53 +49,74 @@ class CostResult:
         return f"{self.status},,"
 
 
-#: what `advance` returns for a transition whose output is accepted
-ACCEPT = object()
+class Search:
+    """Resumable breadth-first search over configurations (state, pos) of T
+    from (start, start_pos).
 
-
-def bfs(t: Fst, advance, max_len: int) -> CostResult:
-    """Breadth-first search over configurations (state, pos) of T from
-    (start, 0), at most max_len inputs deep.
-
-    advance(pos, out) returns ACCEPT, None to drop the transition, or the next
-    pos. Configurations are deduplicated, so a finite pos space proves
-    unreachability when the frontier empties; cap_exceeded means the input
-    cap stopped a live frontier. The first accepted input is minimal and,
-    among those, lexicographically least.
+    Configurations are deduplicated, and `step` expands the frontier one
+    input symbol deeper, in frontier order and input symbols ascending. So
+    the first transition to resolve a goal gives a minimal input and, among
+    those, the lexicographically least. `advance(pos, out)` returns None to
+    drop a transition or the next pos; to resolve a goal it appends the goal
+    to `hits`, and `step` records it as the event (goal, level, path to the
+    configuration, input symbol). A path is a chain of (path, symbol) links
+    ending in None at the start. A level that runs out of digits leaves the
+    search as it was before that level.
     """
-    start = (t.start, 0)
-    visited = {start}
-    parents: dict = {}
-    frontier = [start]
-    level = 0
-    while frontier and level < max_len:
-        next_frontier = []
-        for cfg in frontier:
-            pos = cfg[1]
-            for a, (q2, out) in enumerate(t.transitions[cfg[0]]):
-                pos2 = advance(pos, out)
-                if pos2 is None:
-                    continue
-                if pos2 is ACCEPT:
-                    pi = digits_to_str(_path_to(parents, cfg) + [a])
-                    return CostResult(FOUND, level + 1, pi, t.run(pi))
-                nxt = (q2, pos2)
-                if nxt not in visited:
-                    visited.add(nxt)
-                    parents[nxt] = (cfg, a)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-        level += 1
-    return CostResult(CAP_EXCEEDED if frontier else UNREACHABLE)
 
+    def __init__(self, t: Fst, start_pos):
+        self.t = t
+        start = (t.start, start_pos)
+        self.visited = {start}
+        self.frontier = [(start, None)]  # (configuration, path to it)
+        self.level = 0
+        self.events: list = []
+        self.hits: list = []
 
-def _path_to(parents, cfg) -> list[int]:
-    path = []
-    while cfg in parents:
-        cfg, a = parents[cfg]
-        path.append(a)
-    path.reverse()
-    return path
+    def advance(self, pos, out):
+        raise NotImplementedError
+
+    def step(self) -> None:
+        advance, hits, events, visited = self.advance, self.hits, self.events, self.visited
+        rows = self.t.transitions
+        level = self.level + 1
+        recorded = len(events)
+        frontier = []
+        try:
+            for cfg, path in self.frontier:
+                pos = cfg[1]
+                for a, (q2, out) in enumerate(rows[cfg[0]]):
+                    pos2 = advance(pos, out)
+                    if hits:
+                        events.append((hits.pop(), level, path, a))
+                    if pos2 is not None:
+                        nxt = (q2, pos2)
+                        if nxt not in visited:
+                            visited.add(nxt)
+                            frontier.append((nxt, (path, a)))
+        except InsufficientDigits:
+            visited.difference_update(nxt for nxt, _ in frontier)
+            del events[recorded:]
+            hits.clear()
+            raise
+        self.frontier = frontier
+        self.level = level
+
+    def witness(self, event) -> CostResult:
+        """The found result of a recorded event, with its input and output."""
+        _, level, link, a = event
+        path = []
+        if level:
+            path.append(a)
+            while link is not None:
+                link, a = link
+                path.append(a)
+            path.reverse()
+        q, rows, out = self.t.start, self.t.transitions, []
+        for a in path:
+            q, emitted = rows[q][a]
+            out += emitted
+        return CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
 
 
 def best_of(results) -> CostResult:
@@ -107,28 +135,65 @@ def best_of(results) -> CostResult:
     return CostResult(CAP_EXCEEDED if capped else UNREACHABLE)
 
 
-def kt(t: Fst, w: str, cap: int = 64) -> CostResult:
+class PrefixSearch(Search):
+    """`kt` for every prefix of one word w: pos is the matched length of w,
+    and goal j resolves at the first transition whose output is w[:j].
+
+    A search for w[:n] alone walks exactly the configurations with pos < n
+    that this one walks, at the same levels and in the same order, so prefix
+    n is cap_exceeded at cap c iff some configuration first reached at level
+    c has pos < n.
+    """
+
+    def __init__(self, t: Fst, w: str):
+        super().__init__(t, 0)
+        self.word = w
+        self.target = tuple(str_to_digits(w, t.base))
+        self.events.append((0, 0, None, None))
+        self.at = {0: 0}  # goal -> index of its event
+        self.least = [0]  # per level: least pos first reached there, None if none
+
+    def advance(self, i, out):
+        j = i + len(out)
+        if self.target[i:j] != out:  # also when out runs past the end of w
+            return None
+        if j not in self.at:
+            self.at[j] = len(self.events)
+            self.hits.append(j)
+        return j
+
+    def step(self) -> None:
+        super().step()
+        self.least.append(min((cfg[1] for cfg, _ in self.frontier), default=None))
+
+    def answer(self, n: int, cap: int) -> CostResult:
+        while n not in self.at and self.level < cap and self.frontier:
+            self.step()
+        if n in self.at:
+            event = self.events[self.at[n]]
+            return self.witness(event) if event[1] <= cap else CostResult(CAP_EXCEEDED)
+        if cap < len(self.least) and self.least[cap] is not None and self.least[cap] < n:
+            return CostResult(CAP_EXCEEDED)
+        return CostResult(UNREACHABLE)
+
+
+def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None) -> CostResult:
     """Length of the shortest input pi with T(pi) = w, with a witness.
 
     pos is the matched length of w, so the search space is finite: unreachable
     outputs are proved unreachable, and cap_exceeded is reported only when
     the input-length cap truncates a still-live frontier. Among equal-cost
-    witnesses the lexicographically smallest input is returned.
+    witnesses the lexicographically smallest input is returned. `search`, a
+    `PrefixSearch` of T over a word that w is a prefix of, answers every
+    prefix from one walk; without it a fresh search is made for w.
     """
     if cap < 0:
         raise FsdimError(f"cap must be >= 0, got {cap}")
-    target = tuple(str_to_digits(w, t.base))
-    m = len(target)
-    if m == 0:
-        return CostResult(FOUND, 0, "", "")
-
-    def advance(i, out):
-        j = i + len(out)
-        if j > m or target[i:j] != out:
-            return None
-        return ACCEPT if j == m else j
-
-    return bfs(t, advance, cap)
+    if search is None:
+        search = PrefixSearch(t, w)
+    elif search.t is not t or not search.word.startswith(w):
+        raise FsdimError("the search is for another transducer or word")
+    return search.answer(len(w), cap)
 
 
 def enumerate_outputs(t: Fst, max_len: int, keep=None):

@@ -1,23 +1,33 @@
 """Information content of a real at a precision: the cheapest transducer
 output whose value lands strictly within delta of x.
 
-`kdelta` is the shared search core `infocontent.bfs` with one `advance`,
-`_classify`. Every surviving non-accepted output is a prefix of the canonical
-expansion of the lower interval endpoint L = x - delta, so pos is the matched
-length along E(L), and each emitted digit is classified by comparison
-against the expansions of L and of H = x + delta. All boundary decisions are
-exact; no floats.
+`PrecisionSearch` is one resumable search per (transducer, point) that
+answers `kdelta` at delta = b^-n for every n up to a largest precision. A
+configuration is (state, j, D): the output w has j digits and
+D = b^j * val(w) - floor(b^j * x), an exact integer, so equal configurations
+have equal outputs and deduplication is exact. Emitting digit d at index j
+maps D to b*D + d - x_j. With t_j the value of x's tail from index j,
+|val(w) - x| = b^-j * |D - t_j|, so the largest n that w solves is read off
+x's digits (`PrecisionSearch._through`). The intervals (x - b^-n, x + b^-n)
+are nested, so the search keeps S, the largest solved precision, which only
+moves up: an accepting emission solves every n in (S, N] at once. A
+configuration is kept only while its output is a prefix of the expansion of
+x - b^-(S+1), the lower-endpoint track; every other configuration has been
+accepted or never can be. `_DeltaSearch` is the same search at one delta
+that is not b^-n, for a point with an exact value. All decisions are exact;
+no floats.
 
-The interval depends only on (x, b, delta), not on the transducer, so it is
-built once per (x, b, delta) and shared by every search at that precision: a
-profile over F transducers and G precisions builds G intervals, not F * G.
-The digit stream of a digit-only point is likewise made once per (x, b). Both
-memos keep every key a process asks for; a digit file's key includes its size
-and modification time, so a file rewritten on disk is read again.
+Each row still goes through `kdelta` with its own query. `kdelta_profile`,
+the estimators in `dimension` and `separator.dimf_estimate` pass in the open
+search of the row's (transducer, point); without one, `kdelta` runs a fresh
+one-precision search on the same core. A finite digit file gives
+`InsufficientDigits` for a precision that its digits do not decide. A level
+of the shared search that its digits do not decide is left as it was, and
+that row goes to a fresh search for its precision alone, so the shared
+search answers every row that a fresh one answers.
 
-`profile_rows` turns one search per precision into profile rows; it is the
-row builder of `kdelta_profile` and of every estimator in `dimension` and
-`separator`.
+`profile_rows` turns a row source into profile rows; it is the row builder
+of `kdelta_profile` and of every estimator in `dimension` and `separator`.
 """
 
 from __future__ import annotations
@@ -27,26 +37,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
-from .digits import (
-    BorrowStream,
-    CarryStream,
-    DigitStream,
-    FractionStream,
-    RealSpec,
-    check_base,
-    delta_exponent,
-    digits_to_str,
-)
+from .digits import DigitStream, RealSpec, check_base, delta_exponent, digits_to_str
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
 from .infocontent import (
-    ACCEPT,
     CAP_EXCEEDED,
     FOUND,
+    UNREACHABLE,
     CostResult,
+    Search,
     best_of,
-    bfs,
     enumerate_outputs,
 )
 
@@ -88,119 +90,220 @@ def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
     return x.stream(base)
 
 
-@cache
-def _bounds(x: RealSpec, base: int, delta: Fraction, stamp) -> "_Bounds":
-    return _Bounds(x, base, delta, stamp)
+class PrecisionSearch(Search):
+    """`kdelta` at delta = b**-n for every n in [lo, hi] at one point x.
+
+    pos is (j, D), as in the module docstring. Each answer is the one a
+    search for that precision alone gives: the same cost, witness and
+    status. hi is at most the number of digits x has.
+    """
+
+    def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, lo: int, hi: int):
+        if t.base != stream.base:
+            raise FsdimError(f"transducer base {t.base} != query base {stream.base}")
+        if stream.available(hi) < hi:
+            stream.prefix(hi)  # raises InsufficientDigits, naming the source
+        super().__init__(t, (0, 0))
+        self.x = x
+        self.base = t.base
+        self.digit = stream.digit
+        self.zero_from = stream.is_zero_from
+        self.lo, self.hi = lo, hi
+        self.S = lo - 1  # every goal in [lo, S] is answered
+        top = self._through(0, 0, lo)  # the empty output
+        if top >= lo:
+            self.S = top
+            self.events.append((top, 0, None, None))
+        self._pruned = self.S
+
+    def advance(self, pos, out):
+        g = self.S + 1
+        if g > self.hi:  # every goal is answered: the rest of the level is not read
+            return None
+        j, D = pos
+        b = self.base
+        digit = self.digit
+        # once |D| > b**max(0, j - g), every continuation is outside the
+        # interval for g, and so for every finer precision
+        p = b ** (j - g) if j > g else 1
+        try:
+            for d in out:
+                D = b * D + d - digit(j)
+                j += 1
+                if j > g:
+                    p *= b
+                if D > p or D < -p:
+                    return None
+        except InsufficientDigits as exc:
+            return self._cut(j, D, g, exc)
+        top = self._through(j, D, g)
+        if top >= g:
+            self.S = top
+            self.hits.append(top)
+            g = top + 1
+            if g > self.hi:
+                return None
+        return (j, D) if self._on_track(j, D, g) else None
+
+    def _run(self, j: int, v: int, stop: int) -> int:
+        """The first index in [j, stop) where x's digit is not v, else stop."""
+        digit = self.digit
+        while j < stop and digit(j) == v:
+            j += 1
+        return min(j, stop)
+
+    def _through(self, j: int, D: int, g: int) -> int:
+        """The largest n <= hi with |val(w) - x| < b**-n for the output w at
+        (j, D), or some value below g when that n is below g. Reads only the
+        digits that decide it."""
+        hi = self.hi
+        if D == 0:  # w = x[:j]: within b**-n iff x[j:n] is all zeros
+            return self._run(j, 0, hi)
+        if D == -1:
+            return min(j - 1, hi)
+        b = self.base
+        if D == 1:  # n > j needs x[j:n] all b - 1 and x's tail from n nonzero
+            if j > hi:
+                return hi
+            r = self._run(j, b - 1, hi + 1)
+            if r > hi or r < g:
+                return min(r, hi)
+            return r - 1 if self.zero_from(r) else r
+        size = D if D > 0 else 1 - D  # least m with b**m >= size
+        m, power = 0, 1
+        while power < size:
+            m += 1
+            power *= b
+        top = j - m
+        if D > 0 and power == D and g <= top <= hi and self.zero_from(j):
+            top -= 1  # t_j = 0 needs b**m >= D + 1
+        return min(top, hi)
+
+    def _on_track(self, j: int, D: int, g: int) -> bool:
+        """Whether the output at (j, D) is a prefix of the expansion of
+        x - b**-g: D = -b**(j - g) from j = g on, before that -1 if x[j:g]
+        is all zeros and 0 if not."""
+        if j >= g:
+            return D == -self.base ** (j - g)
+        if D == 0:
+            return self._run(j, 0, g) < g
+        return D == -1 and self._run(j, 0, g) == g
+
+    def _cut(self, j: int, D: int, g: int, exc: InsufficientDigits):
+        """An emission that needs digit j of a point that has only j digits.
+        Every continuation of the output so far is within b**-n of x when
+        b**(j - n) > |D|, and none is when b**(j - n) < |D|; an n with
+        b**(j - n) = |D| is not decided by these digits."""
+        b = self.base
+        size = abs(D)
+        e, power = 0, 1  # least e with b**e > |D|
+        while power <= size:
+            e += 1
+            power *= b
+        if size and power == size * b and g <= j - e + 1 <= self.hi:
+            raise exc
+        top = min(j - e, self.hi)
+        if top >= g:
+            self.S = top
+            self.hits.append(top)
+        return None
+
+    def step(self) -> None:
+        S = self.S
+        try:
+            super().step()
+        except InsufficientDigits:
+            self.S = S
+            raise
+
+    def answer(self, n: int, cap: int) -> CostResult:
+        """kdelta at delta = b**-n, lo <= n <= hi, with input cap `cap`.
+
+        Goals are meant to be asked in increasing order of n and of cap. The
+        open goals below n are given up, so that the search walks only the
+        track of n; asking for one of them later raises, as does asking for
+        an open goal once the search has walked past `cap`.
+        """
+        if self.S < n - 1:
+            self.S = n - 1
+            self.events.append((n - 1, None, None, None))  # goals given up
+        while self.S < n:
+            if self._pruned != self.S:
+                g = self.S + 1
+                self.frontier = [c for c in self.frontier
+                                 if g <= self.hi and self._on_track(*c[0][1], g)]
+                self._pruned = self.S
+            if not self.frontier or self.level >= cap:
+                break
+            self.step()
+        if self.S >= n:
+            event = self.events[bisect_left(self.events, n, key=itemgetter(0))]
+            if event[1] is None:
+                raise FsdimError(f"the search gave up precision {n} when a finer one was asked")
+            return self.witness(event) if event[1] <= cap else CostResult(CAP_EXCEEDED)
+        if self.level > cap:
+            raise FsdimError(f"the search has walked past cap {cap} with precision {n} open")
+        # n = S + 1 here, so the pruned frontier is the track of n at this level
+        return CostResult(CAP_EXCEEDED if self.level == cap and self.frontier else UNREACHABLE)
 
 
-class _Bounds:
-    """Digit-level view of the acceptance interval (x - delta, x + delta)."""
+class _DeltaSearch(PrecisionSearch):
+    """`kdelta` at one delta that is not b**-n, for a point with an exact
+    value. The goal is m, the largest with delta <= b**-m, so the pruning
+    bound of `PrecisionSearch.advance` holds; acceptance and the track of
+    x - delta are exact rational tests."""
 
-    def __init__(self, x: RealSpec, base: int, delta: Fraction, stamp):
-        xval = x.exact_value(base)
-        stream = None if xval is not None else _stream(x, base, stamp)
-        n = delta_exponent(delta, base)
-        if xval is None and n is None:
-            raise InsufficientDigits(
-                f"{x.describe()} has no exact value; delta must be base**-n"
-            )
+    def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, delta: Fraction):
+        self.value, self.delta = stream.value, delta
+        m = 0
+        while delta * stream.base ** (m + 1) <= 1:
+            m += 1
+        super().__init__(t, x, stream, m, m)
 
-        if xval is not None:
-            self.lambda_accepted = xval < delta
-            if self.lambda_accepted:
-                return
-            low = xval - delta
-            high = xval + delta
-            self.low = FractionStream(low, base)
-            self.high_unbounded = high >= 1
-            self.high = None if self.high_unbounded else FractionStream(high, base)
-        else:
-            head = stream.prefix(n)
-            self.lambda_accepted = all(d == 0 for d in head)  # x < b**-n, strictly
-            if self.lambda_accepted:
-                return
-            self.low = BorrowStream(stream, n)
-            self.high_unbounded = all(d == base - 1 for d in head)  # x + b**-n >= 1
-            self.high = None if self.high_unbounded else CarryStream(stream, n)
+    def _floor(self, j: int, shift: Fraction) -> int:
+        return (self.value + shift) * self.base ** j // 1
 
-        if not self.high_unbounded:
-            # First index where the endpoint expansions differ; they straddle
-            # an interval of width 2*delta so a bounded scan must find it.
-            limit = _split_bound(delta, base) + 4
-            for i in range(limit):
-                if self.low.digit(i) != self.high.digit(i):
-                    self.split = i
-                    break
-            else:
-                raise AssertionError("endpoint expansions failed to separate")
-        else:
-            self.split = None
+    def _through(self, j: int, D: int, g: int) -> int:
+        value = Fraction(self._floor(j, 0) + D, self.base ** j)
+        return g if abs(value - self.value) < self.delta else g - 1
+
+    def _on_track(self, j: int, D: int, g: int) -> bool:
+        return D == self._floor(j, -self.delta) - self._floor(j, 0)
 
 
-def _split_bound(delta: Fraction, base: int) -> int:
-    # smallest m with base**-m <= 2*delta, so expansions differ by index m;
-    # with delta = num/den that is den <= 2*num*base**m
-    m = 0
-    reach = 2 * delta.numerator
-    while reach < delta.denominator:
-        reach *= base
-        m += 1
-    return m
+def open_search(t: Fst, x: RealSpec, base: int, n_max: int) -> PrecisionSearch:
+    """The search that answers every precision up to n_max, or up to the
+    number of digits x has, for T at x."""
+    stream = _stream(x, base, _file_stamp(x))
+    return PrecisionSearch(t, x, stream, 0, stream.available(n_max))
 
 
-def kdelta(t: Fst, q: PrecisionQuery) -> CostResult:
+def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostResult:
     """Minimal input length whose output value lies strictly inside
-    (x - delta, x + delta), with the witness input and output."""
+    (x - delta, x + delta), with the witness input and output.
+
+    `search`, an open `PrecisionSearch` for T at q.x, answers delta = b**-n
+    for n up to its largest precision. A row the shared search cannot decide
+    because a finite digit file runs out is left to a fresh search for that
+    precision alone, as is every row without a search.
+    """
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
-    bounds = _bounds(q.x, q.base, q.delta, _file_stamp(q.x))
-    if bounds.lambda_accepted:
-        return CostResult(FOUND, 0, "", "")
-
-    low = bounds.low.digit
-    high = bounds.high
-    high_unbounded = bounds.high_unbounded
-    split = bounds.split
-
-    def _classify(ell, out):
-        """Classify the output E(L)[:ell] + out: ACCEPT, None (pruned), or the
-        new matched length along E(L) of a still-live output."""
-        j = ell
-        for idx in range(len(out)):
-            d = out[idx]
-            e = low(j)
-            if d == e:
-                j += 1
-                continue
-            if d < e:
-                return None
-            # diverged above E(L): value now strictly exceeds L
-            if high_unbounded:
-                return ACCEPT
-            if j < split:
-                return None  # also exceeds E(H) here, value >= H
-            if j > split:
-                return ACCEPT  # already lexicographically below E(H)
-            h = high.digit(j)
-            if d < h:
-                return ACCEPT
-            if d > h:
-                return None
-            # tracking E(H) for the rest of this emission
-            k = j + 1
-            for idx2 in range(idx + 1, len(out)):
-                d2 = out[idx2]
-                h2 = high.digit(k)
-                if d2 < h2:
-                    return ACCEPT
-                if d2 > h2:
-                    return None
-                k += 1
-            # output equals E(H)[:k]; strictly below H unless H terminates by k
-            return None if high.is_zero_from(k) else ACCEPT
-        return j
-
-    return bfs(t, _classify, q.cap_input)
+    n = delta_exponent(q.delta, q.base)
+    if search is not None and n is not None and search.lo <= n <= search.hi:
+        if search.t is not t or search.x != q.x:
+            raise FsdimError("the search is for another transducer or point")
+        try:
+            return search.answer(n, q.cap_input)
+        except InsufficientDigits:
+            pass
+    stream = _stream(q.x, q.base, _file_stamp(q.x))
+    if n is not None:
+        return PrecisionSearch(t, q.x, stream, n, n).answer(n, q.cap_input)
+    if stream.value is None:
+        raise InsufficientDigits(f"{q.x.describe()} has no exact value; delta must be base**-n")
+    search = _DeltaSearch(t, q.x, stream, q.delta)
+    return search.answer(search.hi, q.cap_input)
 
 
 def _within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
@@ -305,7 +408,8 @@ def profile_rows(grid, search) -> list[ProfileRow]:
 def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
                    cap_input=None, grid=None) -> list[ProfileRow]:
     """Rows (n, min cost over the family, cost/n, running infimum) for
-    n = 1..n_max (or a supplied sub-grid) at delta = base**-n.
+    n = 1..n_max (or a supplied sub-grid) at delta = base**-n, from one
+    search per transducer.
 
     A row where no transducer found an output is flagged "cap" when any of
     them hit a cap, else "unreachable"; see profile_rows.
@@ -315,5 +419,7 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
         raise FsdimError("need at least one transducer")
     if grid is None:
         grid = range(1, n_max + 1)
+    searches = [open_search(t, x, base, max(grid, default=0)) for t in ts]
     return profile_rows(grid, lambda n: best_of(
-        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input)) for t in ts))
+        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input), search)
+        for t, search in zip(ts, searches)))

@@ -11,25 +11,28 @@ dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
 
 `ktf_delta` answers two kinds with the shared search core
-(`infocontent.bfs`) guided by the interval (x - delta, x + delta) that
-`kdelta` uses (`precision._Bounds`, memoized per precision), with no float
-and no call to f per node:
+(`infocontent.Search`), with no float and no call to f per node:
 
-- canonical: `kdelta` itself;
-- targeted: the `best_of` `kdelta`'s answer and one more `bfs` whose pos is
+- canonical: `kdelta` itself, answered by the open `precision.PrecisionSearch`
+  of the row's (transducer, point) when the caller passes one;
+- targeted: the `best_of` `kdelta`'s answer and one more search whose pos is
   the number of zeros emitted, which evaluates f(0^k) once per k.
 
 `ktf_delta_oracle` keeps the plain enumeration of inputs, independent of these
 searches, as the reference they are tested against. It also answers every
 other enumerator (`blockperm` and any built by hand), and a digit-only point
-at a delta that is not base**-n, which `kdelta`'s interval cannot express.
+at a delta that is not base**-n, which `kdelta` cannot express.
+`KtfOracleTable` is its batch form: one enumeration per (transducer,
+enumerator) answers every (x, delta).
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
-`kdelta` rows.
+`kdelta` rows. For the canonical and targeted kinds it opens one
+`PrecisionSearch` per (transducer, point), so a profile walks each once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import partial
@@ -38,8 +41,17 @@ from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_
 from .dimension import EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
-from .infocontent import ACCEPT, CAP_EXCEEDED, FOUND, CostResult, best_of, bfs
-from .precision import PrecisionQuery, _file_stamp, _stream, _within, kdelta, profile_rows
+from .infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult, Search, best_of
+from .precision import (
+    PrecisionQuery,
+    PrecisionSearch,
+    _file_stamp,
+    _stream,
+    _within,
+    kdelta,
+    open_search,
+    profile_rows,
+)
 
 #: outputs longer than this are not deduplicated during enumeration
 DEDUP_OUTPUT_LIMIT = 64
@@ -159,13 +171,15 @@ def load_permutation(path: str) -> dict:
 
 
 def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
-              max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
+              max_input_len: int = DEFAULT_MAX_INPUT_LEN,
+              search: PrecisionSearch = None) -> CostResult:
     """Minimal input length (at most max_input_len) whose output w satisfies
     |f(w) - x| < delta, with the witness input and output.
 
     The canonical and targeted enumerators are answered by the exact
     boundary-guided searches described in the module docstring, so for them
-    delta must lie in (0, 1], as for `kdelta`; everything else falls back to
+    delta must lie in (0, 1], as for `kdelta`; `search` is the open
+    `kdelta` search for T at x, if any. Everything else falls back to
     `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
     no input qualifies and `cap_exceeded` when the input-length cap stopped it.
     """
@@ -177,7 +191,7 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
     if x.exact_value(t.base) is None and delta_exponent(delta, t.base) is None:
         # kdelta bounds a digit-only point's interval only at delta = base**-n
         return ktf_delta_oracle(t, f, x, delta, max_input_len)
-    return f._search(t, x, delta, max_input_len)
+    return f._search(t, x, delta, max_input_len, search)
 
 
 def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
@@ -187,22 +201,23 @@ def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
         raise FsdimError(f"max_input_len must be >= 0, got {max_input_len}")
 
 
-def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int) -> CostResult:
-    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len))
+def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int,
+                      search: PrecisionSearch = None) -> CostResult:
+    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len), search)
 
 
 def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
-                     max_len: int) -> CostResult:
+                     max_len: int, search: PrecisionSearch = None) -> CostResult:
     """An output with a nonzero digit keeps its canonical value, and a
     nonempty all-zero output has canonical value 0, the value f gives the
     empty output; so kdelta answers every output but 0^k (k >= 1) exactly,
     and one more search over the all-zero outputs completes the minimum."""
-    best = _canonical_search(t, x, delta, max_len)
-    return best_of((best, _zero_search(f, t, x, delta, best.cost if best.found else max_len)))
+    best = _canonical_search(t, x, delta, max_len, search)
+    zeros = _ZeroSearch(f, t, x, delta)
+    return best_of((best, zeros.answer(best.cost if best.found else max_len)))
 
 
-def _zero_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
-                 max_len: int) -> CostResult:
+class _ZeroSearch(Search):
     """Cheapest input whose output is 0^k, k >= 1, with |f(0^k) - x| < delta.
 
     pos is k; transitions that emit a nonzero digit are dropped and f(0^k) is
@@ -212,28 +227,37 @@ def _zero_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
     interval, no configuration with k' >= k can be accepted and all are
     dropped.
     """
-    cmp = _stream(x, t.base, _file_stamp(x)).compare  # sign of x - r, exact
-    rejected: set = set()
-    dead = None  # least k from which no all-zero output is accepted
 
-    def advance(k, out):
-        nonlocal dead
+    def __init__(self, f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction):
+        super().__init__(t, 0)
+        self.f, self.delta = f, delta
+        self.cmp = _stream(x, t.base, _file_stamp(x)).compare  # sign of x - r, exact
+        self.rejected: set = set()
+        self.dead = None  # least k from which no all-zero output is accepted
+
+    def advance(self, k, out):
         k2 = k + len(out)
-        if any(out) or (dead is not None and k2 >= dead):
+        if self.events or any(out) or (self.dead is not None and k2 >= self.dead):
             return None
-        if k2 and k2 not in rejected:
-            value = f.eval("0" * k2)
-            below_high = cmp(value - delta) > 0
-            if below_high and cmp(value + delta) < 0:
-                return ACCEPT
-            rejected.add(k2)
-            reach = value + Fraction(1, t.base ** _target_len(k2))
-            if not below_high or cmp(reach + delta) >= 0:
-                dead = k2
+        if k2 and k2 not in self.rejected:
+            value = self.f.eval("0" * k2)
+            below_high = self.cmp(value - self.delta) > 0
+            if below_high and self.cmp(value + self.delta) < 0:
+                self.hits.append(k2)
+                return None
+            self.rejected.add(k2)
+            reach = value + Fraction(1, self.t.base ** _target_len(k2))
+            if not below_high or self.cmp(reach + self.delta) >= 0:
+                self.dead = k2
                 return None
         return k2
 
-    return bfs(t, advance, max_len)
+    def answer(self, max_len: int) -> CostResult:
+        while not self.events and self.frontier and self.level < max_len:
+            self.step()
+        if self.events:
+            return self.witness(self.events[0])
+        return CostResult(CAP_EXCEEDED if self.frontier else UNREACHABLE)
 
 
 def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
@@ -269,6 +293,44 @@ def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fractio
     return CostResult(CAP_EXCEEDED)
 
 
+class KtfOracleTable:
+    """Every value f gives an output of T up to an input length, indexed
+    for interval queries. Batch form of ktf_delta_oracle: one enumeration
+    per (transducer, enumerator), with the oracle's deduplication, and one
+    f.eval per distinct output answer every (x, delta) with the oracle's
+    found and cost."""
+
+    def __init__(self, t: Fst, f: SeparatorEnumerator, max_input_len: int = DEFAULT_MAX_INPUT_LEN):
+        _check_args(t, f, max_input_len)
+        cost: dict = {}  # output -> least input length
+        seen = {(t.start, ())}
+        frontier = deque([(0, (), t.start)])
+        while frontier:
+            k, out, state = frontier.popleft()
+            cost.setdefault(out, k)
+            if k == max_input_len:
+                continue
+            for q2, o in t.transitions[state]:
+                out2 = out + o
+                if len(out2) <= DEDUP_OUTPUT_LIMIT:
+                    if (q2, out2) in seen:
+                        continue
+                    seen.add((q2, out2))
+                frontier.append((k + 1, out2, q2))
+        self.by_cost: list[list[Fraction]] = [[] for _ in range(max_input_len + 1)]
+        for out, k in cost.items():
+            self.by_cost[k].append(f.eval(digits_to_str(out)))
+        for values in self.by_cost:
+            values.sort()
+
+    def query(self, x: Fraction, delta: Fraction) -> CostResult:
+        for cost, values in enumerate(self.by_cost):
+            i = bisect_right(values, x - delta)
+            if i < len(values) and values[i] < x + delta:
+                return CostResult(FOUND, cost)
+        return CostResult(CAP_EXCEEDED)
+
+
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
                   window_frac: Fraction = Fraction(1, 2),
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
@@ -276,5 +338,9 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
     (`dimension.estimate`) with ktf_delta in place of kdelta."""
     if isinstance(xs, RealSpec):
         xs = [xs]
-    return estimate(family, base, xs, n_max, window_frac, lambda t, x, grid: profile_rows(
-        grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n), max_input_len)))
+    def rows_of(t, x, grid):
+        search = None if f._search is None else open_search(t, x, base, max(grid))
+        return profile_rows(grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n),
+                                                      max_input_len, search))
+
+    return estimate(family, base, xs, n_max, window_frac, rows_of)

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsdim.digits import (
-    BorrowStream,
-    CarryStream,
     ChampernowneStream,
     FileDigitStream,
     FractionStream,
@@ -137,24 +135,6 @@ class TestStreams:
         path.write_text("012\n")
         with pytest.raises(InvalidDigit):
             FileDigitStream.from_file(str(path), 2)
-
-    @given(base=st.integers(2, 10), x=rationals(), n=st.integers(1, 12))
-    def test_borrow_and_carry_match_exact_arithmetic(self, base, x, n):
-        s = FractionStream(x, base)
-        d = Fraction(1, base**n)
-        if x >= d:
-            assert BorrowStream(s, n).prefix(20) == FractionStream(x - d, base).prefix(20)
-        if x + d < 1:
-            assert CarryStream(s, n).prefix(20) == FractionStream(x + d, base).prefix(20)
-        # x's first n + 4 digits from a file: a read past its end raises, and
-        # the digits before it still read back afterwards
-        finite = FileDigitStream(s.prefix(n + 4), base)
-        for shift, y in ((BorrowStream, x - d), (CarryStream, x + d)):
-            if 0 <= y < 1:
-                shifted = shift(finite, n)
-                with pytest.raises(InsufficientDigits):
-                    shifted.digit(n + 4)
-                assert shifted.prefix(n + 4) == FractionStream(y, base).prefix(n + 4)
 
     def test_compare_on_digit_only_stream(self):
         s = ChampernowneStream(2)

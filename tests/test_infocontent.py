@@ -1,11 +1,13 @@
 import pytest
 
-from fsdim.digits import comp
-from fsdim.fst import make_identity, make_periodic_decoder
+from fsdim.digits import RealSpec, comp, seq_digits
+from fsdim.errors import FsdimError
+from fsdim.fst import Fst, make_identity, make_periodic_decoder
 from fsdim.infocontent import (
     CAP_EXCEEDED,
     FOUND,
     UNREACHABLE,
+    PrefixSearch,
     kt,
     kt_oracle,
     kt_oracle_table,
@@ -131,3 +133,50 @@ class TestProperties:
         assert kt(t, "0101").cost == 1
         assert kt(t, "01010101").cost == 2
         assert kt(t, "01").status == UNREACHABLE
+
+
+def _row(res):
+    return res.status, res.cost, res.witness_input, res.witness_output
+
+
+class TestPrefixSearch:
+    """One search per (transducer, word) answers kt for every prefix as a
+    search for that prefix alone does: status, cost and witness."""
+
+    @pytest.mark.parametrize("spec", ["rat:1/3", "rat:5/24", "periodic:001", "dyadic:0111",
+                                      "rat:1/2", "rat:0/1", "champernowne"])
+    def test_pool_prefixes(self, pool, spec):
+        word = seq_digits(RealSpec.parse(spec), 2, 40)
+        for _, t in pool:
+            search = PrefixSearch(t, word)
+            for n in range(0, 41):
+                w = word[:n]
+                assert _row(kt(t, w, 2 * n + 8, search)) == _row(kt(t, w, 2 * n + 8)), (spec, n)
+
+    def test_asking_back(self, pool):
+        # each level's least matched length is kept, so a shorter prefix or a
+        # smaller cap than the search has walked to is answered exactly
+        word = seq_digits(RealSpec.champernowne(), 2, 30)
+        for _, t in pool[:60]:
+            search = PrefixSearch(t, word)
+            kt(t, word, 68, search)
+            for n in range(30, -1, -1):
+                for cap in (0, 2, 5, 2 * n + 8, 68):
+                    w = word[:n]
+                    assert _row(kt(t, w, cap, search)) == _row(kt(t, w, cap)), (n, cap)
+
+    def test_cap_reads_the_least_matched_length_of_a_level(self):
+        # level 1 holds matched lengths 3 (input 0, first in order) and 0
+        # (input 1): prefix 2 is still open at cap 1, so it is cap_exceeded
+        t = Fst(2, 2, 0, (((0, (0, 0, 0)), (1, ())), ((1, ()), (1, ()))))
+        search = PrefixSearch(t, "000")
+        assert kt(t, "000", 1, search).status == FOUND
+        assert kt(t, "00", 1, search).status == CAP_EXCEEDED == kt(t, "00", 1).status
+        assert kt(t, "00", 2, search).status == UNREACHABLE == kt(t, "00", 2).status
+
+    def test_search_for_another_word_or_transducer_is_refused(self, identity2):
+        search = PrefixSearch(identity2, "0110")
+        with pytest.raises(FsdimError):
+            kt(identity2, "0111", 8, search)
+        with pytest.raises(FsdimError):
+            kt(make_identity(2), "01", 8, search)

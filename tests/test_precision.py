@@ -1,22 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fsdim import precision
+from fsdim import dimension
+from fsdim.cli import gen_pool
 from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
-from fsdim.dimension import dim_set_estimate
+from fsdim.dimension import _grid, dim_set_estimate
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import make_identity, make_periodic_decoder
-from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
+from fsdim.infocontent import FOUND, kt
 from fsdim.precision import (
     KdeltaOracleTable,
     PrecisionQuery,
+    PrecisionSearch,
     kdelta,
     kdelta_oracle,
     kdelta_profile,
-    _split_bound,
+    open_search,
 )
 
 THIRD = RealSpec.rational(1, 3)
@@ -191,44 +192,143 @@ class TestProfile:
             assert combined.cost <= alone.cost
 
 
-def _split_bound_reference(delta: Fraction, base: int) -> int:
-    """The original Fraction loop: smallest m with base**-m <= 2*delta."""
-    m = 0
-    scale = Fraction(1)
-    while scale > 2 * delta:
-        scale /= base
-        m += 1
-    return m
+def _row(res):
+    return res.status, res.cost, res.witness_input, res.witness_output
+
+
+def _fresh_or_insufficient(t, q):
+    try:
+        return _row(kdelta(t, q))
+    except InsufficientDigits:
+        return None
+
+
+def _shared_rows_match_fresh(t, x, grid, cap_in=None):
+    """Every row of one search for (t, x) equals a fresh one-precision
+    search, wherever the fresh search answers; returns the fresh rows."""
+    search = open_search(t, x, 2, max(grid))
+    rows = []
+    for n in grid:
+        q = PrecisionQuery.at_scale(x, 2, n, cap_in)
+        fresh = _fresh_or_insufficient(t, q)
+        if fresh is None:
+            with pytest.raises(InsufficientDigits):
+                kdelta(t, q, search)
+        else:
+            assert _row(kdelta(t, q, search)) == fresh, (x, n, cap_in)
+        rows.append(fresh)
+    return rows
+
+
+RESUME_POINTS = ["rat:1/3", "rat:5/24", "periodic:001", "dyadic:0111", "rat:1/2", "rat:0/1",
+                 "champernowne"]
+
+
+class TestSharedSearch:
+    """One resumable search per (transducer, point) answers each precision
+    as a search for that precision alone does: status, cost and witness."""
+
+    @pytest.mark.parametrize("cap_in", [None, 7])
+    def test_pool_rows(self, pool, cap_in):
+        for spec in RESUME_POINTS:
+            x = RealSpec.parse(spec)
+            for _, t in pool:
+                _shared_rows_match_fresh(t, x, range(0, 21), cap_in)
+
+    def test_sparse_grid_at_large_precisions(self, pool, identity2):
+        grid = _grid(1000, 2000)
+        assert len(grid) < 40 and grid[-1] == 2000
+        family = [identity2, make_periodic_decoder("01", 3, 2)] + [t for _, t in pool[:4]]
+        for spec in ("champernowne", "rat:1/3", "rat:1/2", "rat:0/1"):
+            for t in family:
+                _shared_rows_match_fresh(t, RealSpec.parse(spec), grid)
+
+    def test_terminating_point_solves_every_precision_at_once(self, identity2):
+        # 1/2 is the output "1" exactly: one accept answers n = 2..hi
+        search = open_search(identity2, RealSpec.rational(1, 2), 2, 500)
+        res = kdelta(identity2, query(RealSpec.rational(1, 2), 2), search)
+        assert (res.cost, res.witness_output) == (1, "1")
+        assert search.S == 500 and search.level == 1
+
+    def test_short_digit_file(self, tmp_path, pool):
+        # 100 digits of random.Random(3), n up to the file's length and past it
+        path = tmp_path / "d.txt"
+        rng = random.Random(3)
+        path.write_text("".join(rng.choice("01") for _ in range(100)))
+        x = RealSpec.digitfile(str(path))
+        rows = [r for _, t in pool for r in _shared_rows_match_fresh(t, x, range(1, 106))]
+        assert sum(r is None for r in rows) == 200 * 5 + 16  # n > 100, and 16 rows at n <= 100
+        assert sum(r is not None and r[0] == FOUND for r in rows) == 2596
+
+    def test_long_bursts_past_the_end_of_a_file(self, tmp_path):
+        # emissions that cross the file's last digit, and a tail of zeros the
+        # file cannot confirm, leave some precisions undecided
+        family = [t for _, t in gen_pool(7, 40, 4, 2, 6)] + [
+            make_periodic_decoder(p, c, 2) for p in ("01", "1", "011") for c in (1, 3, 8)]
+        rows = []
+        for i, digits in enumerate(["1" + "0" * 21, "0101010101010101010111111111"]):
+            path = tmp_path / f"d{i}.txt"
+            path.write_text(digits)
+            x = RealSpec.digitfile(str(path))
+            for t in family:
+                for cap_in in (None, 9):
+                    rows += _shared_rows_match_fresh(t, x, range(0, 41), cap_in)
+        # pinned counts: a search that reads past a file's end, or stops short
+        # of an answer its digits decide, changes them
+        assert sum(r is None for r in rows) == 98 * (18 + 12) + 24  # n past each file, and 24 more
+        assert sum(r is not None and r[0] == FOUND for r in rows) == 1461
+
+    def test_asking_back(self, pool):
+        # a smaller precision or cap than the search has walked to is either
+        # answered as a fresh search answers it, or refused: a precision the
+        # search gave up when a finer one was asked, or one still open once
+        # the search has walked past the cap
+        answered = refused = 0
+        for _, t in pool[:60]:
+            search = open_search(t, THIRD, 2, 20)
+            for n in (6, 20):
+                kdelta(t, PrecisionQuery.at_scale(THIRD, 2, n, 88), search)
+            for n in range(0, 21):
+                for cap_in in (0, 3, 8, 88):
+                    q = PrecisionQuery.at_scale(THIRD, 2, n, cap_in)
+                    try:
+                        res = kdelta(t, q, search)
+                    except FsdimError:
+                        refused += 1
+                    else:
+                        assert _row(res) == _row(kdelta(t, q)), (n, cap_in)
+                        answered += 1
+        assert answered and refused
+
+    def test_search_for_another_point_is_refused(self, identity2):
+        search = open_search(identity2, THIRD, 2, 8)
+        with pytest.raises(FsdimError):
+            kdelta(identity2, query(ZERO, 3), search)
+
+    def test_dim_set_builds_one_search_per_transducer_and_point(self, monkeypatch, pool):
+        # the estimator drops a transducer at its first point without a usable
+        # row, so it profiles 29 of the 60 (transducer, point) pairs here
+        built, profiled = [], []
+        init, profile = PrecisionSearch.__init__, dimension.kdelta_profile
+
+        def counting_init(self, t, x, stream, lo, hi):
+            built.append((id(t), x))
+            init(self, t, x, stream, lo, hi)
+
+        def counting_profile(ts, x, *args, **kwargs):
+            profiled.extend((id(t), x) for t in ts)
+            return profile(ts, x, *args, **kwargs)
+
+        monkeypatch.setattr(PrecisionSearch, "__init__", counting_init)
+        monkeypatch.setattr(dimension, "kdelta_profile", counting_profile)
+        points = [RealSpec.parse(s) for s in ("rat:1/3", "periodic:001", "rat:5/24")]
+        report = dim_set_estimate(pool[:20], points, 2, 100)
+        assert built == profiled
+        assert len(built) == len(set(built)) == 29
+        assert report.estimate == Fraction(101, 100)
 
 
 class TestSharedInterval:
-    @given(st.integers(1, 10**30), st.integers(0, 10**30), st.integers(2, 10))
-    def test_split_bound_matches_fraction_loop(self, den, extra, base):
-        delta = Fraction(den, den + extra)  # any rational in (0, 1]
-        assert _split_bound(delta, base) == _split_bound_reference(delta, base)
-
-    @given(st.integers(0, 300), st.integers(2, 10))
-    def test_split_bound_at_powers(self, n, base):
-        delta = Fraction(1, base**n)
-        assert _split_bound(delta, base) == _split_bound_reference(delta, base)
-
-    def test_dim_set_builds_each_interval_once(self, monkeypatch, pool):
-        # 3 points x 100 precisions = 300 keys, enough for a bounded memo to
-        # evict intervals that the next transducer still needs
-        precision._bounds.cache_clear()
-        keys = []
-        init = precision._Bounds.__init__
-
-        def counting(self, x, base, delta, stamp):
-            keys.append((x, base, delta))
-            init(self, x, base, delta, stamp)
-
-        monkeypatch.setattr(precision._Bounds, "__init__", counting)
-        points = [RealSpec.parse(s) for s in ("rat:1/3", "periodic:001", "rat:5/24")]
-        report = dim_set_estimate(pool[:20], points, 2, 100)
-        assert len(keys) == len(set(keys)) == 300
-        assert report.estimate == Fraction(101, 100)
-
     def test_rewritten_digit_file_is_read_again(self, tmp_path, identity2):
         path = tmp_path / "x.txt"
         path.write_text("0000000000000001")

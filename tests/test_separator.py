@@ -7,6 +7,8 @@ from fsdim.errors import FsdimError, InvalidPermutation
 from fsdim.fst import Fst, make_identity
 from fsdim.precision import PrecisionQuery, _within, kdelta
 from fsdim.separator import (
+    KtfOracleTable,
+    SeparatorEnumerator,
     dimf_estimate,
     ktf_delta,
     ktf_delta_oracle,
@@ -190,6 +192,30 @@ class TestKtfDeltaMatchesOracle:
     def test_bad_delta(self, identity2):
         with pytest.raises(FsdimError):
             ktf_delta(identity2, make_canonical(2), THIRD, Fraction(0))
+
+
+class TestKtfOracleTable:
+    """The batch oracle against the per-call enumeration it batches."""
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_matches_per_call_oracle(self, pool, name):
+        f = ENUMERATORS[name]
+        for _, t in pool[:25]:
+            table = KtfOracleTable(t, f, max_input_len=6)
+            for x in [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 24), Fraction(7, 9)]:
+                spec = RealSpec.rational(x.numerator, x.denominator)
+                for n in range(1, 7):
+                    a = table.query(x, Fraction(1, 2**n))
+                    b = ktf_delta_oracle(t, f, spec, Fraction(1, 2**n), max_input_len=6)
+                    assert (a.status, a.cost) == (b.status, b.cost), (name, x, n)
+
+    def test_evaluates_each_output_once(self, pool):
+        calls = []
+        canonical = make_canonical(2)
+        f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w),
+                                "counting")
+        KtfOracleTable(pool[0][1], f, max_input_len=8)
+        assert calls and len(calls) == len(set(calls))
 
 
 class TestDimfEstimate:
