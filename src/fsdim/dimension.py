@@ -107,13 +107,17 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     return EstimateReport(min(per.values()), per, (n_lo, n_max), profiles=profiles)
 
 
+def _kdelta_rows(base: int, n_max: int, cap_input):
+    """The point and set estimators' rows: one kdelta_profile per point."""
+    return lambda t, x, grid: kdelta_profile([t], x, base, n_max, cap_input, grid=grid)
+
+
 def dim_point_estimate(family, x: RealSpec, base: int, n_max: int,
                        window_frac: Fraction = DEFAULT_WINDOW_FRAC,
                        cap_input=None) -> EstimateReport:
     """Upper-bound estimate of the base-b finite-state dimension of a point:
     min over the family of the min cost/n over the tail window."""
-    return estimate(family, base, [x], n_max, window_frac, lambda t, x, grid: kdelta_profile(
-        [t], x, base, n_max, cap_input, grid=grid))
+    return estimate(family, base, [x], n_max, window_frac, _kdelta_rows(base, n_max, cap_input))
 
 
 def dim_seq_estimate(family, s: DigitStream, n_max: int,
@@ -139,8 +143,7 @@ def dim_set_estimate(family, xs, base: int, n_max: int,
                      cap_input=None) -> EstimateReport:
     """Upper-bound estimate for a finite set: per transducer take the worst
     point (sup inside), then the best transducer (inf outside)."""
-    return estimate(family, base, xs, n_max, window_frac, lambda t, x, grid: kdelta_profile(
-        [t], x, base, n_max, cap_input, grid=grid))
+    return estimate(family, base, xs, n_max, window_frac, _kdelta_rows(base, n_max, cap_input))
 
 
 def detect_periods(s: DigitStream) -> list[int]:

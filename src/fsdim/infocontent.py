@@ -6,13 +6,14 @@ what a search needs to remember about the output so far. It is resumable:
 one search per (transducer, target) walks its levels once and answers every
 goal of that target from the level where the goal resolved. A search is a
 subclass with one `advance(pos, out)`, which drops the emission of `out`
-from pos or moves to a new pos, and which records the goals that the
-emission resolves. `PrefixSearch` is the exact-output search: pos is the
-matched length of a word, and one search answers `kt` for every prefix of
-that word. `precision.PrecisionSearch` answers `kdelta` at every precision
-b^-n, and the targeted enumerator's all-zero-output search in `separator` is
-a third subclass. A witness is built from parent pointers only for the goal
-that is asked.
+from pos or moves to a new pos, and reports the goals the emission
+resolves; `step` keeps them in one map, `resolved`, and every search is
+asked through one loop, `answer(goal, cap)`. `PrefixSearch` is the
+exact-output search: pos is the matched length of a word, and one search
+answers `kt` for every prefix of that word. `precision.PrecisionSearch`
+answers `kdelta` at every precision b^-n; the targeted enumerator's
+all-zero-output search in `separator` is a third subclass. A witness is
+built from parent pointers only for the goal asked.
 
 kt_oracle re-derives kt's answer by plain enumeration of inputs in
 length-then-lex order and exists so the two can be cross-checked.
@@ -57,11 +58,14 @@ class Search:
     input symbol deeper, in frontier order and input symbols ascending. So
     the first transition to resolve a goal gives a minimal input and, among
     those, the lexicographically least. `advance(pos, out)` returns None to
-    drop a transition or the next pos; to resolve a goal it appends the goal
-    to `hits`, and `step` records it as the event (goal, level, path to the
-    configuration, input symbol). A path is a chain of (path, symbol) links
-    ending in None at the start. A level that runs out of digits leaves the
-    search as it was before that level.
+    drop a transition or the next pos; to resolve goals it appends them to
+    `hits`, and `step` writes each into `resolved` as goal -> (level, path
+    to the configuration, input symbol). A path is a chain of (path, symbol)
+    links ending in None at the start.
+
+    A level that runs out of digits (InsufficientDigits) spends the search:
+    goals resolved before the failing transition keep that first resolution,
+    and every later step, like every goal still open, raises it again.
     """
 
     def __init__(self, t: Fst, start_pos):
@@ -70,17 +74,19 @@ class Search:
         self.visited = {start}
         self.frontier = [(start, None)]  # (configuration, path to it)
         self.level = 0
-        self.events: list = []
+        self.resolved: dict = {}  # goal -> (level, path, symbol)
         self.hits: list = []
+        self.spent = None  # the InsufficientDigits that ended the search
 
     def advance(self, pos, out):
         raise NotImplementedError
 
     def step(self) -> None:
-        advance, hits, events, visited = self.advance, self.hits, self.events, self.visited
+        if self.spent is not None:
+            raise self.spent.with_traceback(None)
+        advance, hits, resolved, visited = self.advance, self.hits, self.resolved, self.visited
         rows = self.t.transitions
         level = self.level + 1
-        recorded = len(events)
         frontier = []
         try:
             for cfg, path in self.frontier:
@@ -88,23 +94,45 @@ class Search:
                 for a, (q2, out) in enumerate(rows[cfg[0]]):
                     pos2 = advance(pos, out)
                     if hits:
-                        events.append((hits.pop(), level, path, a))
+                        hit = (level, path, a)
+                        while hits:
+                            resolved[hits.pop()] = hit
                     if pos2 is not None:
                         nxt = (q2, pos2)
                         if nxt not in visited:
                             visited.add(nxt)
                             frontier.append((nxt, (path, a)))
-        except InsufficientDigits:
-            visited.difference_update(nxt for nxt, _ in frontier)
-            del events[recorded:]
-            hits.clear()
+        except InsufficientDigits as exc:
+            self.spent = exc
             raise
         self.frontier = frontier
         self.level = level
 
-    def witness(self, event) -> CostResult:
-        """The found result of a recorded event, with its input and output."""
-        _, level, link, a = event
+    def open(self, goal) -> bool:
+        """Whether stepping on may still resolve goal."""
+        return goal not in self.resolved
+
+    def capped(self, goal, cap: int) -> bool:
+        """Whether open goal is cap_exceeded, not unreachable, at cap: a
+        frontier is left there. Raises once the search has walked past it."""
+        if self.level > cap:
+            raise FsdimError(f"the search has walked past cap {cap} with goal {goal} open")
+        return self.level == cap and bool(self.frontier)
+
+    def answer(self, goal, cap: int) -> CostResult:
+        """goal's result at input cap `cap`, stepping while it is open."""
+        while self.open(goal) and self.frontier and self.level < cap:
+            self.step()
+        hit = self.resolved.get(goal)
+        if hit is not None:
+            return self.witness(hit) if hit[0] <= cap else CostResult(CAP_EXCEEDED)
+        if self.spent is not None:
+            raise self.spent.with_traceback(None)
+        return CostResult(CAP_EXCEEDED if self.capped(goal, cap) else UNREACHABLE)
+
+    def witness(self, hit) -> CostResult:
+        """The found result of a resolved goal, with its input and output."""
+        level, link, a = hit
         path = []
         if level:
             path.append(a)
@@ -149,16 +177,14 @@ class PrefixSearch(Search):
         super().__init__(t, 0)
         self.word = w
         self.target = tuple(str_to_digits(w, t.base))
-        self.events.append((0, 0, None, None))
-        self.at = {0: 0}  # goal -> index of its event
+        self.resolved[0] = (0, None, None)
         self.least = [0]  # per level: least pos first reached there, None if none
 
     def advance(self, i, out):
         j = i + len(out)
         if self.target[i:j] != out:  # also when out runs past the end of w
             return None
-        if j not in self.at:
-            self.at[j] = len(self.events)
+        if j not in self.resolved:
             self.hits.append(j)
         return j
 
@@ -166,15 +192,9 @@ class PrefixSearch(Search):
         super().step()
         self.least.append(min((cfg[1] for cfg, _ in self.frontier), default=None))
 
-    def answer(self, n: int, cap: int) -> CostResult:
-        while n not in self.at and self.level < cap and self.frontier:
-            self.step()
-        if n in self.at:
-            event = self.events[self.at[n]]
-            return self.witness(event) if event[1] <= cap else CostResult(CAP_EXCEEDED)
-        if cap < len(self.least) and self.least[cap] is not None and self.least[cap] < n:
-            return CostResult(CAP_EXCEEDED)
-        return CostResult(UNREACHABLE)
+    def capped(self, n: int, cap: int) -> bool:
+        least = self.least
+        return cap < len(least) and least[cap] is not None and least[cap] < n
 
 
 def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None) -> CostResult:

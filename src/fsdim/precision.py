@@ -20,11 +20,11 @@ no floats.
 Each row still goes through `kdelta` with its own query. `kdelta_profile`,
 the estimators in `dimension` and `separator.dimf_estimate` pass in the open
 search of the row's (transducer, point); without one, `kdelta` runs a fresh
-one-precision search on the same core. A finite digit file gives
-`InsufficientDigits` for a precision that its digits do not decide. A level
-of the shared search that its digits do not decide is left as it was, and
-that row goes to a fresh search for its precision alone, so the shared
-search answers every row that a fresh one answers.
+one-precision search on the same core. An accept writes the precisions
+it solves into `resolved`; one n <= S missing there was given up. A finite
+digit file gives `InsufficientDigits` for a precision that its digits do
+not decide; a level of the shared search that they do not decide spends
+it, and each open row goes to a fresh search for its precision alone.
 
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.
@@ -37,7 +37,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .digits import DigitStream, RealSpec, check_base, delta_exponent, digits_to_str
 from .errors import FsdimError, InsufficientDigits
@@ -45,7 +44,6 @@ from .fst import Fst
 from .infocontent import (
     CAP_EXCEEDED,
     FOUND,
-    UNREACHABLE,
     CostResult,
     Search,
     best_of,
@@ -77,12 +75,14 @@ class PrecisionQuery:
         return cls(x, base, Fraction(1, base ** n), cap_input)
 
 
-def _file_stamp(x: RealSpec):
-    """Part of a memo key that changes when a digit file changes on disk."""
-    if x.kind != "digitfile":
-        return None
-    st = os.stat(x.path)
-    return st.st_ino, st.st_mtime_ns, st.st_size
+def shared_stream(x: RealSpec, base: int) -> DigitStream:
+    """x's digit stream in base, one per (x, base) for every search at x; a
+    digit file is read again once it changes on disk."""
+    stamp = None
+    if x.kind == "digitfile":
+        st = os.stat(x.path)
+        stamp = st.st_ino, st.st_mtime_ns, st.st_size
+    return _stream(x, base, stamp)
 
 
 @cache
@@ -109,12 +109,11 @@ class PrecisionSearch(Search):
         self.digit = stream.digit
         self.zero_from = stream.is_zero_from
         self.lo, self.hi = lo, hi
-        self.S = lo - 1  # every goal in [lo, S] is answered
+        self.S = lo - 1  # every goal in [lo, S] is solved or given up
         top = self._through(0, 0, lo)  # the empty output
         if top >= lo:
             self.S = top
-            self.events.append((top, 0, None, None))
-        self._pruned = self.S
+            self.resolved = dict.fromkeys(range(lo, top + 1), (0, None, None))
 
     def advance(self, pos, out):
         g = self.S + 1
@@ -139,7 +138,7 @@ class PrecisionSearch(Search):
         top = self._through(j, D, g)
         if top >= g:
             self.S = top
-            self.hits.append(top)
+            self.hits.extend(range(g, top + 1))
             g = top + 1
             if g > self.hi:
                 return None
@@ -205,46 +204,32 @@ class PrecisionSearch(Search):
         top = min(j - e, self.hi)
         if top >= g:
             self.S = top
-            self.hits.append(top)
+            self.hits.extend(range(g, top + 1))
         return None
+
+    def _prune(self) -> None:  # to the track of S + 1, the least open goal
+        g = self.S + 1
+        self.frontier = [c for c in self.frontier if g <= self.hi and self._on_track(*c[0][1], g)]
 
     def step(self) -> None:
         S = self.S
-        try:
-            super().step()
-        except InsufficientDigits:
-            self.S = S
-            raise
+        super().step()
+        if self.S != S:
+            self._prune()
 
-    def answer(self, n: int, cap: int) -> CostResult:
-        """kdelta at delta = b**-n, lo <= n <= hi, with input cap `cap`.
-
-        Goals are meant to be asked in increasing order of n and of cap. The
-        open goals below n are given up, so that the search walks only the
-        track of n; asking for one of them later raises, as does asking for
-        an open goal once the search has walked past `cap`.
-        """
-        if self.S < n - 1:
-            self.S = n - 1
-            self.events.append((n - 1, None, None, None))  # goals given up
-        while self.S < n:
-            if self._pruned != self.S:
-                g = self.S + 1
-                self.frontier = [c for c in self.frontier
-                                 if g <= self.hi and self._on_track(*c[0][1], g)]
-                self._pruned = self.S
-            if not self.frontier or self.level >= cap:
-                break
-            self.step()
-        if self.S >= n:
-            event = self.events[bisect_left(self.events, n, key=itemgetter(0))]
-            if event[1] is None:
-                raise FsdimError(f"the search gave up precision {n} when a finer one was asked")
-            return self.witness(event) if event[1] <= cap else CostResult(CAP_EXCEEDED)
-        if self.level > cap:
-            raise FsdimError(f"the search has walked past cap {cap} with precision {n} open")
-        # n = S + 1 here, so the pruned frontier is the track of n at this level
-        return CostResult(CAP_EXCEEDED if self.level == cap and self.frontier else UNREACHABLE)
+    def open(self, n: int) -> bool:
+        """Whether precision n is unsolved. Goals are meant to be asked in
+        increasing order of n and of cap: asking for n gives up the open
+        goals below it, so the search walks only the track of n, and asking
+        for a given-up goal raises."""
+        if n > self.S:
+            if n - 1 > self.S:
+                self.S = n - 1
+                self._prune()
+            return True
+        if n not in self.resolved:
+            raise FsdimError(f"the search gave up precision {n} when a finer one was asked")
+        return False
 
 
 class _DeltaSearch(PrecisionSearch):
@@ -274,7 +259,7 @@ class _DeltaSearch(PrecisionSearch):
 def open_search(t: Fst, x: RealSpec, base: int, n_max: int) -> PrecisionSearch:
     """The search that answers every precision up to n_max, or up to the
     number of digits x has, for T at x."""
-    stream = _stream(x, base, _file_stamp(x))
+    stream = shared_stream(x, base)
     return PrecisionSearch(t, x, stream, 0, stream.available(n_max))
 
 
@@ -297,7 +282,7 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
             return search.answer(n, q.cap_input)
         except InsufficientDigits:
             pass
-    stream = _stream(q.x, q.base, _file_stamp(q.x))
+    stream = shared_stream(q.x, q.base)
     if n is not None:
         return PrecisionSearch(t, q.x, stream, n, n).answer(n, q.cap_input)
     if stream.value is None:
@@ -306,7 +291,7 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
     return search.answer(search.hi, q.cap_input)
 
 
-def _within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
+def within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
     """Exact test |value - x| < delta, also for digit-only specs."""
     xval = x.exact_value(base)
     if xval is not None:
@@ -322,7 +307,7 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
     for pi, out, _ in enumerate_outputs(t, max_len):
         value = Fraction(_digits_num(out, t.base), t.base ** len(out))
-        if _within(q.x, q.base, value, q.delta):
+        if within(q.x, q.base, value, q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CostResult(CAP_EXCEEDED)
 

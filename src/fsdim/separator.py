@@ -38,19 +38,18 @@ from fractions import Fraction
 from functools import partial
 
 from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_digits
-from .dimension import EstimateReport, estimate
+from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult, Search, best_of
+from .infocontent import CAP_EXCEEDED, FOUND, CostResult, Search, best_of
 from .precision import (
     PrecisionQuery,
     PrecisionSearch,
-    _file_stamp,
-    _stream,
-    _within,
     kdelta,
     open_search,
     profile_rows,
+    shared_stream,
+    within,
 )
 
 #: outputs longer than this are not deduplicated during enumeration
@@ -87,8 +86,12 @@ def make_block_permuted(block_len: int, permutation: dict, base: int) -> Separat
     length-m digit strings and must be a bijection on all base**m blocks."""
     if block_len < 1:
         raise InvalidPermutation(f"block length must be >= 1, got {block_len}")
-    blocks = _all_blocks(block_len, base)
-    if set(permutation) != blocks or set(permutation.values()) != blocks:
+    is_block = lambda w: len(w) == block_len and all(0 <= ord(c) - 48 < base for c in w)
+    # base**m distinct blocks are all of them. No set of all blocks is built,
+    # and base**m is computed only once some key has shown that m is small
+    images = set(permutation.values())
+    if not (permutation and all(map(is_block, permutation)) and all(map(is_block, images))
+            and len(images) == len(permutation) == base ** block_len):
         raise InvalidPermutation(
             f"permutation must map all {base}**{block_len} blocks onto themselves"
         )
@@ -102,13 +105,6 @@ def make_block_permuted(block_len: int, permutation: dict, base: int) -> Separat
 
     return SeparatorEnumerator(base, "blockPermuted", eval_fn,
                                f"block-permuted m={block_len} base {base}")
-
-
-def _all_blocks(m: int, base: int) -> set:
-    blocks = {""}
-    for _ in range(m):
-        blocks = {w + chr(48 + d) for w in blocks for d in range(base)}
-    return blocks
 
 
 def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
@@ -214,7 +210,7 @@ def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fractio
     and one more search over the all-zero outputs completes the minimum."""
     best = _canonical_search(t, x, delta, max_len, search)
     zeros = _ZeroSearch(f, t, x, delta)
-    return best_of((best, zeros.answer(best.cost if best.found else max_len)))
+    return best_of((best, zeros.answer(zeros.GOAL, best.cost if best.found else max_len)))
 
 
 class _ZeroSearch(Search):
@@ -228,22 +224,24 @@ class _ZeroSearch(Search):
     dropped.
     """
 
+    GOAL = "0^k"  # the one goal: some accepted all-zero output
+
     def __init__(self, f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction):
         super().__init__(t, 0)
         self.f, self.delta = f, delta
-        self.cmp = _stream(x, t.base, _file_stamp(x)).compare  # sign of x - r, exact
+        self.cmp = shared_stream(x, t.base).compare  # sign of x - r, exact
         self.rejected: set = set()
         self.dead = None  # least k from which no all-zero output is accepted
 
     def advance(self, k, out):
         k2 = k + len(out)
-        if self.events or any(out) or (self.dead is not None and k2 >= self.dead):
+        if self.resolved or any(out) or (self.dead is not None and k2 >= self.dead):
             return None
         if k2 and k2 not in self.rejected:
             value = self.f.eval("0" * k2)
             below_high = self.cmp(value - self.delta) > 0
             if below_high and self.cmp(value + self.delta) < 0:
-                self.hits.append(k2)
+                self.hits.append(self.GOAL)
                 return None
             self.rejected.add(k2)
             reach = value + Fraction(1, self.t.base ** _target_len(k2))
@@ -251,13 +249,6 @@ class _ZeroSearch(Search):
                 self.dead = k2
                 return None
         return k2
-
-    def answer(self, max_len: int) -> CostResult:
-        while not self.events and self.frontier and self.level < max_len:
-            self.step()
-        if self.events:
-            return self.witness(self.events[0])
-        return CostResult(CAP_EXCEEDED if self.frontier else UNREACHABLE)
 
 
 def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
@@ -277,7 +268,7 @@ def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fractio
     while frontier:
         pi, out, state = frontier.popleft()
         w = digits_to_str(out)
-        if _within(x, base, f.eval(w), delta):
+        if within(x, base, f.eval(w), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
         if len(pi) == max_input_len:
             continue
@@ -332,7 +323,7 @@ class KtfOracleTable:
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
-                  window_frac: Fraction = Fraction(1, 2),
+                  window_frac: Fraction = DEFAULT_WINDOW_FRAC,
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
     """Enumerator-dimension upper bound; the point and set estimators' shape
     (`dimension.estimate`) with ktf_delta in place of kdelta."""

@@ -118,6 +118,18 @@ class TestBadValuesExitCleanly:
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
 
+    def test_blockperm_with_too_few_blocks_is_one_line(self, tmp_path, capsys):
+        # 10**9 blocks are named in the message, never built
+        (tmp_path / "fam10").mkdir()
+        (tmp_path / "fam10" / "id.fst").write_text(format_fst(make_identity(10)))
+        perm = tmp_path / "perm.txt"
+        perm.write_text("000000000 -> 000000000\n")
+        argv = ["sedim", "--f", f"blockperm:9:{perm}", "--fsts", str(tmp_path / "fam10"),
+                "--x", "rat:1/3", "--base", "10", "--nmax", "6"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: permutation must map all 10**9 blocks onto themselves"]
+
     def test_kdelta_n_uses_scale_caps(self, id_fst, capsys):
         assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", "3",
                          "--cap-in", "1"]) == 0

@@ -278,6 +278,38 @@ class TestSharedSearch:
         assert sum(r is None for r in rows) == 98 * (18 + 12) + 24  # n past each file, and 24 more
         assert sum(r is not None and r[0] == FOUND for r in rows) == 1461
 
+    def test_a_spent_search_keeps_its_answers_and_never_steps_again(self, tmp_path):
+        # level 10 of this search needs digit 28 of a 28-digit file, after it
+        # has solved precision 20: the search is spent at level 9, keeps 20,
+        # and leaves 21 to a fresh search
+        path = tmp_path / "d.txt"
+        path.write_text("0101010101010101010111111111")
+        x = RealSpec.digitfile(str(path))
+        t = gen_pool(7, 40, 4, 2, 6)[14][1]
+        search = open_search(t, x, 2, 40)
+        for n in range(0, 21):
+            kdelta(t, PrecisionQuery.at_scale(x, 2, n), search)
+        assert isinstance(search.spent, InsufficientDigits)
+        assert search.level == 9 and search.S == 20 and search.resolved[20][0] == 10
+        walked = []
+        advance = search.advance
+
+        def counting_advance(pos, out):
+            walked.append(pos)
+            return advance(pos, out)
+
+        search.advance = counting_advance
+        for n in range(0, 21):
+            q = PrecisionQuery.at_scale(x, 2, n)
+            assert _row(search.answer(n, q.cap_input)) == _fresh_or_insufficient(t, q), n
+        q = PrecisionQuery.at_scale(x, 2, 21)
+        for cap in (q.cap_input, 9):  # also at a cap the search has walked to
+            with pytest.raises(InsufficientDigits):
+                search.answer(21, cap)
+            fresh = _fresh_or_insufficient(t, q)
+            assert fresh[0] == FOUND and _row(kdelta(t, q, search)) == fresh
+        assert search.level == 9 and walked == []
+
     def test_asking_back(self, pool):
         # a smaller precision or cap than the search has walked to is either
         # answered as a fresh search answers it, or refused: a precision the

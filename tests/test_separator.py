@@ -5,7 +5,7 @@ import pytest
 from fsdim.digits import RealSpec, real_value, seq_digits
 from fsdim.errors import FsdimError, InvalidPermutation
 from fsdim.fst import Fst, make_identity
-from fsdim.precision import PrecisionQuery, _within, kdelta
+from fsdim.precision import PrecisionQuery, kdelta, within
 from fsdim.separator import (
     KtfOracleTable,
     SeparatorEnumerator,
@@ -51,6 +51,16 @@ class TestEnumerators:
     def test_bad_permutation(self):
         with pytest.raises(InvalidPermutation):
             make_block_permuted(1, {"0": "0", "1": "0"}, 2)
+
+    @pytest.mark.parametrize("block_len, permutation, base", [
+        (12, {"0" * 12: "0" * 12}, 10),  # one block of 10**12: rejected without listing them
+        (10 ** 9, {}, 10),  # rejected without computing 10**(10**9)
+        (2, {"00": "01", "01": "00", "10": "11", "11": "1"}, 2),  # a short image
+        (1, {"0": "1", "2": "0"}, 2),  # a digit outside the base
+    ])
+    def test_invalid_permutations(self, block_len, permutation, base):
+        with pytest.raises(InvalidPermutation):
+            make_block_permuted(block_len, permutation, base)
 
     def test_targeted_values(self):
         f = make_targeted(THIRD, 2)
@@ -164,7 +174,7 @@ class TestKtfDeltaMatchesOracle:
                         assert a.cost == b.cost, (x, n, a, b)
                         assert len(a.witness_input) == a.cost
                         assert t.run(a.witness_input) == a.witness_output
-                        assert _within(x, 2, f.eval(a.witness_output), delta)
+                        assert within(x, 2, f.eval(a.witness_output), delta)
 
     def test_unmatched_target_prunes_zero_outputs(self):
         # only all-zero outputs, whose targeted values approach 1/3, never 1/2:
