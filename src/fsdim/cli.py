@@ -66,13 +66,17 @@ def _load_family(directory: str) -> list[tuple[str, Fst]]:
     return [(name, _load_fst(os.path.join(directory, name))) for name in names]
 
 
-def _emit(args, text_line: str, json_obj: dict) -> None:
-    out = json.dumps(json_obj, sort_keys=True) if args.json else text_line
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """Write a command's result to --out, or else to stdout."""
+    if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(out + "\n")
+            fh.write(text)
     else:
-        print(out)
+        sys.stdout.write(text)
+
+
+def _emit(args, text_line: str, json_obj: dict) -> None:
+    _write(args, (json.dumps(json_obj, sort_keys=True) if args.json else text_line) + "\n")
 
 
 def _cost_json(res: CostResult) -> dict:
@@ -121,12 +125,7 @@ def cmd_fst_gen(args) -> int:
         t = make_block_huffman(stream, prefix_len, args.block_len, args.base)
     else:
         raise FsdimError(f"unknown generator kind {args.kind!r}")
-    text = format_fst(t)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, format_fst(t))
     return 0
 
 
@@ -157,12 +156,7 @@ def cmd_profile(args) -> int:
     family = _load_family(args.fsts)
     x = RealSpec.parse(args.x)
     rows = kdelta_profile([t for _, t in family], x, args.base, args.nmax)
-    csv = _profile_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write(args, _profile_csv(rows))
     return 0
 
 
@@ -355,3 +349,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

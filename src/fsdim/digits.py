@@ -234,9 +234,6 @@ class FileDigitStream(DigitStream):
                     digits.append(ord(ch) - 48)
         return cls(digits, base, origin=path)
 
-    def __len__(self) -> int:
-        return len(self._digits)
-
 
 @dataclass(frozen=True)
 class RealSpec:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .digits import DigitStream, FileDigitStream, RealSpec
+from .digits import DigitStream, RealSpec
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import PrefixSearch, kt
@@ -152,7 +152,7 @@ def detect_periods(s: DigitStream) -> list[int]:
     A finite stream is probed over the digits it has; a period counts only
     when at least one whole repeat of it is seen.
     """
-    probe_len = min(256, len(s)) if isinstance(s, FileDigitStream) else 256
+    probe_len = s.available(256)
     digs = s.prefix(probe_len)
     found = []
     for p in range(1, min(32, probe_len // 2) + 1):
@@ -169,9 +169,7 @@ def normality_family(x: RealSpec, base: int, n_max: int,
     at most the digits it has."""
     members = [("identity", make_identity(base))]
     stream = x.stream(base)
-    train_len = min(n_max, 4096)
-    if isinstance(stream, FileDigitStream):
-        train_len = min(train_len, len(stream))
+    train_len = stream.available(min(n_max, 4096))
     for k in range(1, max_block_len + 1):
         prefix_len = (train_len // k) * k
         if prefix_len < k:

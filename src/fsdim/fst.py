@@ -183,32 +183,20 @@ def huffman_code(freqs: dict, base: int) -> dict:
         raise InsufficientTraining("no symbols to code")
     if len(freqs) == 1:
         return {next(iter(freqs)): (0,)}
-    # tie-break deterministically on (frequency, first-seen order)
-    heap = [(f, i, sym) for i, (sym, f) in enumerate(sorted(freqs.items(), key=lambda kv: kv[0]))]
+    # tie-break deterministically on (frequency, first-seen order); each entry
+    # carries its subtree's code, which a merge extends by the child's digit
+    heap = [(f, i, {sym: ()}) for i, (sym, f) in enumerate(sorted(freqs.items(), key=lambda kv: kv[0]))]
     pad = (1 - len(heap)) % (base - 1) if base > 2 else 0
     for j in range(pad):
-        heap.append((0, -1 - j, None))
+        heap.append((0, -1 - j, {}))
     heapify(heap)
     counter = len(heap)
-    nodes = {}  # internal id -> list of children
     while len(heap) > 1:
         children = [heappop(heap) for _ in range(min(base, len(heap)))]
-        node_id = ("node", counter)
         counter += 1
-        nodes[node_id] = [c[2] for c in children]
-        heappush(heap, (sum(c[0] for c in children), counter, node_id))
-    root = heap[0][2]
-    code = {}
-
-    def walk(node, prefix):
-        if isinstance(node, tuple) and len(node) == 2 and node[0] == "node":
-            for d, child in enumerate(nodes[node]):
-                walk(child, prefix + (d,))
-        elif node is not None:
-            code[node] = prefix
-
-    walk(root, ())
-    return code
+        code = {sym: (d,) + cw for d, c in enumerate(children) for sym, cw in c[2].items()}
+        heappush(heap, (sum(c[0] for c in children), counter, code))
+    return heap[0][2]
 
 
 def make_block_huffman(train: DigitStream, prefix_len: int, block_len: int, base: int) -> Fst:

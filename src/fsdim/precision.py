@@ -91,14 +91,14 @@ def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
 
 
 class PrecisionSearch(Search):
-    """`kdelta` at delta = b**-n for every n in [lo, hi] at one point x.
+    """`kdelta` at delta = b**-n for every n up to hi at one point x.
 
     pos is (j, D), as in the module docstring. Each answer is the one a
     search for that precision alone gives: the same cost, witness and
     status. hi is at most the number of digits x has.
     """
 
-    def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, lo: int, hi: int):
+    def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, hi: int):
         if t.base != stream.base:
             raise FsdimError(f"transducer base {t.base} != query base {stream.base}")
         if stream.available(hi) < hi:
@@ -108,12 +108,9 @@ class PrecisionSearch(Search):
         self.base = t.base
         self.digit = stream.digit
         self.zero_from = stream.is_zero_from
-        self.lo, self.hi = lo, hi
-        self.S = lo - 1  # every goal in [lo, S] is solved or given up
-        top = self._through(0, 0, lo)  # the empty output
-        if top >= lo:
-            self.S = top
-            self.resolved = dict.fromkeys(range(lo, top + 1), (0, None, None))
+        self.hi = hi
+        self.S = self._through(0, 0, 0)  # every goal up to S is solved or given up
+        self.resolved = dict.fromkeys(range(self.S + 1), (0, None, None))  # the empty output
 
     def advance(self, pos, out):
         g = self.S + 1
@@ -243,14 +240,14 @@ class _DeltaSearch(PrecisionSearch):
         m = 0
         while delta * stream.base ** (m + 1) <= 1:
             m += 1
-        super().__init__(t, x, stream, m, m)
+        super().__init__(t, x, stream, m)
 
     def _floor(self, j: int, shift: Fraction) -> int:
         return (self.value + shift) * self.base ** j // 1
 
     def _through(self, j: int, D: int, g: int) -> int:
         value = Fraction(self._floor(j, 0) + D, self.base ** j)
-        return g if abs(value - self.value) < self.delta else g - 1
+        return self.hi if abs(value - self.value) < self.delta else g - 1
 
     def _on_track(self, j: int, D: int, g: int) -> bool:
         return D == self._floor(j, -self.delta) - self._floor(j, 0)
@@ -260,7 +257,7 @@ def open_search(t: Fst, x: RealSpec, base: int, n_max: int) -> PrecisionSearch:
     """The search that answers every precision up to n_max, or up to the
     number of digits x has, for T at x."""
     stream = shared_stream(x, base)
-    return PrecisionSearch(t, x, stream, 0, stream.available(n_max))
+    return PrecisionSearch(t, x, stream, stream.available(n_max))
 
 
 def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostResult:
@@ -275,7 +272,7 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
     n = delta_exponent(q.delta, q.base)
-    if search is not None and n is not None and search.lo <= n <= search.hi:
+    if search is not None and n is not None and n <= search.hi:
         if search.t is not t or search.x != q.x:
             raise FsdimError("the search is for another transducer or point")
         try:
@@ -284,7 +281,7 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
             pass
     stream = shared_stream(q.x, q.base)
     if n is not None:
-        return PrecisionSearch(t, q.x, stream, n, n).answer(n, q.cap_input)
+        return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input)
     if stream.value is None:
         raise InsufficientDigits(f"{q.x.describe()} has no exact value; delta must be base**-n")
     search = _DeltaSearch(t, q.x, stream, q.delta)
@@ -293,11 +290,19 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
 
 def within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
     """Exact test |value - x| < delta, also for digit-only specs."""
+    return within_at(x, base)(value, delta)
+
+
+def within_at(x: RealSpec, base: int):
+    """`within` at x as a function of (value, delta). x's digits come from
+    a stream of its own, built once here and never the shared one, so an
+    oracle that asks about every output reads x once per call and stays
+    independent of the searches it checks."""
     xval = x.exact_value(base)
     if xval is not None:
-        return abs(value - xval) < delta
-    stream = x.stream(base)
-    return stream.compare(value - delta) > 0 and stream.compare(value + delta) < 0
+        return lambda value, delta: abs(value - xval) < delta
+    compare = x.stream(base).compare
+    return lambda value, delta: compare(value - delta) > 0 and compare(value + delta) < 0
 
 
 def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
@@ -305,9 +310,10 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
     the first whose output value falls strictly inside the interval."""
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
+    near = within_at(q.x, q.base)
     for pi, out, _ in enumerate_outputs(t, max_len):
         value = Fraction(_digits_num(out, t.base), t.base ** len(out))
-        if within(q.x, q.base, value, q.delta):
+        if near(value, q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CostResult(CAP_EXCEEDED)
 

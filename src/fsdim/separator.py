@@ -49,7 +49,7 @@ from .precision import (
     open_search,
     profile_rows,
     shared_stream,
-    within,
+    within_at,
 )
 
 #: outputs longer than this are not deduplicated during enumeration
@@ -263,12 +263,13 @@ def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fractio
     """
     _check_args(t, f, max_input_len)
     base = t.base
+    near = within_at(x, base)
     seen = {(t.start, ())}
     frontier = deque([((), (), t.start)])
     while frontier:
         pi, out, state = frontier.popleft()
         w = digits_to_str(out)
-        if within(x, base, f.eval(w), delta):
+        if near(f.eval(w), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
         if len(pi) == max_input_len:
             continue

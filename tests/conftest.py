@@ -1,6 +1,7 @@
 import pytest
 
 from fsdim.cli import gen_pool
+from fsdim.digits import FileDigitStream
 from fsdim.fst import Fst, make_identity
 
 POOL_SEED = 20260823
@@ -23,6 +24,20 @@ def identity2():
 def doubling2():
     """One state, every symbol emitted twice."""
     return Fst(2, 1, 0, (((0, (0, 0)), (0, (1, 1))),))
+
+
+@pytest.fixture()
+def file_reads(monkeypatch):
+    """The paths FileDigitStream.from_file reads, in order, while the test runs."""
+    reads = []
+    from_file = FileDigitStream.from_file.__func__
+
+    def counting(cls, fname, base):
+        reads.append(fname)
+        return from_file(cls, fname, base)
+
+    monkeypatch.setattr(FileDigitStream, "from_file", classmethod(counting))
+    return reads
 
 
 def all_words(base: int, max_len: int):

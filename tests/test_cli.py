@@ -1,12 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsdim.cli import dispatch, gen_pool
-from fsdim.fst import format_fst, make_identity, parse_fst
+from fsdim.digits import RealSpec
+from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -66,6 +73,12 @@ class TestKdeltaCommand:
         assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3",
                          "--base", "2", "--delta", "1/8"]) == 0
         assert capsys.readouterr().out.startswith("found,2")
+
+    def test_delta_that_is_not_a_power(self, id_fst, capsys):
+        # 1/12 is not 2**-n, so the search runs at that delta with the input
+        # cap of FALLBACK_SCALE; 01 lands exactly 1/12 from 1/3, outside
+        assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--delta", "1/12"]) == 0
+        assert capsys.readouterr().out == "found,3,011\n"
 
 
 class TestBadValuesExitCleanly:
@@ -218,6 +231,13 @@ class TestOtherCommands:
         assert dispatch(["fst", "gen", "--kind", "identity", "--base", "2"]) == 0
         assert parse_fst(capsys.readouterr().out) == make_identity(2)
 
+    def test_gen_periodic_and_huffman(self, capsys):
+        assert dispatch(["fst", "gen", "--kind", "periodic", "--pattern", "01", "--copies", "2"]) == 0
+        assert parse_fst(capsys.readouterr().out) == make_periodic_decoder("01", 2, 2)
+        assert dispatch(["fst", "gen", "--kind", "huffman", "--train", "rat:1/3", "--train-len", "64"]) == 0
+        stream = RealSpec.parse("rat:1/3").stream(2)
+        assert parse_fst(capsys.readouterr().out) == make_block_huffman(stream, 64, 2, 2)
+
     def test_profile_csv(self, id_fst, tmp_path, capsys):
         import os, shutil
 
@@ -265,6 +285,37 @@ class TestOtherCommands:
                          "--x", "rat:1/3", "--base", "2", "--nmax", "20", "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["estimate_float"] <= 0.5
+
+
+class TestOutFile:
+    """Every command with --out writes to the file the bytes it would print."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kt", "--fst", "FST", "--w", "0110"],
+        ["dim", "point", "--fsts", "FAM", "--x", "rat:1/3", "--nmax", "10", "--json"],
+        ["fst", "gen", "--kind", "periodic", "--pattern", "01", "--copies", "2"],
+        ["fst", "gen", "--kind", "huffman", "--train", "rat:1/3", "--train-len", "64"],
+        ["profile", "--fsts", "FAM", "--x", "rat:1/3", "--nmax", "4"],
+        ["kdelta", "--fst", "FST", "--x", "rat:1/3", "--delta", "1/12"],
+    ], ids=["kt", "dim-json", "gen-periodic", "gen-huffman", "profile", "kdelta-delta"])
+    def test_file_bytes_equal_stdout_bytes(self, id_fst, family_dir, tmp_path, capsys, argv):
+        argv = [{"FST": id_fst, "FAM": family_dir}.get(a, a) for a in argv]
+        assert dispatch(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "result.txt"
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed and out.read_bytes() == printed.encode("ascii")
+
+
+def test_python_m_entry_point_exits_with_one_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "fsdim.cli", "kt", "--fst", str(tmp_path / "missing.fst"),
+                           "--w", "01"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "missing.fst" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestArgumentFuzz:

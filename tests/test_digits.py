@@ -184,3 +184,4 @@ class TestDelta:
         assert delta_exponent(Fraction(1, 8), 2) == 3
         assert delta_exponent(Fraction(1, 12), 2) is None
         assert delta_exponent(Fraction(1, 81), 3) == 4
+        assert delta_exponent(Fraction(3, 8), 2) is None  # a power of 2 below, numerator not 1

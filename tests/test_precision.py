@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,8 @@ from fsdim.cli import gen_pool
 from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
 from fsdim.dimension import _grid, dim_set_estimate
 from fsdim.errors import FsdimError, InsufficientDigits
-from fsdim.fst import make_identity, make_periodic_decoder
-from fsdim.infocontent import FOUND, kt
+from fsdim.fst import Fst, make_identity, make_periodic_decoder
+from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
 from fsdim.precision import (
     KdeltaOracleTable,
     PrecisionQuery,
@@ -343,9 +345,9 @@ class TestSharedSearch:
         built, profiled = [], []
         init, profile = PrecisionSearch.__init__, dimension.kdelta_profile
 
-        def counting_init(self, t, x, stream, lo, hi):
+        def counting_init(self, t, x, stream, hi):
             built.append((id(t), x))
-            init(self, t, x, stream, lo, hi)
+            init(self, t, x, stream, hi)
 
         def counting_profile(ts, x, *args, **kwargs):
             profiled.extend((id(t), x) for t in ts)
@@ -358,6 +360,57 @@ class TestSharedSearch:
         assert built == profiled
         assert len(built) == len(set(built)) == 29
         assert report.estimate == Fraction(101, 100)
+
+
+def _line_hits(func, text: str, run) -> int:
+    """How often run() executes the line of func that holds text."""
+    code = func.__code__
+    lines, first = inspect.getsourcelines(func)
+    target = first + next(i for i, line in enumerate(lines) if text in line)
+    hits = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == target:
+                hits.append(frame.f_lineno)
+            return line
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return len(hits)
+
+
+class TestExactPowerBoundary:
+    def test_shared_fresh_and_oracle_agree(self):
+        # an output with D = b**m and an all-zero tail of x from j lies exactly
+        # b**-(j - m) from x, so it solves j - m - 1, not j - m (the `top -= 1`
+        # of PrecisionSearch._through); 0 emits 0 and 1 emits 110, so outputs
+        # ending in ...0110 land on such a boundary of a dyadic point
+        t = Fst(2, 1, 0, (((0, (0,)), (0, (1, 1, 0))),))
+        rows = []
+
+        def run():
+            for spec in ("rat:1/2", "rat:1/4", "rat:3/8", "dyadic:101"):
+                x = RealSpec.parse(spec)
+                search = open_search(t, x, 2, 8)
+                for n in range(9):
+                    q = PrecisionQuery.at_scale(x, 2, n)
+                    rows.append((q, kdelta(t, q, search), kdelta(t, q)))
+
+        assert _line_hits(PrecisionSearch._through, "top -= 1", run) == 4
+        assert len(rows) == 36
+        for q, shared, fresh in rows:
+            assert shared == fresh, q
+            oracle = kdelta_oracle(t, q, max_len=10)
+            assert oracle == shared if shared.status == FOUND else oracle.status == CAP_EXCEEDED, q
 
 
 class TestSharedInterval:
@@ -390,3 +443,12 @@ class TestSharedInterval:
         # the enumeration oracle stays independent of the shared stream
         kdelta_oracle(identity2, query(x, 4), max_len=6)
         assert len(reads) > 1
+
+    def test_an_oracle_reads_a_digit_file_once_per_call(self, tmp_path, file_reads, identity2):
+        path = tmp_path / "d.txt"
+        path.write_text(seq_digits(THIRD, 2, 40) + "\n")
+        x = RealSpec.digitfile(str(path))
+        for n in (6, 8):
+            res = kdelta_oracle(identity2, query(x, n), max_len=10)
+            assert res == kdelta_oracle(identity2, query(THIRD, n), max_len=10)
+        assert file_reads == [str(path)] * 2

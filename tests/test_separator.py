@@ -203,6 +203,17 @@ class TestKtfDeltaMatchesOracle:
         with pytest.raises(FsdimError):
             ktf_delta(identity2, make_canonical(2), THIRD, Fraction(0))
 
+    def test_oracle_reads_a_digit_file_once(self, tmp_path, file_reads, identity2):
+        # blockperm's production path: one call tests every enumerated output
+        path = tmp_path / "d.txt"
+        path.write_text(seq_digits(THIRD, 2, 40) + "\n")
+        x = RealSpec.digitfile(str(path))
+        f = make_block_permuted(1, {"0": "1", "1": "0"}, 2)
+        res = ktf_delta_oracle(identity2, f, x, Fraction(1, 2**6), max_input_len=8)
+        assert file_reads == [str(path)]
+        assert res == ktf_delta_oracle(identity2, f, THIRD, Fraction(1, 2**6), max_input_len=8)
+        assert (res.status, res.cost, res.witness_output) == ("found", 5, "10100")
+
 
 class TestKtfOracleTable:
     """The batch oracle against the per-call enumeration it batches."""
