@@ -23,9 +23,11 @@ from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import PrefixSearch, kt
 from .precision import kdelta_profile, profile_rows
 
-#: above this many precisions the profile grid is subsampled to keep the
-#: number of searches bounded; the estimate is then a minimum over fewer
-#: sample points (still a valid upper-bound reading of the window)
+#: above this many precisions the profile grid is subsampled. One search per
+#: (transducer, point) walks the levels up to n_max either way, so the sample
+#: bounds only the number of rows, and the estimate is a minimum over fewer
+#: precisions (still a valid upper-bound reading of the window); reading
+#: every n is ROADMAP item 3
 FULL_GRID_LIMIT = 256
 WINDOW_SAMPLES = 24
 HEAD_SAMPLES = 8

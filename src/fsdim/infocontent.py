@@ -13,7 +13,8 @@ exact-output search: pos is the matched length of a word, and one search
 answers `kt` for every prefix of that word. `precision.PrecisionSearch`
 answers `kdelta` at every precision b^-n; the targeted enumerator's
 all-zero-output search in `separator` is a third subclass. A witness is
-built from parent pointers only for the goal asked.
+built from parent pointers only for a goal asked, and the last one built is
+kept: the goals one transition resolves share it.
 
 kt_oracle re-derives kt's answer by plain enumeration of inputs in
 length-then-lex order and exists so the two can be cross-checked.
@@ -77,6 +78,7 @@ class Search:
         self.resolved: dict = {}  # goal -> (level, path, symbol)
         self.hits: list = []
         self.spent = None  # the InsufficientDigits that ended the search
+        self.last_witness = (None, None)  # the last (hit, witness) built
 
     def advance(self, pos, out):
         raise NotImplementedError
@@ -131,7 +133,10 @@ class Search:
         return CostResult(CAP_EXCEEDED if self.capped(goal, cap) else UNREACHABLE)
 
     def witness(self, hit) -> CostResult:
-        """The found result of a resolved goal, with its input and output."""
+        """The found result of a resolved goal, with its input and output.
+        The goals of one accept share its hit, so it is built once for them."""
+        if hit is self.last_witness[0]:
+            return self.last_witness[1]
         level, link, a = hit
         path = []
         if level:
@@ -144,7 +149,9 @@ class Search:
         for a in path:
             q, emitted = rows[q][a]
             out += emitted
-        return CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
+        result = CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
+        self.last_witness = (hit, result)
+        return result
 
 
 def best_of(results) -> CostResult:

@@ -17,14 +17,18 @@ accepted or never can be. `_DeltaSearch` is the same search at one delta
 that is not b^-n, for a point with an exact value. All decisions are exact;
 no floats.
 
-Each row still goes through `kdelta` with its own query. `kdelta_profile`,
-the estimators in `dimension` and `separator.dimf_estimate` pass in the open
-search of the row's (transducer, point); without one, `kdelta` runs a fresh
-one-precision search on the same core. An accept writes the precisions
-it solves into `resolved`; one n <= S missing there was given up. A finite
-digit file gives `InsufficientDigits` for a precision that its digits do
-not decide; a level of the shared search that they do not decide spends
-it, and each open row goes to a fresh search for its precision alone.
+Each row still goes through `kdelta` with a `PrecisionQuery`, which
+carries its exponent n. `PrecisionQuery.at_scale` builds one query per
+(point, base, n, cap) per process, shared by every transducer's row at that
+precision. `kdelta_profile`, the estimators in `dimension` and
+`separator.dimf_estimate` pass in the open search of the row's (transducer,
+point); without one, `kdelta` runs a fresh one-precision search on the same
+core. An accept writes the precisions it solves into `resolved`, all with
+one hit, so their rows share one witness, built once. One n <= S missing
+there was given up. A finite digit file gives `InsufficientDigits` for a
+precision that its digits do not decide; a level of the shared search that
+they do not decide spends it, and each open row goes to a fresh search for
+its precision alone.
 
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.
@@ -34,9 +38,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Optional
 
 from .digits import DigitStream, RealSpec, check_base, delta_exponent, digits_to_str
 from .errors import FsdimError, InsufficientDigits
@@ -57,16 +62,23 @@ class PrecisionQuery:
     base: int
     delta: Fraction
     cap_input: int
+    # n with delta == base**-n, else None; set from delta, so `replace` keeps it true
+    n: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        check_base(self.base)
         if self.delta <= 0 or self.delta > 1:
             raise FsdimError(f"delta must lie in (0, 1], got {self.delta}")
         if self.cap_input < 0:
             raise FsdimError(f"cap_input must be >= 0, got {self.cap_input}")
+        object.__setattr__(self, "n", delta_exponent(self.delta, self.base))
 
     @classmethod
+    @cache
     def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None) -> "PrecisionQuery":
-        """Query at delta = base**-n with the default input cap 4 * (n + 2)."""
+        """Query at delta = base**-n with the default input cap 4 * (n + 2).
+        One query per (x, base, n, cap_input) per process: every transducer's
+        row at that precision shares it."""
         check_base(base)
         if n < 0:
             raise FsdimError(f"n must be >= 0, got {n}")
@@ -271,9 +283,9 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
     """
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
-    n = delta_exponent(q.delta, q.base)
+    n = q.n
     if search is not None and n is not None and n <= search.hi:
-        if search.t is not t or search.x != q.x:
+        if search.t is not t or (search.x is not q.x and search.x != q.x):
             raise FsdimError("the search is for another transducer or point")
         try:
             return search.answer(n, q.cap_input)
@@ -411,6 +423,9 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
     if grid is None:
         grid = range(1, n_max + 1)
     searches = [open_search(t, x, base, max(grid, default=0)) for t in ts]
-    return profile_rows(grid, lambda n: best_of(
-        kdelta(t, PrecisionQuery.at_scale(x, base, n, cap_input), search)
-        for t, search in zip(ts, searches)))
+
+    def row(n):
+        q = PrecisionQuery.at_scale(x, base, n, cap_input)
+        return best_of(kdelta(t, q, search) for t, search in zip(ts, searches))
+
+    return profile_rows(grid, row)

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fsdim import dimension
 from fsdim.cli import gen_pool
 from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
-from fsdim.dimension import _grid, dim_set_estimate
+from fsdim.dimension import _grid, dim_point_estimate, dim_set_estimate
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import Fst, make_identity, make_periodic_decoder
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
@@ -20,6 +21,7 @@ from fsdim.precision import (
     kdelta_oracle,
     kdelta_profile,
     open_search,
+    shared_stream,
 )
 
 THIRD = RealSpec.rational(1, 3)
@@ -452,3 +454,117 @@ class TestSharedInterval:
             res = kdelta_oracle(identity2, query(x, n), max_len=10)
             assert res == kdelta_oracle(identity2, query(THIRD, n), max_len=10)
         assert file_reads == [str(path)] * 2
+
+
+class TestCarriedExponent:
+    """A query carries n with delta == base**-n, set from its delta, so
+    `kdelta` never recovers it; `at_scale` builds one query per
+    (point, base, n, cap)."""
+
+    def test_at_scale_carries_n(self):
+        for base in (2, 3, 10):
+            for n in (0, 1, 7, 300):
+                q = PrecisionQuery.at_scale(THIRD, base, n)
+                assert q.n == n and q.delta == Fraction(1, base**n)
+
+    def test_hand_built_query_finds_n(self):
+        assert PrecisionQuery(THIRD, 2, Fraction(1, 32), 8).n == 5
+        assert PrecisionQuery(THIRD, 2, Fraction(1, 12), 8).n is None
+        assert PrecisionQuery(THIRD, 3, Fraction(1, 8), 8).n is None
+
+    def test_replace_recomputes_n(self, identity2):
+        # the CLI's FALLBACK_SCALE path: a query at 2**-14 given another delta;
+        # a plain copied field would answer it at 2**-14
+        q = replace(PrecisionQuery.at_scale(THIRD, 2, 14), delta=Fraction(1, 12))
+        assert q.n is None and q.cap_input == 4 * 16
+        res = kdelta(identity2, q)
+        assert res == kdelta_oracle(identity2, q)
+        assert res != kdelta(identity2, PrecisionQuery.at_scale(THIRD, 2, 14))
+        assert replace(q, delta=Fraction(1, 64)).n == 6
+
+    def test_equality_and_hash_ignore_n(self):
+        q = PrecisionQuery.at_scale(THIRD, 2, 5)
+        hand = PrecisionQuery(THIRD, 2, Fraction(1, 32), 28)
+        assert q == hand and hash(q) == hash(hand)
+        assert hash(q) == hash((q.x, q.base, q.delta, q.cap_input))
+        assert [f.name for f in fields(q) if f.compare] == ["x", "base", "delta", "cap_input"]
+        assert repr(q) == repr(hand) and repr(q).endswith("cap_input=28)")
+
+    def test_one_query_per_precision(self):
+        assert PrecisionQuery.at_scale(THIRD, 2, 9) is PrecisionQuery.at_scale(THIRD, 2, 9)
+        assert PrecisionQuery.at_scale(THIRD, 2, 9, 5) is not PrecisionQuery.at_scale(THIRD, 2, 9)
+
+    def test_bad_arguments_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(FsdimError):
+                PrecisionQuery.at_scale(THIRD, 2, -1)
+            with pytest.raises(FsdimError):
+                PrecisionQuery.at_scale(THIRD, 1, 3)
+            with pytest.raises(FsdimError):
+                PrecisionQuery.at_scale(THIRD, 2, 3, -1)
+        with pytest.raises(FsdimError):
+            PrecisionQuery(THIRD, 1, Fraction(1, 2), 8)
+
+
+class TestPerRowWork:
+    """The saving of one query per precision and one witness per accept,
+    pinned as counts and object identity."""
+
+    def test_dim_point_builds_one_query_per_precision(self, monkeypatch, pool):
+        built, rows = [], []
+        post_init = PrecisionQuery.__post_init__
+        row = dimension.kdelta_profile
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_profile(ts, x, *args, **kwargs):
+            out = row(ts, x, *args, **kwargs)
+            rows.extend(out)
+            return out
+
+        monkeypatch.setattr(PrecisionQuery, "__post_init__", counting_post_init)
+        monkeypatch.setattr(dimension, "kdelta_profile", counting_profile)
+        PrecisionQuery.at_scale.cache_clear()  # a query built by another test is not counted
+        x = RealSpec.parse("rat:5/24")
+        family, n_max = pool[:20], 40
+        dim_point_estimate(family, x, 2, n_max)
+        assert len(rows) == len(family) * n_max  # F * G rows ...
+        assert len(built) == n_max  # ... from G queries
+        assert sorted(q.n for q in built) == list(range(1, n_max + 1))
+
+    def test_family_profile_builds_one_query_per_precision(self, monkeypatch, pool):
+        built = []
+        post_init = PrecisionQuery.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PrecisionQuery, "__post_init__", counting_post_init)
+        PrecisionQuery.at_scale.cache_clear()
+        rows = kdelta_profile([t for _, t in pool[:30]], THIRD, 2, 25)
+        assert len(rows) == 25 and len(built) == 25
+
+    def test_one_witness_per_accept(self, identity2):
+        # 1/4 is the output "01" exactly: one accept at level 2 solves every
+        # precision from 2 up, and each of those rows gets the same result
+        x = RealSpec.parse("rat:1/4")
+        search = open_search(identity2, x, 2, 40)
+        results = [kdelta(identity2, PrecisionQuery.at_scale(x, 2, n), search) for n in range(2, 41)]
+        assert search.level == 2 and {search.resolved[n][0] for n in range(2, 41)} == {2}
+        assert all(res is results[0] for res in results)
+        for n, res in zip(range(2, 41), results):
+            fresh = PrecisionSearch(identity2, x, shared_stream(x, 2), n)
+            assert res == fresh.answer(n, PrecisionQuery.at_scale(x, 2, n).cap_input)
+        assert (results[0].cost, results[0].witness_output) == (2, "01")
+
+    def test_a_cap_below_the_accept_is_not_the_shared_witness(self, identity2):
+        # the cap test runs before the witness is looked up
+        x = RealSpec.parse("rat:1/4")
+        search = open_search(identity2, x, 2, 10)
+        found = kdelta(identity2, PrecisionQuery.at_scale(x, 2, 3), search)
+        capped = kdelta(identity2, PrecisionQuery.at_scale(x, 2, 4, 1), search)
+        assert found.found and capped.status == CAP_EXCEEDED
+        assert kdelta(identity2, PrecisionQuery.at_scale(x, 2, 5), search) is found
