@@ -346,6 +346,7 @@ def seq_digits(spec: RealSpec, base: int, count: int) -> str:
 
 def delta_exponent(delta: Fraction, base: int) -> Optional[int]:
     """n such that delta == base**-n, or None when delta is not of that form."""
+    check_base(base)  # the powers below never pass den for a base below 2
     if delta.numerator != 1:
         return None
     den = delta.denominator

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .digits import DigitStream, RealSpec
+from .digits import DigitStream, RealSpec, check_base
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import PrefixSearch, kt
@@ -83,6 +83,7 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     members = [m if isinstance(m, tuple) else (f"T{i}", m) for i, m in enumerate(family)]
     if not members:
         raise FsdimError("family must be nonempty")
+    check_base(base)
     for name, t in members:
         if t.base != base:
             raise FsdimError(f"transducer {name} has base {t.base}, points are base {base}")
@@ -135,7 +136,8 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
 
     def rows_of(t, seq, grid):
         search = PrefixSearch(t, word)
-        return profile_rows(grid, lambda n: kt(t, prefix(n), cap=2 * n + 8, search=search))
+        return profile_rows(grid, lambda n: kt(t, prefix(n), cap=2 * n + 8, search=search,
+                                               witness=False))
 
     return estimate(family, s.base, [s], n_max, window_frac, rows_of)
 

@@ -36,6 +36,9 @@ CAP_EXCEEDED = "cap_exceeded"
 
 @dataclass(frozen=True)
 class CostResult:
+    """A search's answer. A found result asked with `witness=False` is
+    cost-only: status and cost are exact, the witness strings empty."""
+
     status: str
     cost: int = 0
     witness_input: str = ""
@@ -78,7 +81,6 @@ class Search:
         self.resolved: dict = {}  # goal -> (level, path, symbol)
         self.hits: list = []
         self.spent = None  # the InsufficientDigits that ended the search
-        self.last_witness = (None, None)  # the last (hit, witness) built
 
     def advance(self, pos, out):
         raise NotImplementedError
@@ -121,22 +123,22 @@ class Search:
             raise FsdimError(f"the search has walked past cap {cap} with goal {goal} open")
         return self.level == cap and bool(self.frontier)
 
-    def answer(self, goal, cap: int) -> CostResult:
-        """goal's result at input cap `cap`, stepping while it is open."""
+    def answer(self, goal, cap: int, witness: bool = True) -> CostResult:
+        """goal's result at input cap `cap`, stepping while it is open; a
+        found result carries its witness only when `witness` is true."""
         while self.open(goal) and self.frontier and self.level < cap:
             self.step()
         hit = self.resolved.get(goal)
         if hit is not None:
-            return self.witness(hit) if hit[0] <= cap else CostResult(CAP_EXCEEDED)
+            if hit[0] > cap:
+                return CostResult(CAP_EXCEEDED)
+            return self.witness(hit) if witness else CostResult(FOUND, hit[0])
         if self.spent is not None:
             raise self.spent.with_traceback(None)
         return CostResult(CAP_EXCEEDED if self.capped(goal, cap) else UNREACHABLE)
 
     def witness(self, hit) -> CostResult:
-        """The found result of a resolved goal, with its input and output.
-        The goals of one accept share its hit, so it is built once for them."""
-        if hit is self.last_witness[0]:
-            return self.last_witness[1]
+        """The found result of a resolved goal, with its input and output."""
         level, link, a = hit
         path = []
         if level:
@@ -149,14 +151,14 @@ class Search:
         for a in path:
             q, emitted = rows[q][a]
             out += emitted
-        result = CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
-        self.last_witness = (hit, result)
-        return result
+        return CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
 
 
 def best_of(results) -> CostResult:
     """The cheapest found result (lexicographically least witness among equal
-    costs); else cap_exceeded if any search was capped, else unreachable."""
+    costs); else cap_exceeded if any search was capped, else unreachable.
+    Among cost-only results the ties are broken by cost alone, so the first
+    of the cheapest wins; rows read only its cost."""
     best = None
     capped = False
     for res in results:
@@ -204,8 +206,10 @@ class PrefixSearch(Search):
         return cap < len(least) and least[cap] is not None and least[cap] < n
 
 
-def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None) -> CostResult:
-    """Length of the shortest input pi with T(pi) = w, with a witness.
+def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None,
+       witness: bool = True) -> CostResult:
+    """Length of the shortest input pi with T(pi) = w, with a witness unless
+    `witness` is false.
 
     pos is the matched length of w, so the search space is finite: unreachable
     outputs are proved unreachable, and cap_exceeded is reported only when
@@ -220,7 +224,7 @@ def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None) -> CostResult
         search = PrefixSearch(t, w)
     elif search.t is not t or not search.word.startswith(w):
         raise FsdimError("the search is for another transducer or word")
-    return search.answer(len(w), cap)
+    return search.answer(len(w), cap, witness)
 
 
 def enumerate_outputs(t: Fst, max_len: int, keep=None):

@@ -24,11 +24,13 @@ precision. `kdelta_profile`, the estimators in `dimension` and
 `separator.dimf_estimate` pass in the open search of the row's (transducer,
 point); without one, `kdelta` runs a fresh one-precision search on the same
 core. An accept writes the precisions it solves into `resolved`, all with
-one hit, so their rows share one witness, built once. One n <= S missing
-there was given up. A finite digit file gives `InsufficientDigits` for a
-precision that its digits do not decide; a level of the shared search that
-they do not decide spends it, and each open row goes to a fresh search for
-its precision alone.
+one hit. Rows ask with `witness=False` and read the cost off that hit, so
+no row builds a witness; only a caller that prints one, such as the
+`kdelta` command, asks for it. One n <= S missing there was given up. A
+finite digit file gives `InsufficientDigits` for a precision that its
+digits do not decide; a level of the shared search that they do not decide
+spends it, and each open row goes to a fresh search for its precision
+alone.
 
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.
@@ -272,9 +274,11 @@ def open_search(t: Fst, x: RealSpec, base: int, n_max: int) -> PrecisionSearch:
     return PrecisionSearch(t, x, stream, stream.available(n_max))
 
 
-def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostResult:
+def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
+           witness: bool = True) -> CostResult:
     """Minimal input length whose output value lies strictly inside
-    (x - delta, x + delta), with the witness input and output.
+    (x - delta, x + delta), with the witness input and output unless
+    `witness` is false.
 
     `search`, an open `PrecisionSearch` for T at q.x, answers delta = b**-n
     for n up to its largest precision. A row the shared search cannot decide
@@ -288,16 +292,16 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None) -> CostRes
         if search.t is not t or (search.x is not q.x and search.x != q.x):
             raise FsdimError("the search is for another transducer or point")
         try:
-            return search.answer(n, q.cap_input)
+            return search.answer(n, q.cap_input, witness)
         except InsufficientDigits:
             pass
     stream = shared_stream(q.x, q.base)
     if n is not None:
-        return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input)
+        return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input, witness)
     if stream.value is None:
         raise InsufficientDigits(f"{q.x.describe()} has no exact value; delta must be base**-n")
     search = _DeltaSearch(t, q.x, stream, q.delta)
-    return search.answer(search.hi, q.cap_input)
+    return search.answer(search.hi, q.cap_input, witness)
 
 
 def within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
@@ -426,6 +430,6 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
 
     def row(n):
         q = PrecisionQuery.at_scale(x, base, n, cap_input)
-        return best_of(kdelta(t, q, search) for t, search in zip(ts, searches))
+        return best_of(kdelta(t, q, search, witness=False) for t, search in zip(ts, searches))
 
     return profile_rows(grid, row)

@@ -168,9 +168,10 @@ def load_permutation(path: str) -> dict:
 
 def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
               max_input_len: int = DEFAULT_MAX_INPUT_LEN,
-              search: PrecisionSearch = None) -> CostResult:
+              search: PrecisionSearch = None, witness: bool = True) -> CostResult:
     """Minimal input length (at most max_input_len) whose output w satisfies
-    |f(w) - x| < delta, with the witness input and output.
+    |f(w) - x| < delta, with the witness input and output unless `witness`
+    is false (the enumeration oracle has its witness either way).
 
     The canonical and targeted enumerators are answered by the exact
     boundary-guided searches described in the module docstring, so for them
@@ -187,7 +188,7 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
     if x.exact_value(t.base) is None and delta_exponent(delta, t.base) is None:
         # kdelta bounds a digit-only point's interval only at delta = base**-n
         return ktf_delta_oracle(t, f, x, delta, max_input_len)
-    return f._search(t, x, delta, max_input_len, search)
+    return f._search(t, x, delta, max_input_len, search, witness)
 
 
 def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
@@ -198,19 +199,20 @@ def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
 
 
 def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int,
-                      search: PrecisionSearch = None) -> CostResult:
-    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len), search)
+                      search: PrecisionSearch = None, witness: bool = True) -> CostResult:
+    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len), search, witness)
 
 
 def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
-                     max_len: int, search: PrecisionSearch = None) -> CostResult:
+                     max_len: int, search: PrecisionSearch = None,
+                     witness: bool = True) -> CostResult:
     """An output with a nonzero digit keeps its canonical value, and a
     nonempty all-zero output has canonical value 0, the value f gives the
     empty output; so kdelta answers every output but 0^k (k >= 1) exactly,
     and one more search over the all-zero outputs completes the minimum."""
-    best = _canonical_search(t, x, delta, max_len, search)
+    best = _canonical_search(t, x, delta, max_len, search, witness)
     zeros = _ZeroSearch(f, t, x, delta)
-    return best_of((best, zeros.answer(zeros.GOAL, best.cost if best.found else max_len)))
+    return best_of((best, zeros.answer(zeros.GOAL, best.cost if best.found else max_len, witness)))
 
 
 class _ZeroSearch(Search):
@@ -333,6 +335,6 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
     def rows_of(t, x, grid):
         search = None if f._search is None else open_search(t, x, base, max(grid))
         return profile_rows(grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n),
-                                                      max_input_len, search))
+                                                      max_input_len, search, witness=False))
 
     return estimate(family, base, xs, n_max, window_frac, rows_of)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,20 @@ from fsdim.digits import RealSpec
 from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def dispatch_within(seconds: int, argv) -> int:
+    """dispatch(argv), failing the test if it runs past `seconds`."""
+    def hang(signum, frame):
+        pytest.fail(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return dispatch(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()
@@ -94,9 +109,17 @@ class TestBadValuesExitCleanly:
     def test_exit_code_without_traceback(self, id_fst, capsys, argv):
         if argv[0] == "kdelta":
             argv = argv + ["--fst", id_fst]
-        assert dispatch(argv) in (1, 2)
+        assert dispatch_within(3, argv) in (1, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.strip()
+
+    @pytest.mark.parametrize("base, delta", [("1", "1/2"), ("0", "1/2"), ("1", "1/12")])
+    def test_a_base_below_two_exits_at_once(self, id_fst, capsys, base, delta):
+        # finding n with delta == base**-n never ends for such a base
+        argv = ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--base", base, "--delta", delta]
+        assert dispatch_within(3, argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: base must be an integer in [2, 10], got {base}"]
 
     @pytest.mark.parametrize("argv, code, message", [
         (["dim", "point", "--window-frac", "abc"], 2, "not an exact rational"),
@@ -114,6 +137,8 @@ class TestBadValuesExitCleanly:
         (["dim", "seq", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
         (["dim", "point", "--base", "3"], 1, "transducer id.fst has base 2, points are base 3"),
         (["kdelta", "--n", "3", "--cap-out", "5"], 2, "unrecognized arguments: --cap-out 5"),
+        (["dim", "point", "--base", "1"], 1, "base must be an integer in [2, 10], got 1"),
+        (["sedim", "--f", "canonical", "--base", "1"], 1, "base must be an integer in [2, 10], got 1"),
     ])
     def test_flag_values(self, family_dir, tmp_path, capsys, argv, code, message):
         perm = tmp_path / "perm.txt"
@@ -319,20 +344,36 @@ def test_python_m_entry_point_exits_with_one_line(tmp_path):
 
 
 class TestArgumentFuzz:
-    """Every argument vector ends in exit code 0, 1 or 2 with no traceback."""
+    """Every argument vector ends in exit code 0, 1 or 2 with no traceback,
+    within EXAMPLE_SECONDS: a hang fails the test instead of stalling it."""
 
     FLAG_VALUES = st.sampled_from(["0", "1", "2", "-1", "3/2", "1/2", "abc", "nan", "1/0", "0.95", ""])
+    EXAMPLE_SECONDS = 3
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_exit_codes(self, family_dir, tmp_path, capsys, data):
+    def test_exit_codes(self, family_dir, id_fst, tmp_path, capsys, data):
         perm = tmp_path / "perm.txt"
         perm.write_text("0 -> 1\n1 -> 0\n")
         digits = tmp_path / "d.txt"
         digits.write_text("0110100110010110")
         value = data.draw(self.FLAG_VALUES)
-        command = data.draw(st.sampled_from(["pool", "dim", "sedim", "normality"]))
-        if command == "pool":
+        command = data.draw(st.sampled_from(["pool", "dim", "sedim", "normality", "kdelta", "kt",
+                                             "profile", "fst gen"]))
+        if command == "kt":
+            argv = ["kt", "--fst", id_fst, "--w", "0110", "--cap", value]
+        elif command == "kdelta":
+            flag = data.draw(st.sampled_from(["--base", "--n", "--delta", "--cap-in"]))
+            argv = ["kdelta", "--fst", id_fst, "--x", "rat:1/3", flag, value]
+            if flag not in ("--n", "--delta"):
+                argv += data.draw(st.sampled_from([["--n", "3"], ["--delta", "1/2"], ["--delta", "1/12"]]))
+        elif command == "profile":
+            argv = ["profile", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", "6", "--base", value]
+        elif command == "fst gen":
+            kind = data.draw(st.sampled_from(["identity", "periodic", "huffman"]))
+            argv = ["fst", "gen", "--kind", kind, "--pattern", "01", "--train-len", "64",
+                    "--base", value]
+        elif command == "pool":
             flag = data.draw(st.sampled_from(["--seed", "--count", "--max-states", "--base", "--max-burst"]))
             argv = ["pool", "--seed", "1", "--count", "2", "--out", str(tmp_path / "p"), flag, value]
         elif command == "dim":
@@ -348,5 +389,5 @@ class TestArgumentFuzz:
                     "--max-input-len", value]
         else:
             argv = ["normality", "--x", "rat:1/3", "--nmax", "4", "--threshold", value]
-        assert dispatch(argv) in (0, 1, 2)
+        assert dispatch_within(self.EXAMPLE_SECONDS, argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err

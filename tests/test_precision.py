@@ -9,10 +9,16 @@ import pytest
 from fsdim import dimension
 from fsdim.cli import gen_pool
 from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
-from fsdim.dimension import _grid, dim_point_estimate, dim_set_estimate
+from fsdim.dimension import (
+    _grid,
+    dim_point_estimate,
+    dim_seq_estimate,
+    dim_set_estimate,
+    normality_report,
+)
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import Fst, make_identity, make_periodic_decoder
-from fsdim.infocontent import CAP_EXCEEDED, FOUND, kt
+from fsdim.infocontent import CAP_EXCEEDED, FOUND, CostResult, PrefixSearch, Search, kt
 from fsdim.precision import (
     KdeltaOracleTable,
     PrecisionQuery,
@@ -23,6 +29,7 @@ from fsdim.precision import (
     open_search,
     shared_stream,
 )
+from fsdim.separator import dimf_estimate, parse_enumerator
 
 THIRD = RealSpec.rational(1, 3)
 ZERO = RealSpec.rational(0, 1)
@@ -507,8 +514,8 @@ class TestCarriedExponent:
 
 
 class TestPerRowWork:
-    """The saving of one query per precision and one witness per accept,
-    pinned as counts and object identity."""
+    """One query per precision, pinned as counts, and the rows of one accept,
+    which give equal results, each equal to a fresh search's."""
 
     def test_dim_point_builds_one_query_per_precision(self, monkeypatch, pool):
         built, rows = [], []
@@ -554,7 +561,7 @@ class TestPerRowWork:
         search = open_search(identity2, x, 2, 40)
         results = [kdelta(identity2, PrecisionQuery.at_scale(x, 2, n), search) for n in range(2, 41)]
         assert search.level == 2 and {search.resolved[n][0] for n in range(2, 41)} == {2}
-        assert all(res is results[0] for res in results)
+        assert all(res == results[0] for res in results)
         for n, res in zip(range(2, 41), results):
             fresh = PrecisionSearch(identity2, x, shared_stream(x, 2), n)
             assert res == fresh.answer(n, PrecisionQuery.at_scale(x, 2, n).cap_input)
@@ -567,4 +574,78 @@ class TestPerRowWork:
         found = kdelta(identity2, PrecisionQuery.at_scale(x, 2, 3), search)
         capped = kdelta(identity2, PrecisionQuery.at_scale(x, 2, 4, 1), search)
         assert found.found and capped.status == CAP_EXCEEDED
-        assert kdelta(identity2, PrecisionQuery.at_scale(x, 2, 5), search) is found
+        assert kdelta(identity2, PrecisionQuery.at_scale(x, 2, 5), search) == found
+
+
+def _cost(call):
+    """(status, cost) of a search answer, or "insufficient"."""
+    try:
+        res = call()
+    except InsufficientDigits:
+        return "insufficient"
+    return res.status, res.cost
+
+
+class TestCostOnlyRows:
+    """Rows read only costs: no estimator, profile or report builds a
+    witness, and a cost-only answer has the status and cost of the default
+    one, which keeps its witness."""
+
+    @pytest.fixture()
+    def witnesses(self, monkeypatch):
+        built = []
+        witness = Search.witness
+
+        def counting(self, hit):
+            built.append(hit)
+            return witness(self, hit)
+
+        monkeypatch.setattr(Search, "witness", counting)
+        return built
+
+    def test_the_counter_sees_a_default_call(self, witnesses, identity2):
+        assert kdelta(identity2, query(THIRD, 3)).witness_output == "01"
+        assert kt(identity2, "0110").witness_input == "0110"
+        assert len(witnesses) == 2
+
+    def test_no_row_source_builds_a_witness(self, witnesses, pool, identity2):
+        family = [identity2] + [t for _, t in pool[:12]]
+        kdelta_profile(family, THIRD, 2, 20)
+        dim_point_estimate(family, RealSpec.parse("rat:5/24"), 2, 24)
+        dim_set_estimate(family, [THIRD, RealSpec.parse("champernowne")], 2, 16)
+        dim_seq_estimate(family, RealSpec.parse("champernowne").stream(2), 24)
+        for kind in ("canonical", "targeted:rat:1/3"):
+            dimf_estimate(family, parse_enumerator(kind, 2), [THIRD, ZERO], 2, 8, max_input_len=10)
+        normality_report(RealSpec.parse("champernowne"), 2, 40)
+        assert witnesses == []
+
+    def test_cost_only_answers_match_the_default(self, tmp_path, pool):
+        # the file spends the shared search of the burst transducer at level
+        # 9 (TestSharedSearch), so its open rows go to fresh searches
+        path = tmp_path / "d.txt"
+        path.write_text("0101010101010101010111111111")
+        points = [THIRD, RealSpec.parse("rat:5/24"), RealSpec.parse("champernowne"),
+                  RealSpec.digitfile(str(path))]
+        family = [t for _, t in pool[:25]] + [gen_pool(7, 40, 4, 2, 6)[14][1]]
+        spent = 0
+        for t in family:
+            for x in points:
+                shared, cost_only = open_search(t, x, 2, 32), open_search(t, x, 2, 32)
+                for n in range(0, 33):
+                    q = PrecisionQuery.at_scale(x, 2, n)
+                    full = _cost(lambda: kdelta(t, q, shared))
+                    assert _cost(lambda: kdelta(t, q, cost_only, witness=False)) == full, (x, n)
+                    assert _cost(lambda: kdelta(t, q, witness=False)) == _cost(lambda: kdelta(t, q))
+                spent += cost_only.spent is not None
+            word = seq_digits(RealSpec.parse("champernowne"), 2, 30)
+            shared, cost_only = PrefixSearch(t, word), PrefixSearch(t, word)
+            for n in range(0, 31):
+                full = _cost(lambda: kt(t, word[:n], 2 * n + 8, shared))
+                assert _cost(lambda: kt(t, word[:n], 2 * n + 8, cost_only, witness=False)) == full
+                assert _cost(lambda: kt(t, word[:n], 2 * n + 8, witness=False)) == full
+        assert spent >= 1
+
+    def test_a_cost_only_result_has_no_witness(self, identity2):
+        res = kdelta(identity2, query(THIRD, 3), witness=False)
+        assert res == CostResult(FOUND, 2)
+        assert kt(identity2, "01", witness=False) == CostResult(FOUND, 2)
