@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import dimension, separator
@@ -146,7 +145,7 @@ def cmd_kdelta(args) -> int:
         n = delta_exponent(delta, args.base)
     q = PrecisionQuery.at_scale(x, args.base, FALLBACK_SCALE if n is None else n, args.cap_in)
     if n is None:
-        q = replace(q, delta=delta)
+        q = q.with_delta(delta)
     res = kdelta(t, q)
     _emit(args, res.line(), _cost_json(res))
     return 0

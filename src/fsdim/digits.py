@@ -8,10 +8,9 @@ rational arithmetic; floats never appear in any decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional
 
 from .errors import (
     FsdimError,
@@ -28,10 +27,60 @@ MAX_BASE = 10
 #: question (is the tail all zeros? which side of a rational are we on?)
 DEFAULT_LOOKAHEAD = 64
 
+#: the largest precision n (delta = base**-n, or a profile's or estimate's
+#: n_max) any entry point accepts. Above it the work (base**n, n digits of x,
+#: n levels of search) is refused with an error before it starts; acceptance
+#: criterion 8 reads Champernowne at n = 10,000
+MAX_PRECISION = 100_000
+
 
 def check_base(base: int) -> None:
     if not isinstance(base, int) or not (MIN_BASE <= base <= MAX_BASE):
         raise InvalidBase(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {base!r}")
+
+
+def check_precision(n: int) -> None:
+    if n > MAX_PRECISION:
+        raise FsdimError(f"precision {n} exceeds the largest supported, {MAX_PRECISION}")
+
+
+class Frozen:
+    """An immutable value: a subclass sets its `__slots__` once, in
+    `__init__`, through `_init`, and assigning an attribute afterwards
+    raises. Equality, hash and repr go by the fields listed in `_fields`, in
+    that order; a copy or pickle builds the value again through the
+    constructor."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def str_to_digits(w: str, base: int) -> list[int]:
@@ -82,7 +131,7 @@ class DigitStream:
 
     origin = "<digits>"
 
-    def __init__(self, base: int, source=(), digits=b"", value: Optional[Fraction] = None):
+    def __init__(self, base: int, source=(), digits=b"", value: Fraction | None = None):
         self.base = base
         self.value = value
         self._digits = bytearray(digits)
@@ -235,19 +284,15 @@ class FileDigitStream(DigitStream):
         return cls(digits, base, origin=path)
 
 
-@dataclass(frozen=True)
-class RealSpec:
+class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
+                          defaults=(0, 1, "", ""))):
     """A real number in [0,1) given symbolically.
 
     kind is one of "rational", "periodic", "dyadic", "champernowne",
     "digitfile"; payload fields are used per kind.
     """
 
-    kind: str
-    numerator: int = 0
-    denominator: int = 1
-    pattern: str = ""
-    path: str = ""
+    __slots__ = ()
 
     @classmethod
     def rational(cls, numerator: int, denominator: int) -> "RealSpec":
@@ -298,7 +343,7 @@ class RealSpec:
             return cls.digitfile(rest)
         raise FsdimError(f"unknown real spec kind {head!r}")
 
-    def exact_value(self, base: int) -> Optional[Fraction]:
+    def exact_value(self, base: int) -> Fraction | None:
         """Exact rational value when the spec determines one, else None."""
         check_base(base)
         if self.kind == "rational":
@@ -344,7 +389,7 @@ def seq_digits(spec: RealSpec, base: int, count: int) -> str:
     return spec.stream(base).prefix_str(count)
 
 
-def delta_exponent(delta: Fraction, base: int) -> Optional[int]:
+def delta_exponent(delta: Fraction, base: int) -> int | None:
     """n such that delta == base**-n, or None when delta is not of that form."""
     check_base(base)  # the powers below never pass den for a base below 2
     if delta.numerator != 1:
@@ -374,6 +419,7 @@ def parse_delta(text: str, base: int) -> Fraction:
             raise FsdimError(f"bad delta exponent in {text!r}") from None
         if n < 0:
             raise FsdimError(f"bad delta exponent in {text!r}")
+        check_precision(n)
         return Fraction(1, base ** n)
     p, slash, q = text.partition("/")
     try:

@@ -14,10 +14,10 @@ a digit sequence is a point whose rows come from `kt` on its prefixes, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 
-from .digits import DigitStream, RealSpec, check_base
+from .digits import DigitStream, RealSpec, check_base, check_precision
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import PrefixSearch, kt
@@ -39,13 +39,16 @@ COMPRESSIBLE = "compressible (not normal)"
 NO_COMPRESSION = "no compression found (consistent with normality)"
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    estimate: Fraction
-    per_transducer: dict
-    window: tuple
-    verdict: str = ""
-    profiles: dict = field(default_factory=dict)  # name -> tuple of ProfileRow, one point only
+class EstimateReport(namedtuple("EstimateReport", "estimate per_transducer window verdict profiles")):
+    """An estimate, each transducer's value and the window read; profiles
+    maps a name to its tuple of ProfileRow, for one point only."""
+
+    __slots__ = ()
+
+    def __new__(cls, estimate: Fraction, per_transducer: dict, window: tuple,
+                verdict: str = "", profiles: dict | None = None):
+        return super().__new__(cls, estimate, per_transducer, window, verdict,
+                               {} if profiles is None else profiles)
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,6 +92,7 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
             raise FsdimError(f"transducer {name} has base {t.base}, points are base {base}")
     if n_max < 2:
         raise FsdimError(f"n_max must be >= 2, got {n_max}")
+    check_precision(n_max)
     n_lo = max(1, math.ceil(window_frac * n_max))
     grid = _grid(n_lo, n_max)
     per = {}
@@ -129,6 +133,7 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
     min over the family of the min kt(prefix of length n)/n over the window,
     each kt search capped at 2n + 8 inputs. One search per transducer walks
     the sequence's longest prefix and answers every shorter one."""
+    check_precision(n_max)  # before the prefix is read
     word = s.prefix_str(s.available(n_max))  # read once for the whole family
 
     def prefix(n):
@@ -202,4 +207,4 @@ def normality_report(x: RealSpec, base: int, n_max: int, max_block_len: int = 4,
     """
     family = normality_family(x, base, n_max, max_block_len)
     report = dim_point_estimate(family, x, base, n_max, window_frac)
-    return replace(report, verdict=COMPRESSIBLE if report.estimate < threshold else NO_COMPRESSION)
+    return report._replace(verdict=COMPRESSIBLE if report.estimate < threshold else NO_COMPRESSION)

@@ -8,10 +8,9 @@ construction and `run` is pure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .digits import DigitStream, check_base, digits_to_str, str_to_digits
+from .digits import DigitStream, Frozen, check_base, digits_to_str, str_to_digits
 from .errors import (
     DuplicateTransition,
     EmptyPattern,
@@ -24,36 +23,34 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Fst:
+class Fst(Frozen):
     """(Q, delta, nu, q0) with Q = range(state_count).
 
     transitions[q][a] = (next_state, output_digits) where output_digits is a
-    tuple of ints over the base alphabet.
+    tuple of ints over the base alphabet. Not a tuple: `dimension.estimate`
+    tells a bare machine from a (name, machine) pair by that.
     """
 
-    base: int
-    state_count: int
-    start: int
-    transitions: tuple  # tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    __slots__ = _fields = ("base", "state_count", "start", "transitions")
 
-    def __post_init__(self):
-        check_base(self.base)
-        if self.state_count < 1:
+    def __init__(self, base: int, state_count: int, start: int, transitions: tuple):
+        check_base(base)
+        if state_count < 1:
             raise FsdimError("an FST needs at least one state")
-        if not (0 <= self.start < self.state_count):
-            raise StateOutOfRange(f"start state {self.start} out of range")
-        if len(self.transitions) != self.state_count:
+        if not (0 <= start < state_count):
+            raise StateOutOfRange(f"start state {start} out of range")
+        if len(transitions) != state_count:
             raise MissingTransition("transition table must cover every state")
-        for q, row in enumerate(self.transitions):
-            if len(row) != self.base:
-                raise MissingTransition(f"state {q} must define all {self.base} symbols")
+        for q, row in enumerate(transitions):
+            if len(row) != base:
+                raise MissingTransition(f"state {q} must define all {base} symbols")
             for a, (nxt, out) in enumerate(row):
-                if not (0 <= nxt < self.state_count):
+                if not (0 <= nxt < state_count):
                     raise StateOutOfRange(f"transition ({q},{a}) targets missing state {nxt}")
                 for d in out:
-                    if not (0 <= d < self.base):
-                        raise InvalidDigit(f"output digit {d} of ({q},{a}) out of base {self.base}")
+                    if not (0 <= d < base):
+                        raise InvalidDigit(f"output digit {d} of ({q},{a}) out of base {base}")
+        self._init(base, state_count, start, transitions)
 
     def run_from(self, q: int, pi: str) -> tuple[str, int]:
         """Output and final state of running input pi from state q."""

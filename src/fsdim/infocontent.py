@@ -22,8 +22,7 @@ length-then-lex order and exists so the two can be cross-checked.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .digits import digits_to_str, str_to_digits
 from .errors import FsdimError, InsufficientDigits
@@ -34,15 +33,12 @@ UNREACHABLE = "unreachable"
 CAP_EXCEEDED = "cap_exceeded"
 
 
-@dataclass(frozen=True)
-class CostResult:
+class CostResult(namedtuple("CostResult", "status cost witness_input witness_output",
+                            defaults=(0, "", ""))):
     """A search's answer. A found result asked with `witness=False` is
     cost-only: status and cost are exact, the witness strings empty."""
 
-    status: str
-    cost: int = 0
-    witness_input: str = ""
-    witness_output: str = ""
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

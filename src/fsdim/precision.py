@@ -40,12 +40,19 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Optional
 
-from .digits import DigitStream, RealSpec, check_base, delta_exponent, digits_to_str
+from .digits import (
+    DigitStream,
+    Frozen,
+    RealSpec,
+    check_base,
+    check_precision,
+    delta_exponent,
+    digits_to_str,
+)
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
 from .infocontent import (
@@ -58,22 +65,26 @@ from .infocontent import (
 )
 
 
-@dataclass(frozen=True)
-class PrecisionQuery:
-    x: RealSpec
-    base: int
-    delta: Fraction
-    cap_input: int
-    # n with delta == base**-n, else None; set from delta, so `replace` keeps it true
-    n: Optional[int] = field(init=False, compare=False, repr=False)
+class PrecisionQuery(Frozen):
+    """The interval (x - delta, x + delta) in base `base`, searched with at
+    most cap_input inputs. n is the exponent with delta == base**-n, else
+    None; the constructor sets it from delta, and equality, hash and repr
+    leave it out."""
 
-    def __post_init__(self):
-        check_base(self.base)
-        if self.delta <= 0 or self.delta > 1:
-            raise FsdimError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.cap_input < 0:
-            raise FsdimError(f"cap_input must be >= 0, got {self.cap_input}")
-        object.__setattr__(self, "n", delta_exponent(self.delta, self.base))
+    __slots__ = ("x", "base", "delta", "cap_input", "n")
+    _fields = ("x", "base", "delta", "cap_input")
+
+    def __init__(self, x: RealSpec, base: int, delta: Fraction, cap_input: int):
+        check_base(base)
+        if delta <= 0 or delta > 1:
+            raise FsdimError(f"delta must lie in (0, 1], got {delta}")
+        if cap_input < 0:
+            raise FsdimError(f"cap_input must be >= 0, got {cap_input}")
+        self._init(x, base, delta, cap_input, delta_exponent(delta, base))
+
+    def with_delta(self, delta: Fraction) -> "PrecisionQuery":
+        """This query at another delta, validated and with n set again."""
+        return PrecisionQuery(self.x, self.base, delta, self.cap_input)
 
     @classmethod
     @cache
@@ -84,6 +95,7 @@ class PrecisionQuery:
         check_base(base)
         if n < 0:
             raise FsdimError(f"n must be >= 0, got {n}")
+        check_precision(n)
         if cap_input is None:
             cap_input = 4 * (n + 2)
         return cls(x, base, Fraction(1, base ** n), cap_input)
@@ -376,13 +388,11 @@ class KdeltaOracleTable:
         return CostResult(CAP_EXCEEDED)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    cost: int
-    ratio: Fraction
-    running_inf: Fraction
-    flags: str = ""  # "cap", "unreachable" or "insufficient" when nothing was found at this n
+class ProfileRow(namedtuple("ProfileRow", "n cost ratio running_inf flags", defaults=("",))):
+    """One precision of a profile; flags is "cap", "unreachable" or
+    "insufficient" when nothing was found at this n."""
+
+    __slots__ = ()
 
 
 def profile_rows(grid, search) -> list[ProfileRow]:
@@ -424,6 +434,7 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
     ts = list(ts)
     if not ts:
         raise FsdimError("need at least one transducer")
+    check_precision(n_max)
     if grid is None:
         grid = range(1, n_max + 1)
     searches = [open_search(t, x, base, max(grid, default=0)) for t in ts]

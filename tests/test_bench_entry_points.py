@@ -3,6 +3,7 @@ must still resolve, so that renaming one fails here and not only there."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,8 @@ from fsdim.digits import RealSpec
 from fsdim.fst import make_identity
 from fsdim.precision import PrecisionQuery, kdelta
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -52,3 +54,20 @@ def test_kdelta_span_attributes_read_a_shared_query(monkeypatch):
     attrs = tracer._kdelta_attrs({"t": t, "q": shared}, res)
     assert attrs == tracer._kdelta_attrs({"t": t, "q": hand}, res)
     assert (attrs["n"], attrs["cap"], attrs["key"]) == (6, 32, f"{x.describe()}|2|1/64")
+
+
+def test_importing_the_cli_loads_every_traced_module_and_no_heavy_one(monkeypatch):
+    # the benchmark child installs the tracer right after `import fsdim.cli`,
+    # and the tracer looks each module up in sys.modules: a module imported
+    # lazily would fail every traced pass. The value types need neither
+    # dataclasses (which loads inspect, ast and dis) nor typing.
+    tracer = _load_tracer(monkeypatch)
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import fsdim.cli; "
+            "print(*sorted(sys.modules), sep='\\n')")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect", "typing"} & loaded == set()
+    traced = {module for module, _ in tracer.SPANNED + tracer.COUNTED}
+    assert {"fsdim.separator", "fsdim.dimension"} <= traced
+    assert traced - loaded == set()

@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsdim.cli import dispatch, gen_pool
-from fsdim.digits import RealSpec
+from fsdim.digits import MAX_PRECISION, RealSpec
 from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+HUGE = "100000000000"  # a precision far above MAX_PRECISION
 
 
 def dispatch_within(seconds: int, argv) -> int:
@@ -120,6 +121,24 @@ class TestBadValuesExitCleanly:
         assert dispatch_within(3, argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: base must be an integer in [2, 10], got {base}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", HUGE],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--delta", "^-" + HUGE],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--delta", "b^-" + HUGE],
+        ["profile", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", HUGE],
+        ["dim", "point", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", HUGE],
+        ["dim", "seq", "--fsts", "DIR", "--x", "champernowne", "--nmax", HUGE],
+        ["dim", "set", "--fsts", "DIR", "--x", "rat:1/3", "--x", "rat:1/5", "--nmax", HUGE],
+        ["normality", "--x", "champernowne", "--nmax", HUGE],
+        ["sedim", "--f", "canonical", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", HUGE],
+    ])
+    def test_a_precision_above_the_ceiling_exits_at_once(self, id_fst, family_dir, capsys, argv):
+        # at the parent these built base**n, or read and walked n digits
+        argv = [id_fst if a == "ID" else family_dir if a == "DIR" else a for a in argv]
+        assert dispatch_within(3, argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: precision {HUGE} exceeds the largest supported, {MAX_PRECISION}"]
 
     @pytest.mark.parametrize("argv, code, message", [
         (["dim", "point", "--window-frac", "abc"], 2, "not an exact rational"),
@@ -389,5 +408,19 @@ class TestArgumentFuzz:
                     "--max-input-len", value]
         else:
             argv = ["normality", "--x", "rat:1/3", "--nmax", "4", "--threshold", value]
+        assert dispatch_within(self.EXAMPLE_SECONDS, argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_precision_flags_exit_codes(self, family_dir, id_fst, capsys, data):
+        # the precision flags also take a precision far above the ceiling; kept
+        # out of FLAG_VALUES, since `pool --count` has no such bound
+        n = data.draw(st.sampled_from(["1", "3", str(MAX_PRECISION + 1), HUGE]))
+        argv = data.draw(st.sampled_from([
+            ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", n],
+            ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--delta", "^-" + n],
+            ["dim", "point", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", n],
+            ["profile", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", n]]))
         assert dispatch_within(self.EXAMPLE_SECONDS, argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err

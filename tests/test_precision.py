@@ -1,14 +1,13 @@
 import inspect
 import random
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 from fsdim import dimension
 from fsdim.cli import gen_pool
-from fsdim.digits import FileDigitStream, RealSpec, real_value, seq_digits
+from fsdim.digits import MAX_PRECISION, FileDigitStream, RealSpec, parse_delta, real_value, seq_digits
 from fsdim.dimension import (
     _grid,
     dim_point_estimate,
@@ -482,19 +481,22 @@ class TestCarriedExponent:
     def test_replace_recomputes_n(self, identity2):
         # the CLI's FALLBACK_SCALE path: a query at 2**-14 given another delta;
         # a plain copied field would answer it at 2**-14
-        q = replace(PrecisionQuery.at_scale(THIRD, 2, 14), delta=Fraction(1, 12))
+        q = PrecisionQuery.at_scale(THIRD, 2, 14).with_delta(Fraction(1, 12))
         assert q.n is None and q.cap_input == 4 * 16
         res = kdelta(identity2, q)
         assert res == kdelta_oracle(identity2, q)
         assert res != kdelta(identity2, PrecisionQuery.at_scale(THIRD, 2, 14))
-        assert replace(q, delta=Fraction(1, 64)).n == 6
+        assert q.with_delta(Fraction(1, 64)).n == 6
 
     def test_equality_and_hash_ignore_n(self):
         q = PrecisionQuery.at_scale(THIRD, 2, 5)
         hand = PrecisionQuery(THIRD, 2, Fraction(1, 32), 28)
         assert q == hand and hash(q) == hash(hand)
         assert hash(q) == hash((q.x, q.base, q.delta, q.cap_input))
-        assert [f.name for f in fields(q) if f.compare] == ["x", "base", "delta", "cap_input"]
+        assert PrecisionQuery._fields == ("x", "base", "delta", "cap_input")
+        for args in ((ZERO, 2, Fraction(1, 32), 28), (THIRD, 4, Fraction(1, 32), 28),
+                     (THIRD, 2, Fraction(1, 16), 28), (THIRD, 2, Fraction(1, 32), 27)):
+            assert q != PrecisionQuery(*args)
         assert repr(q) == repr(hand) and repr(q).endswith("cap_input=28)")
 
     def test_one_query_per_precision(self):
@@ -513,25 +515,43 @@ class TestCarriedExponent:
             PrecisionQuery(THIRD, 1, Fraction(1, 2), 8)
 
 
+class TestPrecisionCeiling:
+    """A precision above MAX_PRECISION is refused before base**n is built;
+    one at the ceiling is taken. The CLI tests cover every entry point."""
+
+    def test_the_ceiling_admits_acceptance_criterion_8(self):
+        assert MAX_PRECISION >= 10_000
+
+    def test_at_scale(self):
+        assert PrecisionQuery.at_scale(THIRD, 2, MAX_PRECISION).n == MAX_PRECISION
+        with pytest.raises(FsdimError, match="exceeds the largest supported"):
+            PrecisionQuery.at_scale(THIRD, 2, MAX_PRECISION + 1)
+
+    def test_parse_delta(self):
+        assert parse_delta(f"^-{MAX_PRECISION}", 2) == Fraction(1, 2**MAX_PRECISION)
+        with pytest.raises(FsdimError, match="exceeds the largest supported"):
+            parse_delta(f"^-{MAX_PRECISION + 1}", 2)
+
+
 class TestPerRowWork:
     """One query per precision, pinned as counts, and the rows of one accept,
     which give equal results, each equal to a fresh search's."""
 
     def test_dim_point_builds_one_query_per_precision(self, monkeypatch, pool):
         built, rows = [], []
-        post_init = PrecisionQuery.__post_init__
+        init = PrecisionQuery.__init__
         row = dimension.kdelta_profile
 
-        def counting_post_init(self):
+        def counting_init(self, *args):
             built.append(self)
-            post_init(self)
+            init(self, *args)
 
         def counting_profile(ts, x, *args, **kwargs):
             out = row(ts, x, *args, **kwargs)
             rows.extend(out)
             return out
 
-        monkeypatch.setattr(PrecisionQuery, "__post_init__", counting_post_init)
+        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
         monkeypatch.setattr(dimension, "kdelta_profile", counting_profile)
         PrecisionQuery.at_scale.cache_clear()  # a query built by another test is not counted
         x = RealSpec.parse("rat:5/24")
@@ -543,13 +563,13 @@ class TestPerRowWork:
 
     def test_family_profile_builds_one_query_per_precision(self, monkeypatch, pool):
         built = []
-        post_init = PrecisionQuery.__post_init__
+        init = PrecisionQuery.__init__
 
-        def counting_post_init(self):
+        def counting_init(self, *args):
             built.append(self)
-            post_init(self)
+            init(self, *args)
 
-        monkeypatch.setattr(PrecisionQuery, "__post_init__", counting_post_init)
+        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
         PrecisionQuery.at_scale.cache_clear()
         rows = kdelta_profile([t for _, t in pool[:30]], THIRD, 2, 25)
         assert len(rows) == 25 and len(built) == 25
