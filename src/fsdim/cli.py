@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, delta_exponent, parse_delta
+from .digits import RealSpec, check_base, check_precision, delta_exponent, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -118,6 +118,7 @@ def cmd_fst_gen(args) -> int:
     elif args.kind == "periodic":
         t = make_periodic_decoder(args.pattern, args.copies, args.base)
     elif args.kind == "huffman":
+        check_precision(args.train_len)  # the digits read to train
         spec = RealSpec.parse(args.train)
         stream = spec.stream(args.base)
         prefix_len = (args.train_len // args.block_len) * args.block_len

@@ -78,7 +78,10 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     `family` holds transducers or (name, transducer) pairs, all reading base
     `base`. rows_of(t, x, grid) gives one point's profile rows; flagged rows
     are left out, and a transducer is dropped at its first point without a
-    usable row in the window.
+    usable row in the window. A point's window minimum compares the rows'
+    (cost, n) by exact integer cross-multiplication and keeps the least
+    row's ratio; only the worst point and the best transducer are found by
+    Fraction comparisons, one per (transducer, point), not one per row.
     """
     points = list(points)
     if not points:
@@ -103,7 +106,10 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
             rows = rows_of(t, x, grid)
             if len(points) == 1:
                 profiles[name] = tuple(rows)
-            proxy = min((r.ratio for r in rows if not r.flags and r.n >= n_lo), default=None)
+            proxy = None  # the window's least ratio, compared as c * n' < c' * n
+            for n, cost, ratio, _, flags in rows:
+                if n >= n_lo and not flags and (proxy is None or cost * proxy_n < proxy_cost * n):
+                    proxy, proxy_cost, proxy_n = ratio, cost, n
             if proxy is None:
                 break  # a point this transducer cannot handle: drop it
             worst = max(worst, proxy)
@@ -179,11 +185,8 @@ def normality_family(x: RealSpec, base: int, n_max: int,
     members = [("identity", make_identity(base))]
     stream = x.stream(base)
     train_len = stream.available(min(n_max, 4096))
-    for k in range(1, max_block_len + 1):
-        prefix_len = (train_len // k) * k
-        if prefix_len < k:
-            continue
-        members.append((f"huffman(b{k})", make_block_huffman(stream, prefix_len, k, base)))
+    for k in range(1, min(max_block_len, train_len) + 1):  # no longer block fits the training
+        members.append((f"huffman(b{k})", make_block_huffman(stream, train_len // k * k, k, base)))
     periods = detect_periods(stream)
     if periods:
         pattern = stream.prefix_str(periods[0])

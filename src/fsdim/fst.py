@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
-from .digits import DigitStream, Frozen, check_base, digits_to_str, str_to_digits
+from .digits import DigitStream, Frozen, check_base, check_precision, digits_to_str, str_to_digits
 from .errors import (
     DuplicateTransition,
     EmptyPattern,
@@ -164,6 +164,7 @@ def make_periodic_decoder(pattern: str, copies: int, base: int) -> Fst:
         raise EmptyPattern("periodic decoder needs a nonempty pattern")
     if copies < 1:
         raise FsdimError(f"copies must be >= 1, got {copies}")
+    check_precision(copies * len(pattern))  # the digits one transition emits
     burst = tuple(str_to_digits(pattern, base)) * copies
     row = tuple((0, burst) for _ in range(base))
     return Fst(base, 1, 0, (row,))

@@ -388,6 +388,9 @@ class KdeltaOracleTable:
         return CostResult(CAP_EXCEEDED)
 
 
+_ZERO = Fraction(0)  # the ratio of every flagged row
+
+
 class ProfileRow(namedtuple("ProfileRow", "n cost ratio running_inf flags", defaults=("",))):
     """One precision of a profile; flags is "cap", "unreachable" or
     "insufficient" when nothing was found at this n."""
@@ -402,10 +405,12 @@ def profile_rows(grid, search) -> list[ProfileRow]:
     A row whose search found nothing is flagged "cap" or "unreachable", and
     one whose point ran out of digits (InsufficientDigits) "insufficient".
     Flagged rows carry the running infimum unchanged and are left out of
-    every estimate.
+    every estimate. The infimum is kept as the (cost, n) of the row that set
+    it and compared by exact integer cross-multiplication, c * n' < c' * n;
+    a row's running_inf is that row's ratio.
     """
     rows = []
-    running = None
+    running, best_cost, best_n = _ZERO, -1, 1  # no found row yet
     for n in grid:
         try:
             res = search(n)
@@ -413,12 +418,14 @@ def profile_rows(grid, search) -> list[ProfileRow]:
             flags = "insufficient"
         else:
             if res.status == FOUND:
-                ratio = Fraction(res.cost, n)
-                running = ratio if running is None else min(running, ratio)
-                rows.append(ProfileRow(n, res.cost, ratio, running))
+                cost = res.cost
+                ratio = Fraction(cost, n)
+                if best_cost < 0 or cost * best_n < best_cost * n:
+                    running, best_cost, best_n = ratio, cost, n
+                rows.append(ProfileRow(n, cost, ratio, running))
                 continue
             flags = "cap" if res.status == CAP_EXCEEDED else "unreachable"
-        rows.append(ProfileRow(n, -1, Fraction(0), Fraction(0) if running is None else running, flags))
+        rows.append(ProfileRow(n, -1, _ZERO, running, flags))
     return rows
 
 
@@ -439,8 +446,15 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
         grid = range(1, n_max + 1)
     searches = [open_search(t, x, base, max(grid, default=0)) for t in ts]
 
-    def row(n):
-        q = PrecisionQuery.at_scale(x, base, n, cap_input)
-        return best_of(kdelta(t, q, search, witness=False) for t, search in zip(ts, searches))
+    if len(ts) == 1:  # every estimator's call: the one search's answer is the row
+        t, search = ts[0], searches[0]
+
+        def row(n):
+            q = PrecisionQuery.at_scale(x, base, n, cap_input)
+            return kdelta(t, q, search, witness=False)
+    else:
+        def row(n):
+            q = PrecisionQuery.at_scale(x, base, n, cap_input)
+            return best_of(kdelta(t, q, search, witness=False) for t, search in zip(ts, searches))
 
     return profile_rows(grid, row)

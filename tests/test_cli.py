@@ -132,6 +132,8 @@ class TestBadValuesExitCleanly:
         ["dim", "set", "--fsts", "DIR", "--x", "rat:1/3", "--x", "rat:1/5", "--nmax", HUGE],
         ["normality", "--x", "champernowne", "--nmax", HUGE],
         ["sedim", "--f", "canonical", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", HUGE],
+        ["fst", "gen", "--kind", "periodic", "--pattern", "0", "--copies", HUGE],
+        ["fst", "gen", "--kind", "huffman", "--train-len", HUGE],
     ])
     def test_a_precision_above_the_ceiling_exits_at_once(self, id_fst, family_dir, capsys, argv):
         # at the parent these built base**n, or read and walked n digits
@@ -139,6 +141,15 @@ class TestBadValuesExitCleanly:
         assert dispatch_within(3, argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: precision {HUGE} exceeds the largest supported, {MAX_PRECISION}"]
+
+    def test_a_block_length_above_the_training_length_adds_no_member(self, capsys):
+        # every k above the 20 training digits trains no decoder, so the
+        # family, and the report, is the one --k 20 gives
+        argv = ["normality", "--x", "champernowne", "--nmax", "20", "--k"]
+        assert dispatch_within(3, argv + [HUGE]) == 0
+        huge = capsys.readouterr().out
+        assert dispatch_within(3, argv + ["20"]) == 0
+        assert huge and huge == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, code, message", [
         (["dim", "point", "--window-frac", "abc"], 2, "not an exact rational"),
