@@ -27,6 +27,9 @@ DEFAULT_BURST_WARNING = 64
 #: precision scale whose default input cap applies to a delta that is not base**-n
 FALLBACK_SCALE = 14
 
+#: the largest pool: `pool` builds every machine, then writes one file each
+MAX_POOL_COUNT = 10_000
+
 
 def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) -> list[tuple[str, Fst]]:
     """Deterministic pseudo-random pool of complete transducers.
@@ -34,8 +37,8 @@ def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) 
     Every (state, symbol) pair gets a uniform next state and an output of
     uniform length 0..max_burst with uniform digits.
     """
-    if count < 1:
-        raise FsdimError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_POOL_COUNT:
+        raise FsdimError(f"count must lie in [1, {MAX_POOL_COUNT}], got {count}")
     check_base(base)
     rng = random.Random(seed)
     pool = []
@@ -195,8 +198,8 @@ def cmd_sedim(args) -> int:
 
 
 def cmd_pool(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     pool = gen_pool(args.seed, args.count, args.max_states, args.base, args.max_burst)
+    os.makedirs(args.out, exist_ok=True)
     for name, t in pool:
         with open(os.path.join(args.out, name), "w", encoding="ascii") as fh:
             fh.write(format_fst(t))

@@ -102,6 +102,14 @@ def digits_to_str(digits) -> str:
     return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
 
 
+def digits_to_int(digits, base: int) -> int:
+    """The integer whose base-b numeral is `digits`, most significant first."""
+    num = 0
+    for d in digits:
+        num = num * base + d
+    return num
+
+
 def real_value(w: str, base: int) -> Fraction:
     """Value of a finite digit string: sum of w[i] * base**-(i+1).
 
@@ -170,10 +178,7 @@ class DigitStream:
 
     def exact_value_up_to(self, m: int) -> Fraction:
         """Exact value of the first m digits (floor of the real to b**-m)."""
-        num = 0
-        for d in self.prefix(m):
-            num = num * self.base + d
-        return Fraction(num, self.base ** m)
+        return Fraction(digits_to_int(self.prefix(m), self.base), self.base ** m)
 
     def is_zero_from(self, m: int) -> bool:
         """Whether every digit at index >= m is zero (the expansion terminates).
@@ -350,10 +355,7 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             return Fraction(self.numerator, self.denominator)
         if self.kind == "periodic":
             digs = str_to_digits(self.pattern, base)
-            num = 0
-            for d in digs:
-                num = num * base + d
-            value = Fraction(num, base ** len(digs) - 1)
+            value = Fraction(digits_to_int(digs, base), base ** len(digs) - 1)
             if value >= 1:
                 raise SpecOutOfRange(f"periodic pattern {self.pattern!r} has value 1")
             return value

@@ -16,13 +16,14 @@ all-zero-output search in `separator` is a third subclass. A witness is
 built from parent pointers only for a goal asked, and the last one built is
 kept: the goals one transition resolves share it.
 
-kt_oracle re-derives kt's answer by plain enumeration of inputs in
-length-then-lex order and exists so the two can be cross-checked.
+`distinct_outputs` is the one enumeration every oracle reads, independent
+of `Search`; `kt_oracle` and `kt_oracle_table` re-derive kt's answers from
+it, so the two can be cross-checked.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .digits import digits_to_str, str_to_digits
 from .errors import FsdimError, InsufficientDigits
@@ -223,48 +224,54 @@ def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None,
     return search.answer(len(w), cap, witness)
 
 
-def enumerate_outputs(t: Fst, max_len: int, keep=None):
-    """Yield (input digits, output digits, final state) for every input with
-    |input| <= max_len, in length-then-lex order.
+def distinct_outputs(t: Fst, max_len: int, keep=None):
+    """Yield (input, output) digit tuples: each distinct output of an input
+    of length <= max_len once, with its length-then-lex least input, in that
+    order of inputs.
 
-    `keep(out)` may prune a subtree: when it returns False for a node's output
-    the node is still yielded but its extensions are skipped. Outputs only ever
-    grow, so this is safe for prefix-closed keep predicates.
-    """
-    frontier = deque([((), (), t.start)])
-    while frontier:
-        pi, out, q = frontier.popleft()
-        yield pi, out, q
-        if len(pi) == max_len or (keep is not None and not keep(out)):
-            continue
-        for a in range(t.base):
-            q2, o = t.transitions[q][a]
-            frontier.append((pi + (a,), out + o, q2))
-
-
-def kt_oracle(t: Fst, w: str, max_len: int = 12) -> CostResult:
-    """Exhaustive enumeration of inputs in length-then-lex order.
-
-    Returns the first input whose output equals w. Enumeration can never prove
-    unreachability, so the not-found answer is always cap_exceeded.
+    A breadth-first walk visits each configuration (state, output) once,
+    first by its least input: every continuation of a later path into it is
+    no shorter and, at equal length, lexicographically larger. `keep(out)`,
+    if given, must be prefix-closed; outputs it rejects are neither yielded
+    nor expanded.
     """
     if max_len < 0:
         raise FsdimError(f"max_len must be >= 0, got {max_len}")
+    rows = t.transitions
+    start = (t.start, ())
+    seen, outputs = {start}, set()
+    level = [((), start)] if keep is None or keep(()) else []
+    for length in range(max_len + 1):
+        nxt = []
+        for pi, cfg in level:
+            out = cfg[1]
+            if out not in outputs:
+                outputs.add(out)
+                yield pi, out
+            if length == max_len:
+                continue
+            for a, (q2, o) in enumerate(rows[cfg[0]]):
+                cfg2 = (q2, out + o)
+                if cfg2 not in seen and (keep is None or keep(cfg2[1])):
+                    seen.add(cfg2)
+                    nxt.append((pi + (a,), cfg2))
+        level = nxt
+
+
+def kt_oracle(t: Fst, w: str, max_len: int = 12) -> CostResult:
+    """The first distinct output equal to w, inputs in length-then-lex order.
+    Enumeration never proves unreachability: not found is cap_exceeded."""
     target = tuple(str_to_digits(w, t.base))
-    m = len(target)
-    keep = lambda out: len(out) <= m and target[: len(out)] == out
-    for pi, out, _ in enumerate_outputs(t, max_len, keep=keep):
+    keep = lambda out: target[: len(out)] == out
+    for pi, out in distinct_outputs(t, max_len, keep):
         if out == target:
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
     return CostResult(CAP_EXCEEDED)
 
 
 def kt_oracle_table(t: Fst, max_len: int, max_out_len: int) -> dict:
-    """Minimal cost and lex-least witness for every producible output of
-    length <= max_out_len, by one enumeration pass. Batch form of kt_oracle."""
-    table: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    keep = lambda out: len(out) <= max_out_len
-    for pi, out, _ in enumerate_outputs(t, max_len, keep=keep):
-        if len(out) <= max_out_len and out not in table:
-            table[out] = (len(pi), pi)
-    return table
+    """{output: (least input length, length-then-lex least input)} for every
+    output of length <= max_out_len of an input of length <= max_len, from
+    one walk. Batch form of kt_oracle."""
+    return {out: (len(pi), pi)
+            for pi, out in distinct_outputs(t, max_len, lambda out: len(out) <= max_out_len)}

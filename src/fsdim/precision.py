@@ -34,12 +34,16 @@ alone.
 
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.
+
+`kdelta_oracle` and `KdeltaOracleTable`, the one interval table (canonical
+values, or a separator enumerator's), re-derive `kdelta` from
+`infocontent.distinct_outputs`, never from a search or the shared stream.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -51,6 +55,7 @@ from .digits import (
     check_base,
     check_precision,
     delta_exponent,
+    digits_to_int,
     digits_to_str,
 )
 from .errors import FsdimError, InsufficientDigits
@@ -61,7 +66,7 @@ from .infocontent import (
     CostResult,
     Search,
     best_of,
-    enumerate_outputs,
+    distinct_outputs,
 )
 
 
@@ -316,16 +321,12 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
     return search.answer(search.hi, q.cap_input, witness)
 
 
-def within(x: RealSpec, base: int, value: Fraction, delta: Fraction) -> bool:
-    """Exact test |value - x| < delta, also for digit-only specs."""
-    return within_at(x, base)(value, delta)
-
-
 def within_at(x: RealSpec, base: int):
-    """`within` at x as a function of (value, delta). x's digits come from
-    a stream of its own, built once here and never the shared one, so an
-    oracle that asks about every output reads x once per call and stays
-    independent of the searches it checks."""
+    """The exact test |value - x| < delta as a function of (value, delta),
+    also for digit-only specs. x's digits come from a stream of its own,
+    built once here and never the shared one, so an oracle that asks about
+    every output reads x once per call and stays independent of the searches
+    it checks."""
     xval = x.exact_value(base)
     if xval is not None:
         return lambda value, delta: abs(value - xval) < delta
@@ -333,57 +334,43 @@ def within_at(x: RealSpec, base: int):
     return lambda value, delta: compare(value - delta) > 0 and compare(value + delta) < 0
 
 
+def _value(out, base: int) -> Fraction:
+    """The canonical value of output digits: their base-b fraction."""
+    return Fraction(digits_to_int(out, base), base ** len(out))
+
+
 def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
-    """Enumerate every input up to max_len in length-then-lex order and return
-    the first whose output value falls strictly inside the interval."""
+    """The first distinct output, inputs up to max_len in length-then-lex
+    order, whose value falls strictly inside the interval."""
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
     near = within_at(q.x, q.base)
-    for pi, out, _ in enumerate_outputs(t, max_len):
-        value = Fraction(_digits_num(out, t.base), t.base ** len(out))
-        if near(value, q.delta):
+    for pi, out in distinct_outputs(t, max_len):
+        if near(_value(out, t.base), q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CostResult(CAP_EXCEEDED)
 
 
-def _digits_num(out, base: int) -> int:
-    num = 0
-    for d in out:
-        num = num * base + d
-    return num
-
-
 class KdeltaOracleTable:
-    """All output values of a transducer up to an input length, indexed for
-    fast interval queries. Batch form of kdelta_oracle: one enumeration pass
-    answers any (x, delta) question with the same semantics."""
+    """Exact values of the distinct outputs of T up to an input length,
+    sorted per least input length: canonical values, or f.eval's for a
+    separator enumerator f. Batch form of kdelta_oracle and, with f, of
+    separator.ktf_delta_oracle: one walk answers every (x, delta)."""
 
-    def __init__(self, t: Fst, max_len: int):
-        self.t = t
-        self.max_len = max_len
-        self.scale = max_len * max(1, t.max_burst())  # all values align to base**-scale
-        best: dict[int, int] = {}
-        base = t.base
-        unit = base ** self.scale
-        for pi, out, _ in enumerate_outputs(t, max_len):
-            key = _digits_num(out, base) * (unit // base ** len(out))
-            if key not in best:
-                best[key] = len(pi)
-        self.by_cost: list[list[int]] = [[] for _ in range(max_len + 1)]
-        for key, cost in best.items():
-            self.by_cost[cost].append(key)
-        for keys in self.by_cost:
-            keys.sort()
+    def __init__(self, t: Fst, max_len: int, f=None):
+        if f is not None and f.base != t.base:
+            raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
+        self.by_cost: list[list[Fraction]] = [[] for _ in range(max_len + 1)]
+        for pi, out in distinct_outputs(t, max_len):
+            value = _value(out, t.base) if f is None else f.eval(digits_to_str(out))
+            self.by_cost[len(pi)].append(value)
+        for values in self.by_cost:
+            values.sort()
 
     def query(self, x: Fraction, delta: Fraction) -> CostResult:
-        base = self.t.base
-        unit = base ** self.scale
-        lo, hi = x - delta, x + delta
-        min_key = (lo.numerator * unit) // lo.denominator + 1
-        max_key = -((-hi.numerator * unit) // hi.denominator) - 1
-        for cost, keys in enumerate(self.by_cost):
-            i = bisect_left(keys, min_key)
-            if i < len(keys) and keys[i] <= max_key:
+        for cost, values in enumerate(self.by_cost):
+            i = bisect_right(values, x - delta)
+            if i < len(values) and values[i] < x + delta:
                 return CostResult(FOUND, cost)
         return CostResult(CAP_EXCEEDED)
 

@@ -18,12 +18,12 @@ for these kinds; it is declared, not verified.
 - targeted: the `best_of` `kdelta`'s answer and one more search whose pos is
   the number of zeros emitted, which evaluates f(0^k) once per k.
 
-`ktf_delta_oracle` keeps the plain enumeration of inputs, independent of these
-searches, as the reference they are tested against. It also answers every
-other enumerator (`blockperm` and any built by hand), and a digit-only point
-at a delta that is not base**-n, which `kdelta` cannot express.
-`KtfOracleTable` is its batch form: one enumeration per (transducer,
-enumerator) answers every (x, delta).
+`ktf_delta_oracle` reads the distinct outputs of `infocontent.distinct_outputs`,
+independent of these searches, as the reference they are tested against. It
+also answers every other enumerator (`blockperm` and any built by hand), and
+a digit-only point at a delta that is not base**-n, which `kdelta` cannot
+express. Its batch form is `precision.KdeltaOracleTable(t, max_len, f)`:
+one walk per (transducer, enumerator) answers every (x, delta).
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
 `kdelta` rows. For the canonical and targeted kinds it opens one
@@ -32,8 +32,6 @@ enumerator) answers every (x, delta).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import deque
 from fractions import Fraction
 from functools import partial
 
@@ -41,7 +39,7 @@ from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_
 from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, CostResult, Search, best_of
+from .infocontent import CAP_EXCEEDED, FOUND, CostResult, Search, best_of, distinct_outputs
 from .precision import (
     PrecisionQuery,
     PrecisionSearch,
@@ -52,8 +50,6 @@ from .precision import (
     within_at,
 )
 
-#: outputs longer than this are not deduplicated during enumeration
-DEDUP_OUTPUT_LIMIT = 64
 DEFAULT_MAX_INPUT_LEN = 20
 
 
@@ -255,74 +251,17 @@ class _ZeroSearch(Search):
 
 def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
                      max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
-    """Enumeration oracle for ktf_delta: inputs in length-then-lex order, the
-    first whose output w satisfies |f(w) - x| < delta.
-
-    It evaluates f on every output and uses no interval bounds, so it works
-    for any enumerator (exponential; desk-scale by contract). Inputs reaching
-    an already-seen (state, output) pair are skipped while outputs stay short
-    enough to deduplicate. Not found is always cap_exceeded.
-    """
+    """Enumeration oracle for ktf_delta: the first distinct output w, inputs
+    in length-then-lex order, with |f(w) - x| < delta. f is evaluated once
+    per output, with no interval bounds, so it works for any enumerator
+    (exponential; desk-scale by contract). Not found is cap_exceeded."""
     _check_args(t, f, max_input_len)
-    base = t.base
-    near = within_at(x, base)
-    seen = {(t.start, ())}
-    frontier = deque([((), (), t.start)])
-    while frontier:
-        pi, out, state = frontier.popleft()
+    near = within_at(x, t.base)
+    for pi, out in distinct_outputs(t, max_input_len):
         w = digits_to_str(out)
         if near(f.eval(w), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
-        if len(pi) == max_input_len:
-            continue
-        for a in range(base):
-            q2, o = t.transitions[state][a]
-            out2 = out + o
-            if len(out2) <= DEDUP_OUTPUT_LIMIT:
-                key = (q2, out2)
-                if key in seen:
-                    continue
-                seen.add(key)
-            frontier.append((pi + (a,), out2, q2))
     return CostResult(CAP_EXCEEDED)
-
-
-class KtfOracleTable:
-    """Every value f gives an output of T up to an input length, indexed
-    for interval queries. Batch form of ktf_delta_oracle: one enumeration
-    per (transducer, enumerator), with the oracle's deduplication, and one
-    f.eval per distinct output answer every (x, delta) with the oracle's
-    found and cost."""
-
-    def __init__(self, t: Fst, f: SeparatorEnumerator, max_input_len: int = DEFAULT_MAX_INPUT_LEN):
-        _check_args(t, f, max_input_len)
-        cost: dict = {}  # output -> least input length
-        seen = {(t.start, ())}
-        frontier = deque([(0, (), t.start)])
-        while frontier:
-            k, out, state = frontier.popleft()
-            cost.setdefault(out, k)
-            if k == max_input_len:
-                continue
-            for q2, o in t.transitions[state]:
-                out2 = out + o
-                if len(out2) <= DEDUP_OUTPUT_LIMIT:
-                    if (q2, out2) in seen:
-                        continue
-                    seen.add((q2, out2))
-                frontier.append((k + 1, out2, q2))
-        self.by_cost: list[list[Fraction]] = [[] for _ in range(max_input_len + 1)]
-        for out, k in cost.items():
-            self.by_cost[k].append(f.eval(digits_to_str(out)))
-        for values in self.by_cost:
-            values.sort()
-
-    def query(self, x: Fraction, delta: Fraction) -> CostResult:
-        for cost, values in enumerate(self.by_cost):
-            i = bisect_right(values, x - delta)
-            if i < len(values) and values[i] < x + delta:
-                return CostResult(FOUND, cost)
-        return CostResult(CAP_EXCEEDED)
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,

@@ -20,7 +20,7 @@ from fsdim.dimension import (
 from fsdim.fst import format_fst, make_identity, make_periodic_decoder, parse_fst
 from fsdim.infocontent import kt, kt_oracle_table
 from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta
-from fsdim.separator import KtfOracleTable, dimf_estimate, ktf_delta, make_canonical, make_targeted
+from fsdim.separator import dimf_estimate, ktf_delta, make_canonical, make_targeted
 
 from conftest import all_words
 
@@ -163,7 +163,7 @@ def test_criterion_9_canonical_enumerator_coincidence(pool):
     f = make_canonical(2)
     points = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
     for _, t in pool:
-        table = KtfOracleTable(t, f, max_input_len=CAP)
+        table = KdeltaOracleTable(t, CAP, f)
         for p in points:
             x = _spec(p)
             for n in range(1, 6):

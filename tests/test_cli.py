@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsdim.cli import dispatch, gen_pool
+from fsdim.cli import MAX_POOL_COUNT, dispatch, gen_pool
 from fsdim.digits import MAX_PRECISION, RealSpec
 from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 
@@ -141,6 +141,15 @@ class TestBadValuesExitCleanly:
         assert dispatch_within(3, argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: precision {HUGE} exceeds the largest supported, {MAX_PRECISION}"]
+
+    def test_a_pool_count_above_the_limit_exits_at_once(self, tmp_path, capsys):
+        # refused before a machine is built: the pool is built whole, then written
+        out = tmp_path / "p"
+        argv = ["pool", "--seed", "1", "--count", HUGE, "--out", str(out)]
+        assert dispatch_within(3, argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: count must lie in [1, {MAX_POOL_COUNT}], got {HUGE}"]
+        assert not out.exists()
 
     def test_a_block_length_above_the_training_length_adds_no_member(self, capsys):
         # every k above the 20 training digits trains no decoder, so the
@@ -425,8 +434,7 @@ class TestArgumentFuzz:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_precision_flags_exit_codes(self, family_dir, id_fst, capsys, data):
-        # the precision flags also take a precision far above the ceiling; kept
-        # out of FLAG_VALUES, since `pool --count` has no such bound
+        # the precision flags also take a precision far above the ceiling
         n = data.draw(st.sampled_from(["1", "3", str(MAX_PRECISION + 1), HUGE]))
         argv = data.draw(st.sampled_from([
             ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", n],

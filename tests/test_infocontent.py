@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from fsdim.digits import RealSpec, comp, seq_digits
+from fsdim.digits import RealSpec, comp, digits_to_str, seq_digits
 from fsdim.errors import FsdimError
 from fsdim.fst import Fst, make_identity, make_periodic_decoder
 from fsdim.infocontent import (
@@ -8,6 +10,7 @@ from fsdim.infocontent import (
     FOUND,
     UNREACHABLE,
     PrefixSearch,
+    distinct_outputs,
     kt,
     kt_oracle,
     kt_oracle_table,
@@ -79,6 +82,31 @@ class TestKtOracle:
                     assert table[key][0] == res.cost
                 else:
                     assert key not in table
+
+
+class TestDistinctOutputs:
+    """The oracles' walk against a brute force over every input up to
+    length 8, with no deduplication."""
+
+    # state 0 emits nothing on 1 and state 1 nothing on 0, so many inputs
+    # reach one (state, output) and many outputs are reached more than once
+    SILENT = Fst(2, 2, 0, (((1, (0,)), (0, ())), ((0, ()), (1, (1, 0)))))
+
+    def test_each_output_once_with_its_least_input(self, pool):
+        short = lambda out: len(out) <= 3  # prefix-closed
+        for t in [t for _, t in pool[:20]] + [self.SILENT]:
+            first = {}  # output -> its least input, in length-then-lex order
+            for length in range(9):
+                for pi in product(range(2), repeat=length):
+                    first.setdefault(tuple(int(c) for c in t.run(digits_to_str(pi))), pi)
+            expected = [(pi, out) for out, pi in first.items()]
+            assert list(distinct_outputs(t, 8)) == expected
+            assert list(distinct_outputs(t, 8, short)) == [(pi, out) for pi, out in expected
+                                                            if short(out)]
+
+    def test_negative_length_is_refused(self, identity2):
+        with pytest.raises(FsdimError):
+            next(distinct_outputs(identity2, -1))
 
 
 class TestProperties:

@@ -1,8 +1,10 @@
 """Modules of the package use one another's public names only: a name with
 a leading underscore is private to the module that defines it, so
-`from .mod import _name` inside the package fails here. And only `digits`
+`from .mod import _name` inside the package fails here. Only `digits`
 (and the package's `__init__`) names the kinds of digit stream: every other
-module reads a `DigitStream` through its methods, such as `available`."""
+module reads a `DigitStream` through its methods, such as `available`. And
+the enumeration oracles stay independent of the searches they check: no
+oracle, nor any module-level function or class it names, names a search."""
 
 import ast
 from pathlib import Path
@@ -52,3 +54,63 @@ def test_the_guard_sees_a_stream_kind_import(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from .digits import DigitStream, FileDigitStream\n")
     assert _stream_kind_imports(path) == ["mod: FileDigitStream"]
+
+
+ORACLES = {"distinct_outputs", "kt_oracle", "kt_oracle_table", "kdelta_oracle",
+           "KdeltaOracleTable", "ktf_delta_oracle"}
+SEARCHES = {"Search", "PrefixSearch", "PrecisionSearch", "_DeltaSearch", "_ZeroSearch",
+            "open_search", "shared_stream", "kt", "kdelta", "ktf_delta"}
+
+
+def _used_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
+def _searches_in_oracles(paths) -> list:
+    """Each search named by an oracle, or by a module-level function or
+    class of `paths` that an oracle names, directly or through another."""
+    defs = {node.name: node for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert ORACLES <= defs.keys(), sorted(ORACLES - defs.keys())
+    found, todo, seen = set(), sorted(ORACLES), set(ORACLES)
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(defs[name]):
+            used = _used_name(node)
+            if used in SEARCHES:
+                found.add(f"{name}: {used}")
+            elif used in defs and used not in seen:
+                seen.add(used)
+                todo.append(used)
+    return sorted(found)
+
+
+def test_no_oracle_names_a_search():
+    paths = [SRC / f"{stem}.py" for stem in ("infocontent", "precision", "separator")]
+    assert _searches_in_oracles(paths) == []
+
+
+def test_the_guard_sees_an_oracle_name_a_search(tmp_path):
+    path = tmp_path / "mod.py"
+    names = sorted(ORACLES - {"kt_oracle", "KdeltaOracleTable"})
+    path.write_text("\n".join(f"def {name}(): pass" for name in names) + """
+def kt_oracle(t, w):
+    return _helper(t, w)
+
+def _helper(t, w):
+    return kt(t, w)
+
+class KdeltaOracleTable:
+    def query(self, x, delta):
+        from .precision import open_search
+        return self.search.answer(precision.kdelta)
+""")
+    assert _searches_in_oracles([path]) == ["KdeltaOracleTable: kdelta",
+                                            "KdeltaOracleTable: open_search", "_helper: kt"]

@@ -5,9 +5,8 @@ import pytest
 from fsdim.digits import RealSpec, real_value, seq_digits
 from fsdim.errors import FsdimError, InvalidPermutation
 from fsdim.fst import Fst, make_identity
-from fsdim.precision import PrecisionQuery, kdelta, within
+from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta, within_at
 from fsdim.separator import (
-    KtfOracleTable,
     SeparatorEnumerator,
     dimf_estimate,
     ktf_delta,
@@ -174,7 +173,7 @@ class TestKtfDeltaMatchesOracle:
                         assert a.cost == b.cost, (x, n, a, b)
                         assert len(a.witness_input) == a.cost
                         assert t.run(a.witness_input) == a.witness_output
-                        assert within(x, 2, f.eval(a.witness_output), delta)
+                        assert within_at(x, 2)(f.eval(a.witness_output), delta)
 
     def test_unmatched_target_prunes_zero_outputs(self):
         # only all-zero outputs, whose targeted values approach 1/3, never 1/2:
@@ -222,7 +221,7 @@ class TestKtfOracleTable:
     def test_matches_per_call_oracle(self, pool, name):
         f = ENUMERATORS[name]
         for _, t in pool[:25]:
-            table = KtfOracleTable(t, f, max_input_len=6)
+            table = KdeltaOracleTable(t, 6, f)
             for x in [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 24), Fraction(7, 9)]:
                 spec = RealSpec.rational(x.numerator, x.denominator)
                 for n in range(1, 7):
@@ -235,7 +234,7 @@ class TestKtfOracleTable:
         canonical = make_canonical(2)
         f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w),
                                 "counting")
-        KtfOracleTable(pool[0][1], f, max_input_len=8)
+        KdeltaOracleTable(pool[0][1], 8, f)
         assert calls and len(calls) == len(set(calls))
 
 
