@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, check_precision, delta_exponent, parse_delta
+from .digits import RealSpec, check_base, check_precision, delta_exponent, echo, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -211,13 +211,13 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an exact rational: {echo(text)}") from None
 
 
 def _window_frac_arg(text: str) -> Fraction:
     value = _fraction_arg(text)
     if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {echo(text)}")
     return value
 
 

@@ -39,6 +39,11 @@ def check_base(base: int) -> None:
         raise InvalidBase(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {base!r}")
 
 
+def echo(text: str) -> str:
+    """A user literal for a one-line error message: its repr, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def check_precision(n: int) -> None:
     if n > MAX_PRECISION:
         raise FsdimError(f"precision {n} exceeds the largest supported, {MAX_PRECISION}")
@@ -102,12 +107,26 @@ def digits_to_str(digits) -> str:
     return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
 
 
+#: digits per int() call: from Python 3.11, int() refuses a numeral of more
+#: than 4,300 digits in a base that is not a power of two
+_INT_PIECE = 4000
+
+
+def _numeral_to_int(w: str, base: int) -> int:
+    """The integer whose base-b numeral is w, of any length: the package's
+    one int() conversion with a base."""
+    if len(w) <= _INT_PIECE:
+        return int(w or "0", base)
+    num = 0
+    for i in range(0, len(w), _INT_PIECE):
+        piece = w[i : i + _INT_PIECE]
+        num = num * base ** len(piece) + int(piece, base)
+    return num
+
+
 def digits_to_int(digits, base: int) -> int:
     """The integer whose base-b numeral is `digits`, most significant first."""
-    num = 0
-    for d in digits:
-        num = num * base + d
-    return num
+    return _numeral_to_int(digits_to_str(digits), base)
 
 
 def real_value(w: str, base: int) -> Fraction:
@@ -118,7 +137,7 @@ def real_value(w: str, base: int) -> Fraction:
     check_base(base)
     if w.strip("0123456789"[:base]):
         str_to_digits(w, base)  # raises InvalidDigit, naming the character
-    return Fraction(int(w or "0", base), base ** len(w))
+    return Fraction(_numeral_to_int(w, base), base ** len(w))
 
 
 def comp(w: str, base: int) -> str:
@@ -331,22 +350,22 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             return cls.champernowne()
         head, sep, rest = text.partition(":")
         if not sep:
-            raise FsdimError(f"bad real spec {text!r}")
+            raise FsdimError(f"bad real spec {echo(text)}")
         if head == "rat":
             p, slash, q = rest.partition("/")
             if not slash:
-                raise FsdimError(f"bad rational spec {text!r}, want rat:P/Q")
+                raise FsdimError(f"bad rational spec {echo(text)}, want rat:P/Q")
             try:
                 return cls.rational(int(p), int(q))
             except ValueError:
-                raise FsdimError(f"bad rational spec {text!r}") from None
+                raise FsdimError(f"bad rational spec {echo(text)}") from None
         if head == "periodic":
             return cls.periodic(rest)
         if head == "dyadic":
             return cls.dyadic(rest)
         if head == "digitfile":
             return cls.digitfile(rest)
-        raise FsdimError(f"unknown real spec kind {head!r}")
+        raise FsdimError(f"unknown real spec kind {echo(head)}")
 
     def exact_value(self, base: int) -> Fraction | None:
         """Exact rational value when the spec determines one, else None."""
@@ -357,7 +376,7 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             digs = str_to_digits(self.pattern, base)
             value = Fraction(digits_to_int(digs, base), base ** len(digs) - 1)
             if value >= 1:
-                raise SpecOutOfRange(f"periodic pattern {self.pattern!r} has value 1")
+                raise SpecOutOfRange(f"periodic pattern {echo(self.pattern)} has value 1")
             return value
         if self.kind == "dyadic":
             return real_value(self.pattern, base)
@@ -414,20 +433,20 @@ def parse_delta(text: str, base: int) -> Fraction:
     if "^-" in text:
         head, _, exp = text.partition("^-")
         if head not in ("", "b", str(base)):
-            raise FsdimError(f"bad delta {text!r}")
+            raise FsdimError(f"bad delta {echo(text)}")
         try:
             n = int(exp)
         except ValueError:
-            raise FsdimError(f"bad delta exponent in {text!r}") from None
+            raise FsdimError(f"bad delta exponent in {echo(text)}") from None
         if n < 0:
-            raise FsdimError(f"bad delta exponent in {text!r}")
+            raise FsdimError(f"bad delta exponent in {echo(text)}")
         check_precision(n)
         return Fraction(1, base ** n)
     p, slash, q = text.partition("/")
     try:
         value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
     except (ValueError, ZeroDivisionError):
-        raise FsdimError(f"bad delta {text!r}") from None
+        raise FsdimError(f"bad delta {echo(text)}") from None
     if not (0 < value <= 1):
         raise FsdimError(f"delta must lie in (0, 1], got {value}")
     return value

@@ -120,17 +120,16 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     return EstimateReport(min(per.values()), per, (n_lo, n_max), profiles=profiles)
 
 
-def _kdelta_rows(base: int, n_max: int, cap_input):
+def _kdelta_rows(base: int, n_max: int):
     """The point and set estimators' rows: one kdelta_profile per point."""
-    return lambda t, x, grid: kdelta_profile([t], x, base, n_max, cap_input, grid=grid)
+    return lambda t, x, grid: kdelta_profile([t], x, base, n_max, grid=grid)
 
 
 def dim_point_estimate(family, x: RealSpec, base: int, n_max: int,
-                       window_frac: Fraction = DEFAULT_WINDOW_FRAC,
-                       cap_input=None) -> EstimateReport:
+                       window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
     """Upper-bound estimate of the base-b finite-state dimension of a point:
     min over the family of the min cost/n over the tail window."""
-    return estimate(family, base, [x], n_max, window_frac, _kdelta_rows(base, n_max, cap_input))
+    return estimate(family, base, [x], n_max, window_frac, _kdelta_rows(base, n_max))
 
 
 def dim_seq_estimate(family, s: DigitStream, n_max: int,
@@ -154,11 +153,10 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
 
 
 def dim_set_estimate(family, xs, base: int, n_max: int,
-                     window_frac: Fraction = DEFAULT_WINDOW_FRAC,
-                     cap_input=None) -> EstimateReport:
+                     window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
     """Upper-bound estimate for a finite set: per transducer take the worst
     point (sup inside), then the best transducer (inf outside)."""
-    return estimate(family, base, xs, n_max, window_frac, _kdelta_rows(base, n_max, cap_input))
+    return estimate(family, base, xs, n_max, window_frac, _kdelta_rows(base, n_max))
 
 
 def detect_periods(s: DigitStream) -> list[int]:
@@ -197,8 +195,7 @@ def normality_family(x: RealSpec, base: int, n_max: int,
 
 
 def normality_report(x: RealSpec, base: int, n_max: int, max_block_len: int = 4,
-                     threshold: Fraction = NORMALITY_THRESHOLD,
-                     window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
+                     threshold: Fraction = NORMALITY_THRESHOLD) -> EstimateReport:
     """Dimension upper-bound estimate with a compressibility verdict.
 
     The verdict reads a finite window of precisions of one prefix of x, not
@@ -209,5 +206,5 @@ def normality_report(x: RealSpec, base: int, n_max: int, max_block_len: int = 4,
     n_max 40 read 23/29 on the identity). Above it, this family found none.
     """
     family = normality_family(x, base, n_max, max_block_len)
-    report = dim_point_estimate(family, x, base, n_max, window_frac)
+    report = dim_point_estimate(family, x, base, n_max)
     return report._replace(verdict=COMPRESSIBLE if report.estimate < threshold else NO_COMPRESSION)

@@ -35,9 +35,11 @@ alone.
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.
 
-`kdelta_oracle` and `KdeltaOracleTable`, the one interval table (canonical
-values, or a separator enumerator's), re-derive `kdelta` from
-`infocontent.distinct_outputs`, never from a search or the shared stream.
+`kdelta_oracle` and `KdeltaOracleTable`, the one interval table, re-derive
+`kdelta` from `infocontent.distinct_outputs`, never from a search or the
+shared stream. Both read outputs through one value map: canonical values,
+or a separator enumerator f's, so `kdelta_oracle(t, q, max_len, f)` is also
+`ktf_delta`'s oracle.
 """
 
 from __future__ import annotations
@@ -334,19 +336,25 @@ def within_at(x: RealSpec, base: int):
     return lambda value, delta: compare(value - delta) > 0 and compare(value + delta) < 0
 
 
-def _value(out, base: int) -> Fraction:
-    """The canonical value of output digits: their base-b fraction."""
-    return Fraction(digits_to_int(out, base), base ** len(out))
+def _value_map(t: Fst, base: int, f=None):
+    """Exact values of T's outputs: their base-b fraction, or f.eval's."""
+    if t.base != base:
+        raise FsdimError(f"transducer base {t.base} != query base {base}")
+    if f is None:
+        return lambda out: Fraction(digits_to_int(out, base), base ** len(out))
+    if f.base != base:
+        raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
+    return lambda out: f.eval(digits_to_str(out))
 
 
-def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
+def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12, f=None) -> CostResult:
     """The first distinct output, inputs up to max_len in length-then-lex
-    order, whose value falls strictly inside the interval."""
-    if t.base != q.base:
-        raise FsdimError(f"transducer base {t.base} != query base {q.base}")
+    order, whose value falls strictly inside the interval: its canonical
+    value, or f.eval's for a separator enumerator f (`ktf_delta`'s oracle)."""
+    value = _value_map(t, q.base, f)
     near = within_at(q.x, q.base)
     for pi, out in distinct_outputs(t, max_len):
-        if near(_value(out, t.base), q.delta):
+        if near(value(out), q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CostResult(CAP_EXCEEDED)
 
@@ -354,16 +362,14 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12) -> CostResult:
 class KdeltaOracleTable:
     """Exact values of the distinct outputs of T up to an input length,
     sorted per least input length: canonical values, or f.eval's for a
-    separator enumerator f. Batch form of kdelta_oracle and, with f, of
-    separator.ktf_delta_oracle: one walk answers every (x, delta)."""
+    separator enumerator f. Batch form of kdelta_oracle: one walk answers
+    every (x, delta)."""
 
     def __init__(self, t: Fst, max_len: int, f=None):
-        if f is not None and f.base != t.base:
-            raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
+        value = _value_map(t, t.base, f)
         self.by_cost: list[list[Fraction]] = [[] for _ in range(max_len + 1)]
         for pi, out in distinct_outputs(t, max_len):
-            value = _value(out, t.base) if f is None else f.eval(digits_to_str(out))
-            self.by_cost[len(pi)].append(value)
+            self.by_cost[len(pi)].append(value(out))
         for values in self.by_cost:
             values.sort()
 
@@ -416,11 +422,10 @@ def profile_rows(grid, search) -> list[ProfileRow]:
     return rows
 
 
-def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
-                   cap_input=None, grid=None) -> list[ProfileRow]:
+def kdelta_profile(ts, x: RealSpec, base: int, n_max: int, grid=None) -> list[ProfileRow]:
     """Rows (n, min cost over the family, cost/n, running infimum) for
     n = 1..n_max (or a supplied sub-grid) at delta = base**-n, from one
-    search per transducer.
+    search per transducer, with the default input cap 4 * (n + 2).
 
     A row where no transducer found an output is flagged "cap" when any of
     them hit a cap, else "unreachable"; see profile_rows.
@@ -437,11 +442,11 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int,
         t, search = ts[0], searches[0]
 
         def row(n):
-            q = PrecisionQuery.at_scale(x, base, n, cap_input)
+            q = PrecisionQuery.at_scale(x, base, n)
             return kdelta(t, q, search, witness=False)
     else:
         def row(n):
-            q = PrecisionQuery.at_scale(x, base, n, cap_input)
+            q = PrecisionQuery.at_scale(x, base, n)
             return best_of(kdelta(t, q, search, witness=False) for t, search in zip(ts, searches))
 
     return profile_rows(grid, row)

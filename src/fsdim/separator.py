@@ -10,20 +10,18 @@ that the point's enumerator dimension collapses toward 0 while its canonical
 dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
 
-`ktf_delta` answers two kinds with the shared search core
-(`infocontent.Search`), with no float and no call to f per node:
+Each enumerator carries its kind's search, with `kdelta`'s signature. At
+the canonical enumerator the content is K_T(x, delta) itself, so its search
+is `kdelta`; the targeted one's is `kdelta` and one more search whose pos is
+the number of zeros emitted, which evaluates f(0^k) once per k. Neither
+uses a float or calls f per node.
 
-- canonical: `kdelta` itself, answered by the open `precision.PrecisionSearch`
-  of the row's (transducer, point) when the caller passes one;
-- targeted: the `best_of` `kdelta`'s answer and one more search whose pos is
-  the number of zeros emitted, which evaluates f(0^k) once per k.
-
-`ktf_delta_oracle` reads the distinct outputs of `infocontent.distinct_outputs`,
-independent of these searches, as the reference they are tested against. It
-also answers every other enumerator (`blockperm` and any built by hand), and
-a digit-only point at a delta that is not base**-n, which `kdelta` cannot
-express. Its batch form is `precision.KdeltaOracleTable(t, max_len, f)`:
-one walk per (transducer, enumerator) answers every (x, delta).
+`ktf_delta_oracle` is `precision.kdelta_oracle` under f's value map, one
+loop over `infocontent.distinct_outputs` for both quantities, independent
+of the searches it checks. It also answers every enumerator without a
+search (`blockperm`, any built by hand), and a digit-only point at a delta
+that is not base**-n, which `kdelta` cannot express. Its batch form is
+`precision.KdeltaOracleTable(t, max_len, f)`.
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
 `kdelta` rows. For the canonical and targeted kinds it opens one
@@ -33,47 +31,42 @@ one walk per (transducer, enumerator) answers every (x, delta).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
-from .digits import RealSpec, delta_exponent, digits_to_str, real_value, str_to_digits
+from .digits import RealSpec, real_value, str_to_digits
 from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
-from .infocontent import CAP_EXCEEDED, FOUND, CostResult, Search, best_of, distinct_outputs
+from .infocontent import CostResult, Search, best_of
 from .precision import (
     PrecisionQuery,
     PrecisionSearch,
     kdelta,
+    kdelta_oracle,
     open_search,
     profile_rows,
     shared_stream,
-    within_at,
 )
 
 DEFAULT_MAX_INPUT_LEN = 20
 
 
 class SeparatorEnumerator:
-    """Total map from digit strings to rationals in [0,1)."""
+    """Total map from digit strings to rationals in [0,1). `search` is the
+    kind's search, with `kdelta`'s signature (t, q, search, witness); None
+    leaves `ktf_delta` to the enumeration."""
 
-    def __init__(self, base: int, kind: str, eval_fn, description: str):
+    def __init__(self, base: int, kind: str, eval_fn, search=None):
         self.base = base
         self.kind = kind
         self._eval = eval_fn
-        self.description = description
-        # the kind's boundary-guided search(t, x, delta, max_input_len), set by
-        # the factory; None leaves ktf_delta to the enumeration
-        self._search = None
+        self.search = search
 
     def eval(self, w: str) -> Fraction:
         return self._eval(w)
 
 
 def make_canonical(base: int) -> SeparatorEnumerator:
-    f = SeparatorEnumerator(base, "canonical", lambda w: real_value(w, base),
-                            f"canonical base {base}")
-    f._search = _canonical_search
-    return f
+    return SeparatorEnumerator(base, "canonical", lambda w: real_value(w, base), kdelta)
 
 
 def make_block_permuted(block_len: int, permutation: dict, base: int) -> SeparatorEnumerator:
@@ -93,14 +86,14 @@ def make_block_permuted(block_len: int, permutation: dict, base: int) -> Separat
         )
 
     def eval_fn(w: str) -> Fraction:
-        str_to_digits(w, base)
+        if w.strip("0123456789"[:base]):
+            str_to_digits(w, base)  # raises InvalidDigit, naming the character
         pad = (-len(w)) % block_len
         w = w + "0" * pad
         permuted = "".join(permutation[w[i : i + block_len]] for i in range(0, len(w), block_len))
         return real_value(permuted, base)
 
-    return SeparatorEnumerator(base, "blockPermuted", eval_fn,
-                               f"block-permuted m={block_len} base {base}")
+    return SeparatorEnumerator(base, "blockPermuted", eval_fn)
 
 
 def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
@@ -109,14 +102,22 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
     all finite base-b rationals."""
     stream = x.stream(base)
 
-    def eval_fn(w: str) -> Fraction:
-        str_to_digits(w, base)
+    def eval_fn(w: str) -> Fraction:  # real_value validates every w but 0^k
         if w and set(w) == {"0"}:
             return stream.exact_value_up_to(_target_len(len(w)))
         return real_value(w, base)
 
-    f = SeparatorEnumerator(base, "targeted", eval_fn, f"targeted({x.describe()}) base {base}")
-    f._search = partial(_targeted_search, f)
+    def targeted_search(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
+                        witness: bool = True) -> CostResult:
+        # f keeps the canonical value of an output with a nonzero digit, and
+        # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
+        # output but 0^k exactly, and _ZeroSearch completes the minimum
+        best = kdelta(t, q, search, witness)
+        zeros = _ZeroSearch(f, t, q.x, q.delta)
+        cap = best.cost if best.found else q.cap_input
+        return best_of((best, zeros.answer(zeros.GOAL, cap, witness)))
+
+    f = SeparatorEnumerator(base, "targeted", eval_fn, targeted_search)
     return f
 
 
@@ -167,24 +168,21 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
               search: PrecisionSearch = None, witness: bool = True) -> CostResult:
     """Minimal input length (at most max_input_len) whose output w satisfies
     |f(w) - x| < delta, with the witness input and output unless `witness`
-    is false (the enumeration oracle has its witness either way).
+    is false (the enumeration oracle has its witness either way). delta
+    must lie in (0, 1], as for `kdelta`.
 
-    The canonical and targeted enumerators are answered by the exact
-    boundary-guided searches described in the module docstring, so for them
-    delta must lie in (0, 1], as for `kdelta`; `search` is the open
-    `kdelta` search for T at x, if any. Everything else falls back to
+    The canonical and targeted enumerators are answered by their searches,
+    described in the module docstring; `search` is the open `kdelta` search
+    for T at x, if any. Everything else falls back to the enumeration of
     `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
     no input qualifies and `cap_exceeded` when the input-length cap stopped it.
     """
     _check_args(t, f, max_input_len)
-    if f._search is None:
-        return ktf_delta_oracle(t, f, x, delta, max_input_len)
-    if not 0 < delta <= 1:
-        raise FsdimError(f"delta must lie in (0, 1], got {delta}")
-    if x.exact_value(t.base) is None and delta_exponent(delta, t.base) is None:
-        # kdelta bounds a digit-only point's interval only at delta = base**-n
-        return ktf_delta_oracle(t, f, x, delta, max_input_len)
-    return f._search(t, x, delta, max_input_len, search, witness)
+    q = PrecisionQuery(x, t.base, delta, max_input_len)
+    # kdelta bounds a digit-only point's interval only at delta = base**-n
+    if f.search is None or (q.n is None and x.exact_value(t.base) is None):
+        return kdelta_oracle(t, q, max_input_len, f)
+    return f.search(t, q, search, witness)
 
 
 def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
@@ -192,23 +190,6 @@ def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
         raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
     if max_input_len < 0:
         raise FsdimError(f"max_input_len must be >= 0, got {max_input_len}")
-
-
-def _canonical_search(t: Fst, x: RealSpec, delta: Fraction, max_len: int,
-                      search: PrecisionSearch = None, witness: bool = True) -> CostResult:
-    return kdelta(t, PrecisionQuery(x, t.base, delta, max_len), search, witness)
-
-
-def _targeted_search(f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction,
-                     max_len: int, search: PrecisionSearch = None,
-                     witness: bool = True) -> CostResult:
-    """An output with a nonzero digit keeps its canonical value, and a
-    nonempty all-zero output has canonical value 0, the value f gives the
-    empty output; so kdelta answers every output but 0^k (k >= 1) exactly,
-    and one more search over the all-zero outputs completes the minimum."""
-    best = _canonical_search(t, x, delta, max_len, search, witness)
-    zeros = _ZeroSearch(f, t, x, delta)
-    return best_of((best, zeros.answer(zeros.GOAL, best.cost if best.found else max_len, witness)))
 
 
 class _ZeroSearch(Search):
@@ -251,29 +232,23 @@ class _ZeroSearch(Search):
 
 def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
                      max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
-    """Enumeration oracle for ktf_delta: the first distinct output w, inputs
-    in length-then-lex order, with |f(w) - x| < delta. f is evaluated once
-    per output, with no interval bounds, so it works for any enumerator
-    (exponential; desk-scale by contract). Not found is cap_exceeded."""
+    """Enumeration oracle for ktf_delta: `kdelta_oracle` under f's value
+    map, so f is evaluated once per distinct output, with no interval bounds,
+    and it works for any enumerator (exponential; desk-scale by contract).
+    Not found is cap_exceeded."""
     _check_args(t, f, max_input_len)
-    near = within_at(x, t.base)
-    for pi, out in distinct_outputs(t, max_input_len):
-        w = digits_to_str(out)
-        if near(f.eval(w), delta):
-            return CostResult(FOUND, len(pi), digits_to_str(pi), w)
-    return CostResult(CAP_EXCEEDED)
+    return kdelta_oracle(t, PrecisionQuery(x, t.base, delta, max_input_len), max_input_len, f)
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
-                  window_frac: Fraction = DEFAULT_WINDOW_FRAC,
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
     """Enumerator-dimension upper bound; the point and set estimators' shape
     (`dimension.estimate`) with ktf_delta in place of kdelta."""
     if isinstance(xs, RealSpec):
         xs = [xs]
     def rows_of(t, x, grid):
-        search = None if f._search is None else open_search(t, x, base, max(grid))
+        search = None if f.search is None else open_search(t, x, base, max(grid))
         return profile_rows(grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n),
                                                       max_input_len, search, witness=False))
 
-    return estimate(family, base, xs, n_max, window_frac, rows_of)
+    return estimate(family, base, xs, n_max, DEFAULT_WINDOW_FRAC, rows_of)

@@ -142,6 +142,30 @@ class TestBadValuesExitCleanly:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: precision {HUGE} exceeds the largest supported, {MAX_PRECISION}"]
 
+    @pytest.mark.parametrize("base", ["3", "10"])
+    @pytest.mark.parametrize("length", [5_000, 20_000])
+    @pytest.mark.parametrize("kind", ["dyadic", "rat", "periodic", "delta", "pattern"])
+    def test_a_literal_of_any_length_exits_with_one_short_line(self, tmp_path, capsys,
+                                                               kind, length, base):
+        # past 4,300 digits int() refuses a numeral in a base that is not a
+        # power of two; a digit literal converts, a rational one is refused
+        identity = tmp_path / "id.fst"
+        identity.write_text(format_fst(make_identity(int(base))))
+        digits, decimal = ("21" * length)[:length], "3" * length
+        kdelta = ["kdelta", "--fst", str(identity), "--base", base]
+        argv, code = {
+            "dyadic": (kdelta + ["--x", "dyadic:" + digits, "--n", "3"], 0),
+            "rat": (kdelta + ["--x", f"rat:1/{decimal}", "--n", "3"], 1),
+            "periodic": (kdelta + ["--x", "periodic:" + digits, "--n", "3"], 0),
+            "delta": (kdelta + ["--x", "rat:1/3", "--delta", f"1/{decimal}"], 1),
+            "pattern": (["fst", "gen", "--kind", "periodic", "--pattern", digits, "--base", base,
+                         "--out", str(tmp_path / "p.fst")], 0),
+        }[kind]
+        assert dispatch_within(3, argv) == code
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == (1 if code == 0 and kind != "pattern" else 0)
+        assert len(err.splitlines()) == code and len(err) < 200, err[:200]
+
     def test_a_pool_count_above_the_limit_exits_at_once(self, tmp_path, capsys):
         # refused before a machine is built: the pool is built whole, then written
         out = tmp_path / "p"

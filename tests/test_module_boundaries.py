@@ -4,7 +4,10 @@ a leading underscore is private to the module that defines it, so
 (and the package's `__init__`) names the kinds of digit stream: every other
 module reads a `DigitStream` through its methods, such as `available`. And
 the enumeration oracles stay independent of the searches they check: no
-oracle, nor any module-level function or class it names, names a search."""
+oracle, nor any module-level function or class it names, names a search.
+And every numeral goes through `digits`' one conversion: no other `int()`
+call passes a base, since from Python 3.11 such a call refuses a numeral of
+more than 4,300 digits in a base that is not a power of two."""
 
 import ast
 from pathlib import Path
@@ -114,3 +117,50 @@ class KdeltaOracleTable:
 """)
     assert _searches_in_oracles([path]) == ["KdeltaOracleTable: kdelta",
                                             "KdeltaOracleTable: open_search", "_helper: kt"]
+
+
+#: the one function that may call int() with a base, per module
+INT_CONVERSION = {"digits": "_numeral_to_int"}
+
+
+def _int_calls_with_a_base(path: Path) -> list:
+    """Each int(text, base) call of a module outside its one conversion, as
+    "module: enclosing function"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "int"
+                    and (len(child.args) > 1 or any(k.arg == "base" for k in child.keywords))
+                    and INT_CONVERSION.get(path.stem) != where):
+                found.append(f"{path.stem}: {where}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_one_conversion_calls_int_with_a_base():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [site for path in paths for site in _int_calls_with_a_base(path)] == []
+
+
+def test_the_guard_sees_an_int_call_with_a_base(tmp_path):
+    path = tmp_path / "digits.py"
+    path.write_text("""
+N = int("12", 3)
+
+def _numeral_to_int(w, base):
+    return int(w, base)
+
+def value(w, base):
+    return int(w, base=base) + int(w) + int(_numeral_to_int(w, base))
+
+class Spec:
+    def parse(self, text):
+        return int(text, 10)
+""")
+    assert _int_calls_with_a_base(path) == ["digits: <module>", "digits: value", "digits: parse"]

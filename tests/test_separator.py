@@ -202,6 +202,27 @@ class TestKtfDeltaMatchesOracle:
         with pytest.raises(FsdimError):
             ktf_delta(identity2, make_canonical(2), THIRD, Fraction(0))
 
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_delta_outside_the_unit_interval_is_refused_by_every_enumerator(self, identity2, name):
+        for delta in (Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(9, 8)):
+            for answer in (ktf_delta, ktf_delta_oracle):
+                with pytest.raises(FsdimError, match=r"delta must lie in \(0, 1\]"):
+                    answer(identity2, ENUMERATORS[name], THIRD, delta, max_input_len=4)
+
+    def test_an_enumerator_without_a_search_is_enumerated_at_every_delta(self, pool, short_digits):
+        calls = []
+        canonical = make_canonical(2)
+        f = SeparatorEnumerator(2, "by hand", lambda w: calls.append(w) or canonical.eval(w))
+        deltas = [Fraction(1, 2**n) for n in range(1, 7)] + [Fraction(1, 3), Fraction(1)]
+        for _, t in pool[:5]:
+            for x in (THIRD, RealSpec.rational(5, 24), short_digits):
+                for delta in deltas:
+                    calls.clear()
+                    res = ktf_delta(t, f, x, delta, max_input_len=6)
+                    assert calls, (x, delta)  # f was evaluated: the enumeration answered
+                    assert res == ktf_delta_oracle(t, f, x, delta, max_input_len=6)
+                    assert res == ktf_delta_oracle(t, canonical, x, delta, max_input_len=6)
+
     def test_oracle_reads_a_digit_file_once(self, tmp_path, file_reads, identity2):
         # blockperm's production path: one call tests every enumerated output
         path = tmp_path / "d.txt"
@@ -232,8 +253,7 @@ class TestKtfOracleTable:
     def test_evaluates_each_output_once(self, pool):
         calls = []
         canonical = make_canonical(2)
-        f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w),
-                                "counting")
+        f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w))
         KdeltaOracleTable(pool[0][1], 8, f)
         assert calls and len(calls) == len(set(calls))
 
