@@ -221,18 +221,18 @@ def _window_frac_arg(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_arg(least: int | None = None):
+    """The parser of an integer flag, at least `least` when given. A refused
+    value is a usage error whose one line echoes at most 40 characters of it."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # also a numeral past int()'s 4,300-digit limit
+            raise argparse.ArgumentTypeError(f"not an integer: {echo(text)}") from None
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {echo(text)}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,43 +248,43 @@ def _build_parser() -> argparse.ArgumentParser:
     fst_sub = p.add_subparsers(dest="fst_command", required=True)
     pv = fst_sub.add_parser("validate")
     pv.add_argument("--fst", required=True)
-    pv.add_argument("--burst-limit", type=int, default=DEFAULT_BURST_WARNING)
+    pv.add_argument("--burst-limit", type=_int_arg(), default=DEFAULT_BURST_WARNING)
     common(pv)
     pv.set_defaults(func=cmd_fst_validate)
     pg = fst_sub.add_parser("gen")
     pg.add_argument("--kind", required=True, choices=["identity", "periodic", "huffman"])
-    pg.add_argument("--base", type=int, default=2)
+    pg.add_argument("--base", type=_int_arg(), default=2)
     pg.add_argument("--pattern", default="")
-    pg.add_argument("--copies", type=int, default=1)
+    pg.add_argument("--copies", type=_int_arg(), default=1)
     pg.add_argument("--train", default="champernowne", help="real spec to train huffman on")
-    pg.add_argument("--train-len", type=int, default=1024)
-    pg.add_argument("--block-len", type=_positive_int, default=2)
+    pg.add_argument("--train-len", type=_int_arg(), default=1024)
+    pg.add_argument("--block-len", type=_int_arg(1), default=2)
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_fst_gen)
 
     p = sub.add_parser("kt", help="shortest input producing an exact output")
     p.add_argument("--fst", required=True)
     p.add_argument("--w", required=True)
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_int_arg(), default=64)
     common(p)
     p.set_defaults(func=cmd_kt)
 
     p = sub.add_parser("kdelta", help="cheapest output within delta of a real")
     p.add_argument("--fst", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--base", type=int, default=2)
+    p.add_argument("--base", type=_int_arg(), default=2)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
+    group.add_argument("--n", type=_int_arg())
     group.add_argument("--delta")
-    p.add_argument("--cap-in", type=int)
+    p.add_argument("--cap-in", type=_int_arg())
     common(p)
     p.set_defaults(func=cmd_kdelta)
 
     p = sub.add_parser("profile", help="per-precision cost profile")
     p.add_argument("--fsts", required=True, help="directory of .fst files")
     p.add_argument("--x", required=True)
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--nmax", type=_positive_int, required=True)
+    p.add_argument("--base", type=_int_arg(), default=2)
+    p.add_argument("--nmax", type=_int_arg(1), required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
@@ -292,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["point", "seq", "set"])
     p.add_argument("--fsts", required=True)
     p.add_argument("--x", action="append", required=True)
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--base", type=_int_arg(), default=2)
+    p.add_argument("--nmax", type=_int_arg(), required=True)
     p.add_argument("--window-frac", type=_window_frac_arg, default=dimension.DEFAULT_WINDOW_FRAC,
                    help="exact rational in (0, 1]: the tail share of precisions read")
     common(p)
@@ -301,9 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normality", help="compression-evidence report")
     p.add_argument("--x", required=True)
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--k", type=_nonnegative_int, default=4, help="largest huffman block length")
+    p.add_argument("--base", type=_int_arg(), default=2)
+    p.add_argument("--nmax", type=_int_arg(), required=True)
+    p.add_argument("--k", type=_int_arg(0), default=4, help="largest huffman block length")
     p.add_argument("--threshold", type=_fraction_arg, default=dimension.NORMALITY_THRESHOLD,
                    help="exact rational, e.g. 0.95 or 19/20")
     common(p)
@@ -313,18 +313,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="canonical | blockperm:m:PERMFILE | targeted:SPEC")
     p.add_argument("--fsts", required=True)
     p.add_argument("--x", action="append", required=True)
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--max-input-len", type=int, default=separator.DEFAULT_MAX_INPUT_LEN)
+    p.add_argument("--base", type=_int_arg(), default=2)
+    p.add_argument("--nmax", type=_int_arg(), required=True)
+    p.add_argument("--max-input-len", type=_int_arg(), default=separator.DEFAULT_MAX_INPUT_LEN)
     common(p)
     p.set_defaults(func=cmd_sedim)
 
     p = sub.add_parser("pool", help="seeded random transducer pool")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-states", type=_positive_int, default=4)
-    p.add_argument("--base", type=int, default=2)
-    p.add_argument("--max-burst", type=_nonnegative_int, default=2)
+    p.add_argument("--seed", type=_int_arg(), required=True)
+    p.add_argument("--count", type=_int_arg(), required=True)
+    p.add_argument("--max-states", type=_int_arg(1), default=4)
+    p.add_argument("--base", type=_int_arg(), default=2)
+    p.add_argument("--max-burst", type=_int_arg(0), default=2)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pool)
 

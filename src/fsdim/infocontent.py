@@ -13,8 +13,7 @@ exact-output search: pos is the matched length of a word, and one search
 answers `kt` for every prefix of that word. `precision.PrecisionSearch`
 answers `kdelta` at every precision b^-n; the targeted enumerator's
 all-zero-output search in `separator` is a third subclass. A witness is
-built from parent pointers only for a goal asked, and the last one built is
-kept: the goals one transition resolves share it.
+built from parent pointers only for a goal asked.
 
 `distinct_outputs` is the one enumeration every oracle reads, independent
 of `Search`; `kt_oracle` and `kt_oracle_table` re-derive kt's answers from

@@ -13,9 +13,18 @@ are nested, so the search keeps S, the largest solved precision, which only
 moves up: an accepting emission solves every n in (S, N] at once. A
 configuration is kept only while its output is a prefix of the expansion of
 x - b^-(S+1), the lower-endpoint track; every other configuration has been
-accepted or never can be. `_DeltaSearch` is the same search at one delta
-that is not b^-n, for a point with an exact value. All decisions are exact;
-no floats.
+accepted or never can be. `step` prunes the frontier to that track whenever
+S moves, so when a level starts every frontier configuration is on the track
+of g = S + 1, and none was accepted at the goal of the level that reached
+it, which is at most g. `advance` checks only what a transition can change:
+- an empty emission leaves (j, D) as it is, so it cannot be accepted, and
+  while g is the goal the level started with it is still on the track; only
+  after an accept earlier in the level moved g is the track checked again;
+- an output with D == 0 is x[:j], and when it is not accepted x's first
+  nonzero digit from j lies below g, so it is on the track without a check.
+`_DeltaSearch` is the same search at one delta that is not b^-n, for a
+point with an exact value; there a D == 0 output that is not accepted lies
+on the track of x - delta too. All decisions are exact; no floats.
 
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
 carries its exponent n. `PrecisionQuery.at_scale` builds one query per
@@ -150,6 +159,8 @@ class PrecisionSearch(Search):
         if g > self.hi:  # every goal is answered: the rest of the level is not read
             return None
         j, D = pos
+        if not out:  # pos was not accepted at a goal <= g when it was reached
+            return pos if g == self.level_goal or self._on_track(j, D, g) else None
         b = self.base
         digit = self.digit
         # once |D| > b**max(0, j - g), every continuation is outside the
@@ -172,7 +183,8 @@ class PrecisionSearch(Search):
             g = top + 1
             if g > self.hi:
                 return None
-        return (j, D) if self._on_track(j, D, g) else None
+        # D == 0 is w = x[:j], and x's first nonzero digit from j lies below g
+        return (j, D) if D == 0 or self._on_track(j, D, g) else None
 
     def _run(self, j: int, v: int, stop: int) -> int:
         """The first index in [j, stop) where x's digit is not v, else stop."""
@@ -243,6 +255,7 @@ class PrecisionSearch(Search):
 
     def step(self) -> None:
         S = self.S
+        self.level_goal = S + 1  # every frontier configuration is on its track
         super().step()
         if self.S != S:
             self._prune()

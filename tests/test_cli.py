@@ -166,6 +166,57 @@ class TestBadValuesExitCleanly:
         assert len(out.splitlines()) == (1 if code == 0 and kind != "pattern" else 0)
         assert len(err.splitlines()) == code and len(err) < 200, err[:200]
 
+    @pytest.mark.parametrize("literal", ["3" * 5_000, "x" * 5_000], ids=["digits", "letters"])
+    @pytest.mark.parametrize("argv", [
+        ["kt", "--fst", "ID", "--w", "01", "--cap", "BIG"],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "BIG"],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "3", "--cap-in", "BIG"],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "3", "--base", "BIG"],
+        ["profile", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "BIG"],
+        ["dim", "point", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "BIG"],
+        ["normality", "--x", "champernowne", "--nmax", "BIG"],
+        ["normality", "--x", "champernowne", "--nmax", "20", "--k", "BIG"],
+        ["sedim", "--f", "canonical", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "BIG"],
+        ["sedim", "--f", "canonical", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "3",
+         "--max-input-len", "BIG"],
+        ["pool", "--seed", "BIG", "--count", "2", "--out", "OUT"],
+        ["pool", "--seed", "1", "--count", "BIG", "--out", "OUT"],
+        ["pool", "--seed", "1", "--count", "2", "--max-states", "BIG", "--out", "OUT"],
+        ["pool", "--seed", "1", "--count", "2", "--max-burst", "BIG", "--out", "OUT"],
+        ["fst", "gen", "--kind", "periodic", "--pattern", "0", "--copies", "BIG"],
+        ["fst", "gen", "--kind", "huffman", "--train-len", "BIG"],
+        ["fst", "gen", "--kind", "huffman", "--block-len", "BIG"],
+        ["fst", "validate", "--fst", "ID", "--burst-limit", "BIG"],
+    ])
+    def test_a_refused_integer_flag_exits_with_one_short_line(self, id_fst, family_dir, tmp_path,
+                                                              capsys, argv, literal):
+        # int() refuses a numeral past 4,300 digits; argparse echoed it whole
+        subs = {"ID": id_fst, "DIR": family_dir, "OUT": str(tmp_path / "p"), "BIG": literal}
+        self._exits_with_one_short_usage_line([subs.get(a, a) for a in argv], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--fsts", "DIR", "--x", "rat:1/3", "--nmax"],
+        ["normality", "--x", "champernowne", "--nmax", "20", "--k"],
+        ["pool", "--seed", "1", "--count", "2", "--out", "OUT", "--max-states"],
+        ["pool", "--seed", "1", "--count", "2", "--out", "OUT", "--max-burst"],
+        ["fst", "gen", "--kind", "huffman", "--block-len"],
+    ])
+    def test_a_long_value_below_a_flag_bound_exits_with_one_short_line(self, family_dir, tmp_path,
+                                                                        capsys, argv):
+        subs = {"DIR": family_dir, "OUT": str(tmp_path / "p")}
+        self._exits_with_one_short_usage_line([subs.get(a, a) for a in argv] + ["-" + "3" * 4_000],
+                                              capsys)
+
+    @staticmethod
+    def _exits_with_one_short_usage_line(argv, capsys):
+        assert dispatch_within(3, argv) == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert not out and len(errors) == 1, err[:200]
+        # argparse's prefix, "fsdim <command>: error: argument <flag>: ", takes up
+        # to 50 characters here, and echo writes at most 64 of the value
+        assert max(len(line) for line in err.splitlines()) <= 130, err[:200]
+
     def test_a_pool_count_above_the_limit_exits_at_once(self, tmp_path, capsys):
         # refused before a machine is built: the pool is built whole, then written
         out = tmp_path / "p"

@@ -10,12 +10,18 @@
 - `huffman_code` is optimal: its cost, sum of count * length, is the least
   over all length vectors that satisfy Kraft's inequality, found by brute
   force for a few symbols.
+- Bourke, Hitchcock and Vinodchandran's entropy bound: a b-ary prefix code
+  spends on N blocks with counts c_i at least N times their empirical block
+  entropy (Gibbs' inequality), which in integers is
+  b**(sum c_i * l_i) * prod c_i**c_i >= N**N; on the N blocks it was built
+  for, Huffman spends less than N digits more.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -112,3 +118,22 @@ def test_huffman_code_is_optimal(base):
             code = huffman_code(freqs, base)
             cost = sum(freqs[s] * len(code[s]) for s in freqs)
             assert cost == _least_cost(list(freqs.values()), base), (freqs, code)
+
+
+@pytest.mark.parametrize("spec, base, k", [
+    (spec, base, k) for spec, base in [("champernowne", 2), ("champernowne", 3), ("rat:5/24", 2)]
+    for k in (1, 2, 3, 4)
+])
+def test_block_huffman_cost_is_at_least_the_block_entropy(spec, base, k):
+    # each cost is kt of the aligned prefix on the member, by the codeword-sum test
+    blocks = _blocks(seq_digits(RealSpec.parse(spec), base, HUFFMAN_LEN // k * k), k)
+    code = huffman_code(dict(Counter(blocks)), base)
+    counts, terms = Counter(), {}  # per block: c_i and c_i**c_i
+    power = 1  # b**(sum c_i * l_i)
+    for N, block in enumerate(blocks, start=1):
+        c = counts[block] = counts[block] + 1
+        terms[block] = c ** c
+        power *= base ** len(code[block])
+        product = prod(terms.values())
+        assert power * product >= N ** N, (N, block)
+    assert power * product <= base ** N * N ** N

@@ -1,0 +1,106 @@
+"""The level-start invariant that `PrecisionSearch.advance`'s shortcuts rest
+on, and the work those shortcuts save.
+
+When a level starts, every frontier configuration (j, D) is on the track of
+g = S + 1, the least open goal. An empty emission leaves (j, D) as it is,
+and (j, D) was not accepted at a goal <= g when it was reached, so it cannot
+be accepted now; `advance` returns it at once while g is the goal the level
+started with. A checking subclass asserts both facts at every level, over
+pool machines in bases 2, 3 and 10 and over rational, periodic, dyadic,
+Champernowne and finite digit-file points, and at a delta that is not b**-n.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from fsdim.cli import gen_pool
+from fsdim.digits import RealSpec, seq_digits
+from fsdim.dimension import normality_report
+from fsdim.errors import InsufficientDigits
+from fsdim.precision import PrecisionQuery, PrecisionSearch, _DeltaSearch, kdelta, shared_stream
+
+#: base -> (pool machines, largest precision)
+SIZES = {2: (60, 32), 3: (30, 16), 10: (20, 8)}
+FILE_DIGITS = 64
+
+
+class Checked:
+    """Asserts the level-start invariant before each step, and that no
+    empty emission from the frontier is accepted during it."""
+
+    def step(self):
+        g = self.S + 1
+        if g <= self.hi:
+            for cfg, _ in self.frontier:
+                assert self._on_track(*cfg[1], g), (self.level, cfg, g)
+        super().step()
+
+    def advance(self, pos, out):
+        g = self.S + 1
+        if not out and g <= self.hi:
+            assert self._through(*pos, g) < g, (self.level, pos, g)
+        return super().advance(pos, out)
+
+
+class CheckedSearch(Checked, PrecisionSearch):
+    pass
+
+
+class CheckedDeltaSearch(Checked, _DeltaSearch):
+    pass
+
+
+def points(base: int, tmp_path) -> list:
+    path = tmp_path / f"digits{base}.txt"
+    path.write_text(seq_digits(RealSpec.rational(5, 7), base, FILE_DIGITS) + "\n")
+    top = str(base - 1)
+    return [RealSpec.rational(1, 3), RealSpec.rational(5, 24), RealSpec.rational(1, base),
+            RealSpec.periodic("1" + top * 3 + "0"), RealSpec.parse("dyadic:" + top + "01"),
+            RealSpec.champernowne(), RealSpec.digitfile(str(path))]
+
+
+@pytest.mark.parametrize("base", sorted(SIZES))
+def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
+    count, n_max = SIZES[base]
+    for _, t in gen_pool(base, count, 4, base, 3):
+        for x in points(base, tmp_path):
+            stream = shared_stream(x, base)
+            search = CheckedSearch(t, x, stream, stream.available(n_max))
+            for n in range(1, search.hi + 1):
+                try:
+                    res = search.answer(n, 4 * (n + 2), witness=False)
+                except InsufficientDigits:
+                    break
+                q = PrecisionQuery.at_scale(x, base, n)
+                assert res == kdelta(t, q, witness=False), (t, x, n)
+            if stream.value is not None:
+                delta = Fraction(1, 3)
+                search = CheckedDeltaSearch(t, x, stream, delta)
+                res = search.answer(search.hi, 4 * (search.hi + 2), witness=False)
+                q = PrecisionQuery(x, base, delta, 4 * (search.hi + 2))
+                assert res == kdelta(t, q, witness=False), (t, x)
+
+
+#: the work `normality_report(champernowne, 2, 500)` did before the shortcuts
+PARENT_CALLS = {"advance": 9546, "step": 2477, "_on_track": 7281, "_run": 12007}
+
+
+def test_the_shortcuts_at_least_halve_the_track_and_run_checks(monkeypatch):
+    calls = Counter()
+
+    def counting(name, method):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+        return counted
+
+    for name in PARENT_CALLS:
+        monkeypatch.setattr(PrecisionSearch, name, counting(name, getattr(PrecisionSearch, name)))
+    report = normality_report(RealSpec.champernowne(), 2, 500)
+    assert report.estimate == Fraction(309, 326)
+    # the walk is the same: every level and every transition is still made
+    assert calls["advance"] == PARENT_CALLS["advance"] and calls["step"] == PARENT_CALLS["step"]
+    assert 2 * calls["_on_track"] <= PARENT_CALLS["_on_track"], calls
+    assert 2 * calls["_run"] <= PARENT_CALLS["_run"], calls
