@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, check_precision, delta_exponent, echo, parse_delta
+from .digits import RealSpec, check_base, check_precision, delta_exponent, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -207,17 +207,22 @@ def cmd_pool(args) -> int:
     return 0
 
 
+def _echo(text: str) -> str:
+    """A refused flag value for argparse's one line: its repr, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {echo(text)}") from None
+        raise argparse.ArgumentTypeError(f"not an exact rational: {_echo(text)}") from None
 
 
 def _window_frac_arg(text: str) -> Fraction:
     value = _fraction_arg(text)
     if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {echo(text)}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {_echo(text)}")
     return value
 
 
@@ -228,9 +233,9 @@ def _int_arg(least: int | None = None):
         try:
             value = int(text)
         except ValueError:  # also a numeral past int()'s 4,300-digit limit
-            raise argparse.ArgumentTypeError(f"not an integer: {echo(text)}") from None
+            raise argparse.ArgumentTypeError(f"not an integer: {_echo(text)}") from None
         if least is not None and value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {echo(text)}")
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {_echo(text)}")
         return value
     return parse
 
@@ -248,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fst_sub = p.add_subparsers(dest="fst_command", required=True)
     pv = fst_sub.add_parser("validate")
     pv.add_argument("--fst", required=True)
-    pv.add_argument("--burst-limit", type=_int_arg(), default=DEFAULT_BURST_WARNING)
+    pv.add_argument("--burst-limit", type=_int_arg(0), default=DEFAULT_BURST_WARNING)
     common(pv)
     pv.set_defaults(func=cmd_fst_validate)
     pg = fst_sub.add_parser("gen")
@@ -338,16 +343,18 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "dim" and args.what != "set" and len(args.x) > 1:
-        print(f"error: dim {args.what} takes one --x, got {len(args.x)}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except FsdimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable or non-ASCII input files
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"dim {args.what} takes one --x, got {len(args.x)}", 2
+    else:
+        try:
+            return args.func(args)
+        # OSError and UnicodeDecodeError: unreadable or non-ASCII input files
+        except (FsdimError, OSError, UnicodeDecodeError) as exc:
+            message, code = str(exc), 1
+    line = f"error: {message}"
+    if len(line) > 160:  # a message may quote a whole input: keep its head and length
+        line = f"{line[:120]}... ({len(line)} characters)"
+    print(line, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -39,11 +39,6 @@ def check_base(base: int) -> None:
         raise InvalidBase(f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {base!r}")
 
 
-def echo(text: str) -> str:
-    """A user literal for a one-line error message: its repr, cut to 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-
-
 def check_precision(n: int) -> None:
     if n > MAX_PRECISION:
         raise FsdimError(f"precision {n} exceeds the largest supported, {MAX_PRECISION}")
@@ -350,22 +345,22 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             return cls.champernowne()
         head, sep, rest = text.partition(":")
         if not sep:
-            raise FsdimError(f"bad real spec {echo(text)}")
+            raise FsdimError(f"bad real spec {text!r}")
         if head == "rat":
             p, slash, q = rest.partition("/")
             if not slash:
-                raise FsdimError(f"bad rational spec {echo(text)}, want rat:P/Q")
+                raise FsdimError(f"bad rational spec {text!r}, want rat:P/Q")
             try:
                 return cls.rational(int(p), int(q))
             except ValueError:
-                raise FsdimError(f"bad rational spec {echo(text)}") from None
+                raise FsdimError(f"bad rational spec {text!r}") from None
         if head == "periodic":
             return cls.periodic(rest)
         if head == "dyadic":
             return cls.dyadic(rest)
         if head == "digitfile":
             return cls.digitfile(rest)
-        raise FsdimError(f"unknown real spec kind {echo(head)}")
+        raise FsdimError(f"unknown real spec kind {head!r}")
 
     def exact_value(self, base: int) -> Fraction | None:
         """Exact rational value when the spec determines one, else None."""
@@ -376,7 +371,7 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             digs = str_to_digits(self.pattern, base)
             value = Fraction(digits_to_int(digs, base), base ** len(digs) - 1)
             if value >= 1:
-                raise SpecOutOfRange(f"periodic pattern {echo(self.pattern)} has value 1")
+                raise SpecOutOfRange(f"periodic pattern {self.pattern!r} has value 1")
             return value
         if self.kind == "dyadic":
             return real_value(self.pattern, base)
@@ -410,22 +405,27 @@ def seq_digits(spec: RealSpec, base: int, count: int) -> str:
     return spec.stream(base).prefix_str(count)
 
 
+def floor_log(base: int, q: int) -> tuple[int, int]:
+    """(m, base**m) for the largest m with base**m <= q, for base >= 2 and
+    q >= 1, by repeated squaring: O(log m) big products."""
+    powers = [base]  # base**(2**k) up to q
+    while powers[-1] ** 2 <= q:
+        powers.append(powers[-1] ** 2)
+    m, power = 0, 1
+    for k in range(len(powers) - 1, -1, -1):  # the binary digits of m, largest first
+        if power * powers[k] <= q:
+            power *= powers[k]
+            m += 1 << k
+    return m, power
+
+
 def delta_exponent(delta: Fraction, base: int) -> int | None:
     """n such that delta == base**-n, or None when delta is not of that form."""
-    check_base(base)  # the powers below never pass den for a base below 2
+    check_base(base)  # floor_log never ends for a base below 2
     if delta.numerator != 1:
         return None
-    den = delta.denominator
-    powers = [base]  # base**(2**k) up to den
-    while powers[-1] ** 2 <= den:
-        powers.append(powers[-1] ** 2)
-    n = 0
-    for k in range(len(powers) - 1, -1, -1):  # strip the binary digits of n, largest first
-        quot, rem = divmod(den, powers[k])
-        if not rem:
-            den = quot
-            n += 1 << k
-    return n if den == 1 else None
+    n, power = floor_log(base, delta.denominator)
+    return n if power == delta.denominator else None
 
 
 def parse_delta(text: str, base: int) -> Fraction:
@@ -433,20 +433,20 @@ def parse_delta(text: str, base: int) -> Fraction:
     if "^-" in text:
         head, _, exp = text.partition("^-")
         if head not in ("", "b", str(base)):
-            raise FsdimError(f"bad delta {echo(text)}")
+            raise FsdimError(f"bad delta {text!r}")
         try:
             n = int(exp)
         except ValueError:
-            raise FsdimError(f"bad delta exponent in {echo(text)}") from None
+            raise FsdimError(f"bad delta exponent in {text!r}") from None
         if n < 0:
-            raise FsdimError(f"bad delta exponent in {echo(text)}")
+            raise FsdimError(f"bad delta exponent in {text!r}")
         check_precision(n)
         return Fraction(1, base ** n)
     p, slash, q = text.partition("/")
     try:
         value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
     except (ValueError, ZeroDivisionError):
-        raise FsdimError(f"bad delta {echo(text)}") from None
+        raise FsdimError(f"bad delta {text!r}") from None
     if not (0 < value <= 1):
         raise FsdimError(f"delta must lie in (0, 1], got {value}")
     return value

@@ -21,7 +21,7 @@ from .digits import DigitStream, RealSpec, check_base, check_precision
 from .errors import AllRowsFlagged, FsdimError
 from .fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from .infocontent import PrefixSearch, kt
-from .precision import kdelta_profile, profile_rows
+from .precision import kdelta_profile, profile_rows, shared_stream
 
 #: above this many precisions the profile grid is subsampled. One search per
 #: (transducer, point) walks the levels up to n_max either way, so the sample
@@ -181,7 +181,7 @@ def normality_family(x: RealSpec, base: int, n_max: int,
     and periodic decoders for any detected repetition. A digit file trains on
     at most the digits it has."""
     members = [("identity", make_identity(base))]
-    stream = x.stream(base)
+    stream = shared_stream(x, base)  # the stream the report's searches read
     train_len = stream.available(min(n_max, 4096))
     for k in range(1, min(max_block_len, train_len) + 1):  # no longer block fits the training
         members.append((f"huffman(b{k})", make_block_huffman(stream, train_len // k * k, k, base)))

@@ -22,13 +22,8 @@ class InsufficientDigits(FsdimError):
 
 
 class FstSyntaxError(FsdimError):
-    def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class MissingTransition(FstSyntaxError):

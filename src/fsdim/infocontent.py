@@ -143,11 +143,8 @@ class Search:
                 link, a = link
                 path.append(a)
             path.reverse()
-        q, rows, out = self.t.start, self.t.transitions, []
-        for a in path:
-            q, emitted = rows[q][a]
-            out += emitted
-        return CostResult(FOUND, level, digits_to_str(path), digits_to_str(out))
+        pi = digits_to_str(path)
+        return CostResult(FOUND, level, pi, self.t.run(pi))
 
 
 def best_of(results) -> CostResult:

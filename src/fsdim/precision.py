@@ -17,9 +17,10 @@ accepted or never can be. `step` prunes the frontier to that track whenever
 S moves, so when a level starts every frontier configuration is on the track
 of g = S + 1, and none was accepted at the goal of the level that reached
 it, which is at most g. `advance` checks only what a transition can change:
-- an empty emission leaves (j, D) as it is, so it cannot be accepted, and
-  while g is the goal the level started with it is still on the track; only
-  after an accept earlier in the level moved g is the track checked again;
+- an empty emission leaves (j, D) as it is, so it cannot be accepted; it is
+  kept unchecked, and if an accept earlier in the level moved g, `step`
+  prunes it with the frontier. Off the track of one goal is off the track of
+  every later one, so the visited entry it leaves drops nothing;
 - an output with D == 0 is x[:j], and when it is not accepted x's first
   nonzero digit from j lies below g, so it is on the track without a check.
 `_DeltaSearch` is the same search at one delta that is not b^-n, for a
@@ -68,6 +69,7 @@ from .digits import (
     delta_exponent,
     digits_to_int,
     digits_to_str,
+    floor_log,
 )
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
@@ -160,7 +162,7 @@ class PrecisionSearch(Search):
             return None
         j, D = pos
         if not out:  # pos was not accepted at a goal <= g when it was reached
-            return pos if g == self.level_goal or self._on_track(j, D, g) else None
+            return pos
         b = self.base
         digit = self.digit
         # once |D| > b**max(0, j - g), every continuation is outside the
@@ -210,14 +212,11 @@ class PrecisionSearch(Search):
             if r > hi or r < g:
                 return min(r, hi)
             return r - 1 if self.zero_from(r) else r
-        size = D if D > 0 else 1 - D  # least m with b**m >= size
-        m, power = 0, 1
-        while power < size:
-            m += 1
-            power *= b
-        top = j - m
+        size = D if D > 0 else 1 - D
+        m, power = floor_log(b, size)
+        top = j - m if power == size else j - m - 1  # b**(j - top) is the least power >= size
         if D > 0 and power == D and g <= top <= hi and self.zero_from(j):
-            top -= 1  # t_j = 0 needs b**m >= D + 1
+            top -= 1  # t_j = 0 needs b**(j - n) >= D + 1
         return min(top, hi)
 
     def _on_track(self, j: int, D: int, g: int) -> bool:
@@ -235,15 +234,11 @@ class PrecisionSearch(Search):
         Every continuation of the output so far is within b**-n of x when
         b**(j - n) > |D|, and none is when b**(j - n) < |D|; an n with
         b**(j - n) = |D| is not decided by these digits."""
-        b = self.base
-        size = abs(D)
-        e, power = 0, 1  # least e with b**e > |D|
-        while power <= size:
-            e += 1
-            power *= b
-        if size and power == size * b and g <= j - e + 1 <= self.hi:
+        size = abs(D)  # b**m <= |D| < b**(m + 1), and m = -1 for D = 0
+        m, power = floor_log(self.base, size) if size else (-1, None)
+        if power == size and g <= j - m <= self.hi:
             raise exc
-        top = min(j - e, self.hi)
+        top = min(j - m - 1, self.hi)
         if top >= g:
             self.S = top
             self.hits.extend(range(g, top + 1))
@@ -255,7 +250,6 @@ class PrecisionSearch(Search):
 
     def step(self) -> None:
         S = self.S
-        self.level_goal = S + 1  # every frontier configuration is on its track
         super().step()
         if self.S != S:
             self._prune()
@@ -283,9 +277,8 @@ class _DeltaSearch(PrecisionSearch):
 
     def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, delta: Fraction):
         self.value, self.delta = stream.value, delta
-        m = 0
-        while delta * stream.base ** (m + 1) <= 1:
-            m += 1
+        # delta <= b**-m iff b**m <= floor(1/delta), as b**m is an integer
+        m, _ = floor_log(stream.base, delta.denominator // delta.numerator)
         super().__init__(t, x, stream, m)
 
     def _floor(self, j: int, shift: Fraction) -> int:

@@ -217,6 +217,49 @@ class TestBadValuesExitCleanly:
         # to 50 characters here, and echo writes at most 64 of the value
         assert max(len(line) for line in err.splitlines()) <= 130, err[:200]
 
+    def test_a_negative_burst_limit_is_a_usage_error(self, id_fst, capsys):
+        # a negative limit means nothing; the refused value is echoed cut
+        argv = ["fst", "validate", "--fst", id_fst, "--burst-limit", "-" + "3" * 4_000]
+        assert dispatch_within(3, argv) == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert not out and len(errors) == 1 and len(errors[0]) <= 170, err[:200]
+
+    @pytest.mark.parametrize("argv", [
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "-BIG"],
+        ["kt", "--fst", "ID", "--w", "01", "--cap", "-BIG"],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "3", "--cap-in", "-BIG"],
+        ["kdelta", "--fst", "ID", "--x", "rat:1/3", "--n", "3", "--base", "BIG"],
+        ["dim", "point", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "BIG"],
+        ["normality", "--x", "champernowne", "--nmax", "BIG"],
+        ["sedim", "--f", "canonical", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "3",
+         "--max-input-len", "-BIG"],
+        ["pool", "--seed", "1", "--count", "BIG", "--out", "OUT"],
+        ["fst", "gen", "--kind", "periodic", "--pattern", "0", "--copies", "BIG"],
+        ["sedim", "--f", "blockperm:LONG:x", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "3"],
+        ["sedim", "--f", "zzLONG", "--fsts", "DIR", "--x", "rat:1/3", "--nmax", "3"],
+        ["kt", "--fst", "PATH", "--w", "01"],
+    ])
+    def test_a_domain_error_quoting_a_long_input_is_one_bounded_line(self, id_fst, family_dir,
+                                                                     tmp_path, capsys, argv):
+        # the message quotes a 4,000-digit integer, a 5,000-character spec or
+        # path; dispatch prints its head and its full length
+        subs = {"ID": id_fst, "DIR": family_dir, "OUT": str(tmp_path / "p"),
+                "PATH": str(tmp_path / ("p" * 5_000))}
+        argv = [subs.get(a, a.replace("BIG", "3" * 4_000).replace("LONG", "3" * 5_000))
+                for a in argv]
+        assert dispatch_within(3, argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and len(err.splitlines()) == 1, err[:200]
+        assert err.startswith("error: ") and err.endswith(" characters)\n") and len(err) <= 171
+
+    def test_a_delta_with_a_long_denominator_is_answered_at_once(self, id_fst, capsys):
+        # the goal, the largest m with delta <= 2**-m, is 13,287: found by
+        # repeated squaring, not one power at a time
+        argv = ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--delta", "1/" + "9" * 4_000]
+        assert dispatch_within(1, argv) == 0
+        assert capsys.readouterr().out == "cap_exceeded,,\n"
+
     def test_a_pool_count_above_the_limit_exits_at_once(self, tmp_path, capsys):
         # refused before a machine is built: the pool is built whole, then written
         out = tmp_path / "p"
@@ -365,6 +408,17 @@ class TestOtherCommands:
     def test_validate(self, id_fst, capsys):
         assert dispatch(["fst", "validate", "--fst", id_fst]) == 0
         assert capsys.readouterr().out.strip() == "ok,1,1"
+
+    def test_validate_warns_past_the_burst_limit(self, id_fst, capsys):
+        assert dispatch(["fst", "validate", "--fst", id_fst, "--burst-limit", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "ok,1,1\n"
+        assert err.splitlines() == ["warning: max output burst 1 exceeds 0; searches may be slow"]
+
+    def test_profile_refuses_a_family_of_another_base(self, family_dir, capsys):
+        argv = ["profile", "--fsts", family_dir, "--x", "rat:1/3", "--base", "3", "--nmax", "4"]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: transducer base 2 != query base 3"]
 
     def test_gen_identity(self, tmp_path, capsys):
         assert dispatch(["fst", "gen", "--kind", "identity", "--base", "2"]) == 0

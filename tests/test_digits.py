@@ -11,6 +11,7 @@ from fsdim.digits import (
     RealSpec,
     comp,
     delta_exponent,
+    floor_log,
     parse_delta,
     real_value,
     seq_digits,
@@ -185,3 +186,39 @@ class TestDelta:
         assert delta_exponent(Fraction(1, 12), 2) is None
         assert delta_exponent(Fraction(1, 81), 3) == 4
         assert delta_exponent(Fraction(3, 8), 2) is None  # a power of 2 below, numerator not 1
+
+    def test_exponent_of_powers_and_of_their_neighbours(self):
+        for base in (2, 3, 10):
+            for k in (0, 1, 2, 5, 64, 300):
+                power = base ** k
+                assert delta_exponent(Fraction(1, power), base) == k
+                if power > 2:  # 1 + 1, 2 * 1 + 1 and 2 - 1 are powers of some base
+                    assert delta_exponent(Fraction(1, power + 1), base) is None
+                    assert delta_exponent(Fraction(1, 2 * power + 1), base) is None
+                    assert delta_exponent(Fraction(1, power - 1), base) is None
+                    assert delta_exponent(Fraction(2, power * 2 - 1), base) is None
+        assert delta_exponent(Fraction(1, 16), 4) == 2
+        assert delta_exponent(Fraction(1, 8), 4) is None
+        assert delta_exponent(Fraction(1, 10 ** 9), 2) is None
+        assert delta_exponent(Fraction(2, 3 ** 5), 3) is None  # numerator 2, a power of 3 below
+
+
+def _floor_log_by_steps(base, q):
+    m, power = 0, 1
+    while power * base <= q:
+        m, power = m + 1, power * base
+    return m, power
+
+
+class TestFloorLog:
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_small_arguments_match_stepping(self, base):
+        for q in range(1, 2001):
+            assert floor_log(base, q) == _floor_log_by_steps(base, q), q
+
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_powers_and_their_neighbours_match_stepping(self, base):
+        for k in range(201):
+            for q in (base ** k - 1, base ** k, base ** k + 1):
+                if q:
+                    assert floor_log(base, q) == _floor_log_by_steps(base, q), q

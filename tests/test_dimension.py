@@ -145,6 +145,13 @@ class TestNormality:
         assert report.verdict == NO_COMPRESSION
         assert report.estimate >= Fraction(8, 10)
 
+    def test_a_digit_file_is_read_once_per_report(self, tmp_path, file_reads):
+        # the training digits and the searches read one stream of the point
+        path = tmp_path / "d.txt"
+        path.write_text("0110101110010100" * 4 + "\n")
+        normality_report(RealSpec.digitfile(str(path)), 2, 40)
+        assert file_reads == [str(path)]
+
     def test_detect_periods(self):
         assert detect_periods(THIRD.stream(2))[0] == 2
         assert detect_periods(RealSpec.periodic("001").stream(2))[0] == 3

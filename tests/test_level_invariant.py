@@ -4,10 +4,11 @@ on, and the work those shortcuts save.
 When a level starts, every frontier configuration (j, D) is on the track of
 g = S + 1, the least open goal. An empty emission leaves (j, D) as it is,
 and (j, D) was not accepted at a goal <= g when it was reached, so it cannot
-be accepted now; `advance` returns it at once while g is the goal the level
-started with. A checking subclass asserts both facts at every level, over
-pool machines in bases 2, 3 and 10 and over rational, periodic, dyadic,
-Champernowne and finite digit-file points, and at a delta that is not b**-n.
+be accepted now; `advance` returns it at once, and when an accept earlier in
+the level moved g, `step`'s pruning drops it. A checking subclass asserts
+both facts at every level, over pool machines in bases 2, 3 and 10 and over
+rational, periodic, dyadic, Champernowne and finite digit-file points, and
+at a delta that is not b**-n.
 """
 
 from collections import Counter

@@ -7,7 +7,9 @@ the enumeration oracles stay independent of the searches they check: no
 oracle, nor any module-level function or class it names, names a search.
 And every numeral goes through `digits`' one conversion: no other `int()`
 call passes a base, since from Python 3.11 such a call refuses a numeral of
-more than 4,300 digits in a base that is not a power of two."""
+more than 4,300 digits in a base that is not a power of two. And only
+`cli.dispatch` builds an "error: " line, so every error line is cut to one
+bound in one place."""
 
 import ast
 from pathlib import Path
@@ -164,3 +166,49 @@ class Spec:
         return int(text, 10)
 """)
     assert _int_calls_with_a_base(path) == ["digits: <module>", "digits: value", "digits: parse"]
+
+
+#: the one function that builds an "error: " line, per module
+ERROR_DOOR = {"cli": "dispatch"}
+
+
+def _error_lines(path: Path) -> list:
+    """Each string literal, or literal head of an f-string, that starts an
+    "error: " line outside the one door, as "module: enclosing function"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and child.value.startswith("error: ") and ERROR_DOOR.get(path.stem) != where):
+                found.append(f"{path.stem}: {where}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_dispatch_builds_an_error_line():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    assert [site for path in paths for site in _error_lines(path)] == []
+
+
+def test_the_guard_sees_an_error_line_outside_dispatch(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("""
+USAGE = "error: no command"
+
+def dispatch(argv):
+    print(f"error: {argv}")
+    return "warning: a line of another kind"
+
+def cmd_kt(args):
+    print(f"error: {args.w} " + "is bad")
+
+class Report:
+    def line(self):
+        return "error: " + self.text
+""")
+    assert _error_lines(path) == ["cli: <module>", "cli: cmd_kt", "cli: line"]
