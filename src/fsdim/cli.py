@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, check_precision, delta_exponent, parse_delta
+from .digits import RealSpec, check_base, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -24,11 +24,12 @@ from .precision import PrecisionQuery, kdelta, kdelta_profile
 
 DEFAULT_BURST_WARNING = 64
 
-#: precision scale whose default input cap applies to a delta that is not base**-n
-FALLBACK_SCALE = 14
-
 #: the largest pool: `pool` builds every machine, then writes one file each
 MAX_POOL_COUNT = 10_000
+
+#: the largest count * max_states * base * (max_burst + 1): every transition
+#: of the pool draws a next state and at most max_burst digits
+MAX_POOL_SIZE = 1_000_000
 
 
 def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) -> list[tuple[str, Fst]]:
@@ -40,6 +41,10 @@ def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) 
     if not 1 <= count <= MAX_POOL_COUNT:
         raise FsdimError(f"count must lie in [1, {MAX_POOL_COUNT}], got {count}")
     check_base(base)
+    size = count * max_states * base * (max_burst + 1)
+    if size > MAX_POOL_SIZE:
+        raise FsdimError("count * max_states * base * (max_burst + 1) must be "
+                         f"<= {MAX_POOL_SIZE}, got {size}")
     rng = random.Random(seed)
     pool = []
     for i in range(count):
@@ -121,11 +126,8 @@ def cmd_fst_gen(args) -> int:
     elif args.kind == "periodic":
         t = make_periodic_decoder(args.pattern, args.copies, args.base)
     elif args.kind == "huffman":
-        check_precision(args.train_len)  # the digits read to train
-        spec = RealSpec.parse(args.train)
-        stream = spec.stream(args.base)
-        prefix_len = (args.train_len // args.block_len) * args.block_len
-        t = make_block_huffman(stream, prefix_len, args.block_len, args.base)
+        stream = RealSpec.parse(args.train).stream(args.base)
+        t = make_block_huffman(stream, args.train_len, args.block_len, args.base)
     else:
         raise FsdimError(f"unknown generator kind {args.kind!r}")
     _write(args, format_fst(t))
@@ -143,13 +145,9 @@ def cmd_kdelta(args) -> int:
     t = _load_fst(args.fst)
     x = RealSpec.parse(args.x)
     if args.n is not None:
-        n, delta = args.n, None
+        q = PrecisionQuery.at_scale(x, args.base, args.n, args.cap_in)
     else:
-        delta = parse_delta(args.delta, args.base)
-        n = delta_exponent(delta, args.base)
-    q = PrecisionQuery.at_scale(x, args.base, FALLBACK_SCALE if n is None else n, args.cap_in)
-    if n is None:
-        q = q.with_delta(delta)
+        q = PrecisionQuery(x, args.base, parse_delta(args.delta, args.base), args.cap_in)
     res = kdelta(t, q)
     _emit(args, res.line(), _cost_json(res))
     return 0
@@ -281,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_int_arg())
     group.add_argument("--delta")
-    p.add_argument("--cap-in", type=_int_arg())
+    p.add_argument("--cap-in", type=_int_arg(),
+                   help="input-length cap; default 4(n + 2), and 64 for a delta not base**-n")
     common(p)
     p.set_defaults(func=cmd_kdelta)
 

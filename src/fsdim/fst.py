@@ -197,8 +197,9 @@ def huffman_code(freqs: dict, base: int) -> dict:
     return heap[0][2]
 
 
-def make_block_huffman(train: DigitStream, prefix_len: int, block_len: int, base: int) -> Fst:
-    """Decoder for a b-ary Huffman code over blocks of the training prefix.
+def make_block_huffman(train: DigitStream, train_len: int, block_len: int, base: int) -> Fst:
+    """Decoder for a b-ary Huffman code over the whole blocks among the
+    first train_len digits of the training stream.
 
     States are the proper prefixes of codewords: reading a digit descends the
     code tree; completing a codeword emits its block and returns to the root.
@@ -208,8 +209,8 @@ def make_block_huffman(train: DigitStream, prefix_len: int, block_len: int, base
     check_base(base)
     if block_len < 1:
         raise FsdimError(f"block length must be >= 1, got {block_len}")
-    if prefix_len % block_len:
-        raise FsdimError("training prefix length must be a multiple of the block length")
+    check_precision(train_len)  # the digits read to train
+    prefix_len = train_len // block_len * block_len
     if prefix_len < block_len:
         raise InsufficientTraining("training prefix holds no complete block")
     digs = train.prefix(prefix_len)

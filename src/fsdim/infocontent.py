@@ -63,6 +63,10 @@ class Search:
     to the configuration, input symbol). A path is a chain of (path, symbol)
     links ending in None at the start.
 
+    `answer(goal, cap)` answers a resolved goal at any cap and an open one
+    only at a cap the search has not walked past; `capped` raises past it.
+    `precision.PrecisionSearch` also refuses a precision it gave up.
+
     A level that runs out of digits (InsufficientDigits) spends the search:
     goals resolved before the failing transition keep that first resolution,
     and every later step, like every goal still open, raises it again.
@@ -170,9 +174,9 @@ class PrefixSearch(Search):
     and goal j resolves at the first transition whose output is w[:j].
 
     A search for w[:n] alone walks exactly the configurations with pos < n
-    that this one walks, at the same levels and in the same order, so prefix
-    n is cap_exceeded at cap c iff some configuration first reached at level
-    c has pos < n.
+    that this one walks, at the same levels and in the same order, so an
+    open prefix n is cap_exceeded at cap c iff some configuration of the
+    frontier at level c has pos < n.
     """
 
     def __init__(self, t: Fst, w: str):
@@ -180,7 +184,6 @@ class PrefixSearch(Search):
         self.word = w
         self.target = tuple(str_to_digits(w, t.base))
         self.resolved[0] = (0, None, None)
-        self.least = [0]  # per level: least pos first reached there, None if none
 
     def advance(self, i, out):
         j = i + len(out)
@@ -190,13 +193,8 @@ class PrefixSearch(Search):
             self.hits.append(j)
         return j
 
-    def step(self) -> None:
-        super().step()
-        self.least.append(min((cfg[1] for cfg, _ in self.frontier), default=None))
-
     def capped(self, n: int, cap: int) -> bool:
-        least = self.least
-        return cap < len(least) and least[cap] is not None and least[cap] < n
+        return super().capped(n, cap) and any(cfg[1] < n for cfg, _ in self.frontier)
 
 
 def kt(t: Fst, w: str, cap: int = 64, search: PrefixSearch = None,

@@ -83,39 +83,41 @@ from .infocontent import (
 )
 
 
+#: the n whose default input cap a delta that is not base**-n gets
+FALLBACK_SCALE = 14
+
+
 class PrecisionQuery(Frozen):
     """The interval (x - delta, x + delta) in base `base`, searched with at
-    most cap_input inputs. n is the exponent with delta == base**-n, else
-    None; the constructor sets it from delta, and equality, hash and repr
-    leave it out."""
+    most cap_input inputs, by default 4 * (n + 2). n is the exponent with
+    delta == base**-n, else None, and then the default cap reads n as
+    FALLBACK_SCALE. The constructor sets n from delta, and equality, hash
+    and repr leave it out."""
 
     __slots__ = ("x", "base", "delta", "cap_input", "n")
     _fields = ("x", "base", "delta", "cap_input")
 
-    def __init__(self, x: RealSpec, base: int, delta: Fraction, cap_input: int):
+    def __init__(self, x: RealSpec, base: int, delta: Fraction, cap_input=None):
         check_base(base)
         if delta <= 0 or delta > 1:
             raise FsdimError(f"delta must lie in (0, 1], got {delta}")
-        if cap_input < 0:
+        n = delta_exponent(delta, base)
+        if cap_input is None:
+            cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
+        elif cap_input < 0:
             raise FsdimError(f"cap_input must be >= 0, got {cap_input}")
-        self._init(x, base, delta, cap_input, delta_exponent(delta, base))
-
-    def with_delta(self, delta: Fraction) -> "PrecisionQuery":
-        """This query at another delta, validated and with n set again."""
-        return PrecisionQuery(self.x, self.base, delta, self.cap_input)
+        self._init(x, base, delta, cap_input, n)
 
     @classmethod
     @cache
     def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None) -> "PrecisionQuery":
-        """Query at delta = base**-n with the default input cap 4 * (n + 2).
-        One query per (x, base, n, cap_input) per process: every transducer's
-        row at that precision shares it."""
+        """The query at delta = base**-n, its precision validated before
+        base**n is built. One query per (x, base, n, cap_input) per process:
+        every transducer's row at that precision shares it."""
         check_base(base)
         if n < 0:
             raise FsdimError(f"n must be >= 0, got {n}")
         check_precision(n)
-        if cap_input is None:
-            cap_input = 4 * (n + 2)
         return cls(x, base, Fraction(1, base ** n), cap_input)
 
 
@@ -255,8 +257,7 @@ class PrecisionSearch(Search):
             self._prune()
 
     def open(self, n: int) -> bool:
-        """Whether precision n is unsolved. Goals are meant to be asked in
-        increasing order of n and of cap: asking for n gives up the open
+        """Whether precision n is unsolved. Asking for n gives up the open
         goals below it, so the search walks only the track of n, and asking
         for a given-up goal raises."""
         if n > self.S:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsdim.cli import MAX_POOL_COUNT, dispatch, gen_pool
+from fsdim.cli import MAX_POOL_COUNT, MAX_POOL_SIZE, dispatch, gen_pool
 from fsdim.digits import MAX_PRECISION, RealSpec
+from fsdim.errors import FsdimError
 from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -269,6 +270,16 @@ class TestBadValuesExitCleanly:
         assert err.splitlines() == [f"error: count must lie in [1, {MAX_POOL_COUNT}], got {HUGE}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-burst"])
+    def test_a_pool_above_the_size_bound_exits_at_once(self, tmp_path, capsys, flag):
+        # refused before a machine is built, as a pool count above its limit is
+        out = tmp_path / "p"
+        argv = ["pool", "--seed", "1", "--count", "1", flag, "100000000", "--out", str(out)]
+        assert dispatch_within(3, argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"<= {MAX_POOL_SIZE}," in err[0]
+        assert not out.exists()
+
     def test_a_block_length_above_the_training_length_adds_no_member(self, capsys):
         # every k above the 20 training digits trains no decoder, so the
         # family, and the report, is the one --k 20 gives
@@ -396,6 +407,17 @@ class TestPool:
             assert parse_fst(text) == t
             assert format_fst(parse_fst(text)) == text
 
+    def test_a_pool_at_the_size_bound_builds(self, tmp_path, capsys):
+        burst = MAX_POOL_SIZE // 2 - 1  # 1 machine * 1 state * base 2 * (burst + 1)
+        out = tmp_path / "p"
+        argv = ["pool", "--seed", "1", "--count", "1", "--max-states", "1",
+                "--max-burst", str(burst), "--out", str(out)]
+        assert dispatch_within(3, argv) == 0
+        assert capsys.readouterr().out == f"wrote 1 files to {out}\n"
+        assert parse_fst((out / "pool_1_0.fst").read_text()) == gen_pool(1, 1, 1, 2, burst)[0][1]
+        with pytest.raises(FsdimError, match=f"<= {MAX_POOL_SIZE},"):
+            gen_pool(1, 1, 1, 2, burst + 1)
+
     def test_byte_reproducible_command(self, tmp_path):
         out1, out2 = str(tmp_path / "p1"), str(tmp_path / "p2")
         dispatch(["pool", "--seed", "11", "--count", "4", "--out", out1])
@@ -430,6 +452,13 @@ class TestOtherCommands:
         assert dispatch(["fst", "gen", "--kind", "huffman", "--train", "rat:1/3", "--train-len", "64"]) == 0
         stream = RealSpec.parse("rat:1/3").stream(2)
         assert parse_fst(capsys.readouterr().out) == make_block_huffman(stream, 64, 2, 2)
+
+    def test_gen_huffman_trains_on_whole_blocks(self, capsys):
+        # 1,023 digits of 1/3 hold 511 whole blocks, each 01: one codeword
+        argv = ["fst", "gen", "--kind", "huffman", "--train", "rat:1/3", "--train-len", "1023",
+                "--block-len", "2"]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == "fst 1\nbase 2\nstates 1\nstart 0\nt 0 0 0 01\nt 0 1 0 -\n"
 
     def test_profile_csv(self, id_fst, tmp_path, capsys):
         import os, shutil

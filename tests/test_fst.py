@@ -140,9 +140,12 @@ class TestBuilders:
             for other in codewords:
                 assert cw == other or not other.startswith(cw)
 
-    def test_huffman_round_trips_training_blocks(self):
+    @pytest.mark.parametrize("train_len, whole", [(256, 256), (1023, 1022)])
+    def test_huffman_round_trips_training_blocks(self, train_len, whole):
+        # a training length that is not a multiple trains on its whole blocks
         train = RealSpec.champernowne().stream(2)
-        t = make_block_huffman(train, 256, 2, 2)
+        t = make_block_huffman(train, train_len, 2, 2)
+        assert t == make_block_huffman(train, whole, 2, 2)
         code = {t.run_from(0, cw)[0]: cw for cw in _codewords(t)}
         digs = train.prefix_str(40)
         encoded = "".join(code[digs[i : i + 2]] for i in range(0, 40, 2))

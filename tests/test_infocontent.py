@@ -182,16 +182,25 @@ class TestPrefixSearch:
                 assert _row(kt(t, w, 2 * n + 8, search)) == _row(kt(t, w, 2 * n + 8)), (spec, n)
 
     def test_asking_back(self, pool):
-        # each level's least matched length is kept, so a shorter prefix or a
-        # smaller cap than the search has walked to is answered exactly
+        # a shorter prefix or a smaller cap than the search has walked to is
+        # answered as a fresh search answers it when the prefix is resolved,
+        # and refused when it is still open below the level walked
         word = seq_digits(RealSpec.champernowne(), 2, 30)
+        answered = refused = 0
         for _, t in pool[:60]:
             search = PrefixSearch(t, word)
             kt(t, word, 68, search)
             for n in range(30, -1, -1):
                 for cap in (0, 2, 5, 2 * n + 8, 68):
                     w = word[:n]
-                    assert _row(kt(t, w, cap, search)) == _row(kt(t, w, cap)), (n, cap)
+                    if search.open(n) and cap < search.level:
+                        with pytest.raises(FsdimError):
+                            kt(t, w, cap, search)
+                        refused += 1
+                    else:
+                        assert _row(kt(t, w, cap, search)) == _row(kt(t, w, cap)), (n, cap)
+                        answered += not search.open(n)
+        assert answered and refused
 
     def test_cap_reads_the_least_matched_length_of_a_level(self):
         # level 1 holds matched lengths 3 (input 0, first in order) and 0

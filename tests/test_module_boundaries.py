@@ -9,7 +9,8 @@ And every numeral goes through `digits`' one conversion: no other `int()`
 call passes a base, since from Python 3.11 such a call refuses a numeral of
 more than 4,300 digits in a base that is not a power of two. And only
 `cli.dispatch` builds an "error: " line, so every error line is cut to one
-bound in one place."""
+bound in one place. And no module but the package's `__init__`, which
+re-exports, imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -212,3 +213,36 @@ class Report:
         return "error: " + self.text
 """)
     assert _error_lines(path) == ["cli: <module>", "cli: cmd_kt", "cli: line"]
+
+
+def _unused_imports(path: Path) -> list:
+    """Each name a module imports and never reads, as "module: name"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.stem}: {name}" for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    assert paths
+    assert [site for path in paths for site in _unused_imports(path)] == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("""
+from __future__ import annotations
+
+import os.path
+import sys
+from fractions import Fraction as F
+from .digits import RealSpec, check_precision
+
+def cmd_kdelta(args):
+    return RealSpec.parse(args.x), F(args.delta), os.path.join("a", "b")
+""")
+    assert _unused_imports(path) == ["cli: sys", "cli: check_precision"]

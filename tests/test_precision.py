@@ -16,9 +16,10 @@ from fsdim.dimension import (
     normality_report,
 )
 from fsdim.errors import FsdimError, InsufficientDigits
-from fsdim.fst import Fst, make_identity, make_periodic_decoder
+from fsdim.fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, CostResult, PrefixSearch, Search, kt
 from fsdim.precision import (
+    FALLBACK_SCALE,
     KdeltaOracleTable,
     PrecisionQuery,
     PrecisionSearch,
@@ -478,15 +479,17 @@ class TestCarriedExponent:
         assert PrecisionQuery(THIRD, 2, Fraction(1, 12), 8).n is None
         assert PrecisionQuery(THIRD, 3, Fraction(1, 8), 8).n is None
 
-    def test_replace_recomputes_n(self, identity2):
-        # the CLI's FALLBACK_SCALE path: a query at 2**-14 given another delta;
-        # a plain copied field would answer it at 2**-14
-        q = PrecisionQuery.at_scale(THIRD, 2, 14).with_delta(Fraction(1, 12))
-        assert q.n is None and q.cap_input == 4 * 16
+    def test_default_cap_reads_n(self, identity2):
+        # 4 * (n + 2), where a delta that is not a power reads n as
+        # FALLBACK_SCALE and is still answered at that delta, not at 2**-14
+        q = PrecisionQuery(THIRD, 2, Fraction(1, 12))
+        assert q.n is None and q.cap_input == 4 * (FALLBACK_SCALE + 2) == 64
         res = kdelta(identity2, q)
         assert res == kdelta_oracle(identity2, q)
-        assert res != kdelta(identity2, PrecisionQuery.at_scale(THIRD, 2, 14))
-        assert q.with_delta(Fraction(1, 64)).n == 6
+        assert res != kdelta(identity2, PrecisionQuery.at_scale(THIRD, 2, FALLBACK_SCALE))
+        q = PrecisionQuery(THIRD, 2, Fraction(1, 64))
+        assert q.n == 6 and q.cap_input == 32
+        assert q == PrecisionQuery.at_scale(THIRD, 2, 6)
 
     def test_equality_and_hash_ignore_n(self):
         q = PrecisionQuery.at_scale(THIRD, 2, 5)
@@ -531,6 +534,10 @@ class TestPrecisionCeiling:
         assert parse_delta(f"^-{MAX_PRECISION}", 2) == Fraction(1, 2**MAX_PRECISION)
         with pytest.raises(FsdimError, match="exceeds the largest supported"):
             parse_delta(f"^-{MAX_PRECISION + 1}", 2)
+
+    def test_make_block_huffman(self):
+        with pytest.raises(FsdimError, match="exceeds the largest supported"):
+            make_block_huffman(THIRD.stream(2), MAX_PRECISION + 1, 2, 2)
 
 
 class TestPerRowWork:

@@ -89,8 +89,8 @@ def test_a_query_keeps_its_n_true():
     with pytest.raises(AttributeError):
         q.n = 6
     assert copy.copy(q).n == 5
-    with pytest.raises(FsdimError):  # the copy at another delta validates again
-        q.with_delta(Fraction(0))
+    with pytest.raises(FsdimError):  # a query at another delta validates it
+        PrecisionQuery(q.x, q.base, Fraction(0))
 
 
 def test_a_report_gets_a_fresh_profiles_map():
