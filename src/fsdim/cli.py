@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, parse_delta
+from .digits import RealSpec, check_base, inverse_power, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -30,6 +30,9 @@ MAX_POOL_COUNT = 10_000
 #: the largest count * max_states * base * (max_burst + 1): every transition
 #: of the pool draws a next state and at most max_burst digits
 MAX_POOL_SIZE = 1_000_000
+
+#: the largest |exponent| of an exact-rational flag: Fraction builds 10**exponent
+MAX_EXPONENT = 4300
 
 
 def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) -> list[tuple[str, Fst]]:
@@ -125,11 +128,9 @@ def cmd_fst_gen(args) -> int:
         t = make_identity(args.base)
     elif args.kind == "periodic":
         t = make_periodic_decoder(args.pattern, args.copies, args.base)
-    elif args.kind == "huffman":
+    else:  # huffman, the last of --kind's choices
         stream = RealSpec.parse(args.train).stream(args.base)
         t = make_block_huffman(stream, args.train_len, args.block_len, args.base)
-    else:
-        raise FsdimError(f"unknown generator kind {args.kind!r}")
     _write(args, format_fst(t))
     return 0
 
@@ -144,11 +145,8 @@ def cmd_kt(args) -> int:
 def cmd_kdelta(args) -> int:
     t = _load_fst(args.fst)
     x = RealSpec.parse(args.x)
-    if args.n is not None:
-        q = PrecisionQuery.at_scale(x, args.base, args.n, args.cap_in)
-    else:
-        q = PrecisionQuery(x, args.base, parse_delta(args.delta, args.base), args.cap_in)
-    res = kdelta(t, q)
+    delta = parse_delta(args.delta, args.base) if args.n is None else inverse_power(args.base, args.n)
+    res = kdelta(t, PrecisionQuery(x, args.base, delta, args.cap_in))
     _emit(args, res.line(), _cost_json(res))
     return 0
 
@@ -211,7 +209,10 @@ def _echo(text: str) -> str:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"exponent above {MAX_EXPONENT}: {_echo(text)}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {_echo(text)}") from None

@@ -44,6 +44,24 @@ def check_precision(n: int) -> None:
         raise FsdimError(f"precision {n} exceeds the largest supported, {MAX_PRECISION}")
 
 
+def inverse_power(base: int, n: int) -> Fraction:
+    """delta = base**-n, built only once the base and n are checked."""
+    check_base(base)
+    if n < 0:
+        raise FsdimError(f"n must be >= 0, got {n}")
+    check_precision(n)
+    return Fraction(1, base ** n)
+
+
+def content_lines(lines):
+    """(line number, text) of each line that is not blank once its '#'
+    comment is cut: the one reader of every input file format."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 class Frozen:
     """An immutable value: a subclass sets its `__slots__` once, in
     `__init__`, through `_init`, and assigning an attribute afterwards
@@ -292,11 +310,8 @@ class FileDigitStream(DigitStream):
     def from_file(cls, path: str, base: int) -> "FileDigitStream":
         digits = []
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0]
-                for ch in line:
-                    if ch.isspace():
-                        continue
+            for _, line in content_lines(fh):
+                for ch in "".join(line.split()):
                     if not ch.isdigit():
                         raise InvalidDigit(f"non-digit character {ch!r} in {path}")
                     digits.append(ord(ch) - 48)
@@ -378,7 +393,6 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
         return None
 
     def stream(self, base: int) -> DigitStream:
-        check_base(base)
         value = self.exact_value(base)
         if value is not None:
             return FractionStream(value, base)
@@ -429,7 +443,7 @@ def delta_exponent(delta: Fraction, base: int) -> int | None:
 
 
 def parse_delta(text: str, base: int) -> Fraction:
-    """Accept either the shorthand 'b^-n' / '^-n' or an exact rational 'P/Q'."""
+    """The shorthand 'b^-n' / '^-n' or an exact rational 'P/Q'; `PrecisionQuery` checks its range."""
     if "^-" in text:
         head, _, exp = text.partition("^-")
         if head not in ("", "b", str(base)):
@@ -438,15 +452,9 @@ def parse_delta(text: str, base: int) -> Fraction:
             n = int(exp)
         except ValueError:
             raise FsdimError(f"bad delta exponent in {text!r}") from None
-        if n < 0:
-            raise FsdimError(f"bad delta exponent in {text!r}")
-        check_precision(n)
-        return Fraction(1, base ** n)
+        return inverse_power(base, n)
     p, slash, q = text.partition("/")
     try:
-        value = Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        return Fraction(int(p), int(q)) if slash else Fraction(int(p))
     except (ValueError, ZeroDivisionError):
         raise FsdimError(f"bad delta {text!r}") from None
-    if not (0 < value <= 1):
-        raise FsdimError(f"delta must lie in (0, 1], got {value}")
-    return value

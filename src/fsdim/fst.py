@@ -10,7 +10,15 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
-from .digits import DigitStream, Frozen, check_base, check_precision, digits_to_str, str_to_digits
+from .digits import (
+    DigitStream,
+    Frozen,
+    check_base,
+    check_precision,
+    content_lines,
+    digits_to_str,
+    str_to_digits,
+)
 from .errors import (
     DuplicateTransition,
     EmptyPattern,
@@ -38,7 +46,7 @@ class Fst(Frozen):
         if state_count < 1:
             raise FsdimError("an FST needs at least one state")
         if not (0 <= start < state_count):
-            raise StateOutOfRange(f"start state {start} out of range")
+            raise StateOutOfRange(f"start state {start} out of range [0, {state_count})")
         if len(transitions) != state_count:
             raise MissingTransition("transition table must cover every state")
         for q, row in enumerate(transitions):
@@ -91,12 +99,9 @@ def format_fst(t: Fst) -> str:
 
 
 def parse_fst(text: str) -> Fst:
-    """Parse the canonical file format; inverse of format_fst on valid machines."""
-    directives = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            directives.append((lineno, line.split()))
+    """Parse the canonical file format; inverse of format_fst on valid machines.
+    It checks the text; `Fst` checks the machine: state count, start, targets."""
+    directives = [(lineno, line.split()) for lineno, line in content_lines(text.splitlines())]
 
     def expect(idx, keyword, argc):
         if idx >= len(directives):
@@ -109,18 +114,15 @@ def parse_fst(text: str) -> Fst:
     lineno, (version,) = expect(0, "fst", 1)
     if version != "1":
         raise FstSyntaxError(f"unsupported format version {version!r}", line=lineno)
-    lineno, (base_s,) = expect(1, "base", 1)
-    lineno, (states_s,) = expect(2, "states", 1)
-    lineno, (start_s,) = expect(3, "start", 1)
-    try:
-        base, states, start = int(base_s), int(states_s), int(start_s)
-    except ValueError:
-        raise FstSyntaxError("base/states/start must be integers", line=lineno) from None
+    header = []
+    for idx, keyword in enumerate(("base", "states", "start"), start=1):
+        lineno, (field,) = expect(idx, keyword, 1)
+        try:
+            header.append(int(field))
+        except ValueError:
+            raise FstSyntaxError(f"{keyword} must be an integer", line=lineno) from None
+    base, states, start = header
     check_base(base)
-    if states < 1:
-        raise FstSyntaxError("states must be >= 1")
-    if not (0 <= start < states):
-        raise StateOutOfRange(f"start state {start} out of range [0, {states})")
 
     table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for lineno, parts in directives[4:]:
@@ -130,7 +132,7 @@ def parse_fst(text: str) -> Fst:
             q, a, nxt = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError:
             raise FstSyntaxError("transition fields must be integers", line=lineno) from None
-        if not (0 <= q < states) or not (0 <= nxt < states):
+        if not (0 <= q < states):
             raise StateOutOfRange(f"state out of range in transition", line=lineno)
         if not (0 <= a < base):
             raise InvalidDigit(f"input symbol {a} out of base {base} (line {lineno})")

@@ -70,6 +70,7 @@ from .digits import (
     digits_to_int,
     digits_to_str,
     floor_log,
+    inverse_power,
 )
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
@@ -105,20 +106,15 @@ class PrecisionQuery(Frozen):
         if cap_input is None:
             cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
         elif cap_input < 0:
-            raise FsdimError(f"cap_input must be >= 0, got {cap_input}")
+            raise FsdimError(f"the input cap must be >= 0, got {cap_input}")
         self._init(x, base, delta, cap_input, n)
 
     @classmethod
     @cache
     def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None) -> "PrecisionQuery":
-        """The query at delta = base**-n, its precision validated before
-        base**n is built. One query per (x, base, n, cap_input) per process:
-        every transducer's row at that precision shares it."""
-        check_base(base)
-        if n < 0:
-            raise FsdimError(f"n must be >= 0, got {n}")
-        check_precision(n)
-        return cls(x, base, Fraction(1, base ** n), cap_input)
+        """The query at delta = `inverse_power(base, n)`, one per (x, base, n,
+        cap_input) per process: every transducer's row at that n shares it."""
+        return cls(x, base, inverse_power(base, n), cap_input)
 
 
 def shared_stream(x: RealSpec, base: int) -> DigitStream:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .digits import RealSpec, real_value, str_to_digits
+from .digits import RealSpec, content_lines, inverse_power, real_value, str_to_digits
 from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
@@ -113,7 +113,7 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
         # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
         # output but 0^k exactly, and _ZeroSearch completes the minimum
         best = kdelta(t, q, search, witness)
-        zeros = _ZeroSearch(f, t, q.x, q.delta)
+        zeros = _ZeroSearch(f, t, q.x, q.delta, stream.value)
         cap = best.cost if best.found else q.cap_input
         return best_of((best, zeros.answer(zeros.GOAL, cap, witness)))
 
@@ -149,10 +149,7 @@ def load_permutation(path: str) -> dict:
     """One 'block -> block' pair per line; '#' comments allowed."""
     permutation = {}
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in content_lines(fh):
             parts = line.split("->")
             if len(parts) != 2:
                 raise InvalidPermutation(f"bad permutation line {lineno} in {path}")
@@ -168,8 +165,9 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
               search: PrecisionSearch = None, witness: bool = True) -> CostResult:
     """Minimal input length (at most max_input_len) whose output w satisfies
     |f(w) - x| < delta, with the witness input and output unless `witness`
-    is false (the enumeration oracle has its witness either way). delta
-    must lie in (0, 1], as for `kdelta`.
+    is false (the enumeration oracle has its witness either way). The
+    query is in f's base: it refuses a delta outside (0, 1] and a negative
+    cap, and `kdelta` or the oracle a T of another base.
 
     The canonical and targeted enumerators are answered by their searches,
     described in the module docstring; `search` is the open `kdelta` search
@@ -177,19 +175,11 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
     `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
     no input qualifies and `cap_exceeded` when the input-length cap stopped it.
     """
-    _check_args(t, f, max_input_len)
-    q = PrecisionQuery(x, t.base, delta, max_input_len)
+    q = PrecisionQuery(x, f.base, delta, max_input_len)
     # kdelta bounds a digit-only point's interval only at delta = base**-n
-    if f.search is None or (q.n is None and x.exact_value(t.base) is None):
+    if f.search is None or (q.n is None and x.exact_value(q.base) is None):
         return kdelta_oracle(t, q, max_input_len, f)
     return f.search(t, q, search, witness)
-
-
-def _check_args(t: Fst, f: SeparatorEnumerator, max_input_len: int) -> None:
-    if t.base != f.base:
-        raise FsdimError(f"transducer base {t.base} != enumerator base {f.base}")
-    if max_input_len < 0:
-        raise FsdimError(f"max_input_len must be >= 0, got {max_input_len}")
 
 
 class _ZeroSearch(Search):
@@ -200,14 +190,14 @@ class _ZeroSearch(Search):
     the target, so every f(0^k') with k' >= k lies in
     [f(0^k), f(0^k) + b**-_target_len(k)); once that range misses the
     interval, no configuration with k' >= k can be accepted and all are
-    dropped.
+    dropped. With y, the target's exact value, the range is [f(0^k), y].
     """
 
     GOAL = "0^k"  # the one goal: some accepted all-zero output
 
-    def __init__(self, f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction):
+    def __init__(self, f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction, y):
         super().__init__(t, 0)
-        self.f, self.delta = f, delta
+        self.f, self.delta, self.y = f, delta, y
         self.cmp = shared_stream(x, t.base).compare  # sign of x - r, exact
         self.rejected: set = set()
         self.dead = None  # least k from which no all-zero output is accepted
@@ -223,7 +213,7 @@ class _ZeroSearch(Search):
                 self.hits.append(self.GOAL)
                 return None
             self.rejected.add(k2)
-            reach = value + Fraction(1, self.t.base ** _target_len(k2))
+            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y
             if not below_high or self.cmp(reach + self.delta) >= 0:
                 self.dead = k2
                 return None
@@ -236,8 +226,7 @@ def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fractio
     map, so f is evaluated once per distinct output, with no interval bounds,
     and it works for any enumerator (exponential; desk-scale by contract).
     Not found is cap_exceeded."""
-    _check_args(t, f, max_input_len)
-    return kdelta_oracle(t, PrecisionQuery(x, t.base, delta, max_input_len), max_input_len, f)
+    return kdelta_oracle(t, PrecisionQuery(x, f.base, delta, max_input_len), max_input_len, f)
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
@@ -248,7 +237,7 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
         xs = [xs]
     def rows_of(t, x, grid):
         search = None if f.search is None else open_search(t, x, base, max(grid))
-        return profile_rows(grid, lambda n: ktf_delta(t, f, x, Fraction(1, base ** n),
+        return profile_rows(grid, lambda n: ktf_delta(t, f, x, inverse_power(base, n),
                                                       max_input_len, search, witness=False))
 
     return estimate(family, base, xs, n_max, DEFAULT_WINDOW_FRAC, rows_of)

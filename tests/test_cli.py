@@ -107,6 +107,12 @@ class TestBadValuesExitCleanly:
         ["normality", "--x", "champernowne", "--nmax", "20", "--threshold", "1/0"],
         ["fst", "gen", "--kind", "huffman", "--block-len", "0"],
         ["fst", "gen", "--kind", "huffman", "--block-len", "-3"],
+        # Fraction builds 10**exponent: refused above MAX_EXPONENT
+        ["normality", "--x", "champernowne", "--nmax", "20", "--threshold", "1e10000000"],
+        ["dim", "point", "--fsts", "fam", "--x", "rat:1/3", "--nmax", "6",
+         "--window-frac", "1e-10000000"],
+        # delta = b^-n is built once its base is checked
+        ["kdelta", "--x", "rat:1/3", "--base", "0", "--delta", "b^-3"],
     ])
     def test_exit_code_without_traceback(self, id_fst, capsys, argv):
         if argv[0] == "kdelta":
@@ -114,6 +120,41 @@ class TestBadValuesExitCleanly:
         assert dispatch_within(3, argv) in (1, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.strip()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["profile", "--fsts", "@EMPTY", "--x", "rat:1/3", "--nmax", "3"], "no .fst files in @EMPTY"),
+        (["kdelta", "--fst", "@ID", "--x", "rat:1/3", "--delta", "3^-2"], "bad delta '3^-2'"),
+        (["kdelta", "--fst", "@ID", "--x", "rat:1/3", "--delta", "b^-x"],
+         "bad delta exponent in 'b^-x'"),
+        (["kdelta", "--fst", "@ID", "--x", "rat:1/3", "--base", "0", "--delta", "b^-3"],
+         "base must be an integer in [2, 10], got 0"),
+        (["kdelta", "--fst", "@ID", "--x", "digitfile:@LETTER", "--n", "3"],
+         "non-digit character 'a' in @LETTER"),
+        (["kdelta", "--fst", "@ID", "--x", "periodic:", "--n", "3"], "periodic pattern must be nonempty"),
+        (["fst", "gen", "--kind", "periodic", "--pattern", "01", "--copies", "0"],
+         "copies must be >= 1, got 0"),
+        (["sedim", "--f", "blockperm:0:@PERM", "--fsts", "@DIR", "--x", "rat:1/3", "--nmax", "3"],
+         "block length must be >= 1, got 0"),
+        (["sedim", "--f", "blockperm:1", "--fsts", "@DIR", "--x", "rat:1/3", "--nmax", "3"],
+         "bad enumerator spec 'blockperm:1', want blockperm:m:PERMFILE"),
+        (["sedim", "--f", "blockperm:1:@BADPERM", "--fsts", "@DIR", "--x", "rat:1/3", "--nmax", "3"],
+         "bad permutation line 2 in @BADPERM"),
+    ])
+    def test_a_refused_input_is_one_error_line(self, id_fst, family_dir, tmp_path, capsys,
+                                               argv, message):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "letter.txt").write_text("01a1\n")
+        (tmp_path / "perm.txt").write_text("0 -> 1\n1 -> 0\n")
+        (tmp_path / "bad.txt").write_text("# swap\n0 -> 1 -> 0\n")
+        subs = {"@ID": id_fst, "@DIR": family_dir, "@EMPTY": str(tmp_path / "empty"),
+                "@LETTER": str(tmp_path / "letter.txt"), "@PERM": str(tmp_path / "perm.txt"),
+                "@BADPERM": str(tmp_path / "bad.txt")}
+        for key, path in subs.items():
+            argv = [a.replace(key, path) for a in argv]
+            message = message.replace(key, path)
+        assert dispatch_within(3, argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("base, delta", [("1", "1/2"), ("0", "1/2"), ("1", "1/12")])
     def test_a_base_below_two_exits_at_once(self, id_fst, capsys, base, delta):
@@ -293,6 +334,8 @@ class TestBadValuesExitCleanly:
         (["dim", "point", "--window-frac", "abc"], 2, "not an exact rational"),
         (["dim", "point", "--window-frac", "3/2"], 2, "must lie in (0, 1]"),
         (["dim", "point", "--window-frac", "0"], 2, "must lie in (0, 1]"),
+        (["dim", "point", "--window-frac", "1e-4301"], 2, "exponent above 4300: '1e-4301'"),
+        (["dim", "point", "--window-frac", "1e-4300"], 0, ""),
         (["pool", "--max-states", "0"], 2, "--max-states: must be >= 1"),
         (["pool", "--max-burst", "-1"], 2, "--max-burst: must be >= 0"),
         (["sedim", "--f", "blockperm:x:PERM"], 1, "bad block length 'x'"),
@@ -544,7 +587,8 @@ class TestArgumentFuzz:
     """Every argument vector ends in exit code 0, 1 or 2 with no traceback,
     within EXAMPLE_SECONDS: a hang fails the test instead of stalling it."""
 
-    FLAG_VALUES = st.sampled_from(["0", "1", "2", "-1", "3/2", "1/2", "abc", "nan", "1/0", "0.95", ""])
+    FLAG_VALUES = st.sampled_from(["0", "1", "2", "-1", "3/2", "1/2", "abc", "nan", "1/0", "0.95", "",
+                                   "1e10000000"])
     EXAMPLE_SECONDS = 3
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -563,7 +607,8 @@ class TestArgumentFuzz:
             flag = data.draw(st.sampled_from(["--base", "--n", "--delta", "--cap-in"]))
             argv = ["kdelta", "--fst", id_fst, "--x", "rat:1/3", flag, value]
             if flag not in ("--n", "--delta"):
-                argv += data.draw(st.sampled_from([["--n", "3"], ["--delta", "1/2"], ["--delta", "1/12"]]))
+                argv += data.draw(st.sampled_from([["--n", "3"], ["--delta", "1/2"], ["--delta", "1/12"],
+                                                   ["--delta", "b^-3"]]))
         elif command == "profile":
             argv = ["profile", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", "6", "--base", value]
         elif command == "fst gen":

@@ -10,8 +10,10 @@ from fsdim.digits import (
     FractionStream,
     RealSpec,
     comp,
+    MAX_PRECISION,
     delta_exponent,
     floor_log,
+    inverse_power,
     parse_delta,
     real_value,
     seq_digits,
@@ -137,6 +139,23 @@ class TestStreams:
         with pytest.raises(InvalidDigit):
             FileDigitStream.from_file(str(path), 2)
 
+    def test_file_stream_rejects_a_letter(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("# a comment may hold letters\n01a1\n")
+        with pytest.raises(InvalidDigit) as refusal:
+            FileDigitStream.from_file(str(path), 2)
+        assert str(refusal.value) == f"non-digit character 'a' in {path}"
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: seq_digits(RealSpec.rational(1, 3), 2, -1), FsdimError, "count must be >= 0, got -1"),
+        (lambda: RealSpec.periodic(""), SpecOutOfRange, "periodic pattern must be nonempty"),
+        (lambda: FractionStream(Fraction(1), 2), SpecOutOfRange, "value 1 not in [0,1)"),
+    ], ids=["seq-digits-count", "periodic-empty", "fraction-stream-one"])
+    def test_value_refusals(self, build, error, message):
+        with pytest.raises(error) as refusal:
+            build()
+        assert str(refusal.value) == message
+
     def test_compare_on_digit_only_stream(self):
         s = ChampernowneStream(2)
         assert s.compare(Fraction(1, 2)) == 1  # word starts 1101...
@@ -180,6 +199,36 @@ class TestDelta:
         assert parse_delta("b^-3", 2) == Fraction(1, 8)
         assert parse_delta("2^-3", 2) == Fraction(1, 8)
         assert parse_delta("1/12", 2) == Fraction(1, 12)
+
+    @pytest.mark.parametrize("text, base, error, message", [
+        ("3^-2", 2, FsdimError, "bad delta '3^-2'"),
+        ("b^-x", 2, FsdimError, "bad delta exponent in 'b^-x'"),
+        ("b^--2", 2, FsdimError, "n must be >= 0, got -2"),
+        ("b^-3", 0, InvalidBase, "base must be an integer in [2, 10], got 0"),
+        ("0^-3", 0, InvalidBase, "base must be an integer in [2, 10], got 0"),
+        ("1/0", 2, FsdimError, "bad delta '1/0'"),
+    ])
+    def test_parse_refusals(self, text, base, error, message):
+        # the shorthand is built by inverse_power, which checks the base first
+        with pytest.raises(error) as refusal:
+            parse_delta(text, base)
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize("base, n, error, message", [
+        (0, 3, InvalidBase, "base must be an integer in [2, 10], got 0"),
+        (1, 3, InvalidBase, "base must be an integer in [2, 10], got 1"),
+        (2, -1, FsdimError, "n must be >= 0, got -1"),
+        (2, MAX_PRECISION + 1, FsdimError,
+         f"precision {MAX_PRECISION + 1} exceeds the largest supported, {MAX_PRECISION}"),
+    ])
+    def test_inverse_power_refusals(self, base, n, error, message):
+        with pytest.raises(error) as refusal:
+            inverse_power(base, n)
+        assert str(refusal.value) == message
+
+    def test_inverse_power(self):
+        assert inverse_power(2, 0) == 1
+        assert inverse_power(3, 4) == Fraction(1, 81)
 
     def test_exponent_detection(self):
         assert delta_exponent(Fraction(1, 8), 2) == 3

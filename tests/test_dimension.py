@@ -10,10 +10,11 @@ from fsdim.dimension import (
     dim_point_estimate,
     dim_seq_estimate,
     dim_set_estimate,
+    estimate,
     normality_family,
     normality_report,
 )
-from fsdim.errors import AllRowsFlagged
+from fsdim.errors import AllRowsFlagged, FsdimError
 from fsdim.fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
 
 THIRD = RealSpec.rational(1, 3)
@@ -55,6 +56,16 @@ class TestPointEstimate:
         silent = Fst(2, 1, 0, (((0, ()), (0, ())),))
         with pytest.raises(AllRowsFlagged):
             dim_point_estimate([("silent", silent)], THIRD, 2, 10)
+
+
+@pytest.mark.parametrize("family, points, message", [
+    ([], [THIRD], "family must be nonempty"),
+    ([make_identity(2)], [], "need at least one point"),
+])
+def test_estimate_refuses_empty_inputs(family, points, message):
+    with pytest.raises(FsdimError) as refusal:
+        estimate(family, 2, points, 8, Fraction(1, 2), lambda t, x, grid: [])
+    assert str(refusal.value) == message
 
 
 class TestSeqEstimate:

@@ -2,12 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsdim.cli import dispatch
 from fsdim.digits import FractionStream, RealSpec
 from fsdim.errors import (
     EmptyPattern,
+    FsdimError,
     FstSyntaxError,
     InsufficientTraining,
+    InvalidBase,
+    InvalidDigit,
     MissingTransition,
+    StateOutOfRange,
 )
 from fsdim.fst import (
     Fst,
@@ -22,6 +27,7 @@ from fsdim.fst import (
 from conftest import all_words
 
 IDENTITY_TEXT = "fst 1\nbase 2\nstates 1\nstart 0\nt 0 0 0 0\nt 0 1 0 1\n"
+IDENTITY_ROWS = (((0, (0,)), (0, (1,))),)
 
 
 class TestRun:
@@ -104,6 +110,51 @@ class TestFileFormat:
     def test_comments_ignored(self):
         assert parse_fst("# header\n" + IDENTITY_TEXT).run("01") == "01"
 
+    @pytest.mark.parametrize("old, new, error, message", [
+        (IDENTITY_TEXT, "", FstSyntaxError, "missing 'fst' directive"),
+        (IDENTITY_TEXT, "fst 1\nbase 2\n", FstSyntaxError, "missing 'states' directive"),
+        ("fst 1", "fsx 1", FstSyntaxError, "expected 'fst' directive (line 1)"),
+        ("fst 1", "fst 2", FstSyntaxError, "unsupported format version '2' (line 1)"),
+        ("states 1", "states one", FstSyntaxError, "states must be an integer (line 3)"),
+        ("t 0 1 0 1", "t 0 1 0", FstSyntaxError, "expected transition line 't q a q2 out' (line 6)"),
+        ("t 0 1 0 1", "t 0 1 x 1", FstSyntaxError, "transition fields must be integers (line 6)"),
+        ("t 0 1 0 1", "t 1 1 0 1", StateOutOfRange, "state out of range in transition (line 6)"),
+        ("t 0 1 0 1", "t 0 2 0 1", InvalidDigit, "input symbol 2 out of base 2 (line 6)"),
+        (IDENTITY_TEXT, "fst 1\nbase 2\nstates 0\nstart 0\n", FsdimError,
+         "an FST needs at least one state"),
+        ("start 0", "start 1", StateOutOfRange, "start state 1 out of range [0, 1)"),
+        ("t 0 1 0 1", "t 0 1 5 1", StateOutOfRange, "transition (0,1) targets missing state 5"),
+    ], ids=["empty", "no-states-line", "wrong-directive", "version-2", "header-field", "transition-shape",
+            "transition-field", "state-range", "symbol-range", "no-states", "start-range",
+            "target-range"])
+    def test_refusals(self, tmp_path, capsys, old, new, error, message):
+        # the parser checks the text and Fst the machine; each refusal is
+        # one error line through the CLI
+        text = IDENTITY_TEXT.replace(old, new)
+        with pytest.raises(error) as refusal:
+            parse_fst(text)
+        assert str(refusal.value) == message
+        path = tmp_path / "m.fst"
+        path.write_text(text)
+        assert dispatch(["fst", "validate", "--fst", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((1, 1, 0, IDENTITY_ROWS), InvalidBase, "base must be an integer in [2, 10], got 1"),
+        ((2, 0, 0, ()), FsdimError, "an FST needs at least one state"),
+        ((2, 1, 1, IDENTITY_ROWS), StateOutOfRange, "start state 1 out of range [0, 1)"),
+        ((2, 2, 0, IDENTITY_ROWS), MissingTransition, "transition table must cover every state"),
+        ((2, 1, 0, (((0, (0,)),),)), MissingTransition, "state 0 must define all 2 symbols"),
+        ((2, 1, 0, (((0, (0,)), (3, (1,))),)), StateOutOfRange,
+         "transition (0,1) targets missing state 3"),
+        ((2, 1, 0, (((0, (0,)), (0, (2,))),)), InvalidDigit, "output digit 2 of (0,1) out of base 2"),
+    ])
+    def test_a_machine_built_directly_is_checked(self, args, error, message):
+        with pytest.raises(error) as refusal:
+            Fst(*args)
+        assert str(refusal.value) == message
+
 
 class TestBuilders:
     def test_periodic_decoder(self):
@@ -130,6 +181,17 @@ class TestBuilders:
         train = RealSpec.periodic("01").stream(2)
         with pytest.raises(InsufficientTraining):
             make_block_huffman(train, 0, 2, 2)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: make_periodic_decoder("01", 0, 2), FsdimError, "copies must be >= 1, got 0"),
+        (lambda: huffman_code({}, 2), InsufficientTraining, "no symbols to code"),
+        (lambda: make_block_huffman(RealSpec.periodic("01").stream(2), 8, 0, 2), FsdimError,
+         "block length must be >= 1, got 0"),
+    ], ids=["periodic-copies", "huffman-no-symbols", "huffman-block-length"])
+    def test_builder_refusals(self, build, error, message):
+        with pytest.raises(error) as refusal:
+            build()
+        assert str(refusal.value) == message
 
     def test_huffman_decoder_is_prefix_free(self):
         train = RealSpec.champernowne().stream(2)

@@ -72,6 +72,11 @@ class TestKdelta:
         with pytest.raises(FsdimError):
             kdelta(identity2, PrecisionQuery(THIRD, 3, Fraction(1, 3), 8))
 
+    def test_oracle_base_mismatch(self, identity2):
+        with pytest.raises(FsdimError) as refusal:
+            kdelta_oracle(identity2, PrecisionQuery(THIRD, 3, Fraction(1, 3), 8))
+        assert str(refusal.value) == "transducer base 2 != query base 3"
+
     def test_exact_dyadic_hit(self, identity2):
         # 5/8 has expansion 101; the exact hit is accepted at every precision
         x = RealSpec.dyadic("101")
@@ -183,6 +188,11 @@ class TestProfile:
         rows = kdelta_profile([t], THIRD, 2, 5)
         assert rows[4].n == 5 and rows[4].cost == 1
         assert rows[4].ratio == Fraction(1, 5)
+
+    def test_an_empty_family_is_refused(self):
+        with pytest.raises(FsdimError) as refusal:
+            kdelta_profile([], THIRD, 2, 6)
+        assert str(refusal.value) == "need at least one transducer"
 
     def test_zero_point_free_everywhere(self, identity2):
         rows = kdelta_profile([identity2], ZERO, 2, 6)

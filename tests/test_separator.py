@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,7 @@ class TestEnumerators:
         (10 ** 9, {}, 10),  # rejected without computing 10**(10**9)
         (2, {"00": "01", "01": "00", "10": "11", "11": "1"}, 2),  # a short image
         (1, {"0": "1", "2": "0"}, 2),  # a digit outside the base
+        (0, {"": ""}, 2),  # no block length below 1
     ])
     def test_invalid_permutations(self, block_len, permutation, base):
         with pytest.raises(InvalidPermutation):
@@ -84,6 +86,33 @@ class TestEnumerators:
         path.write_text("0 -> 1\n0 -> 0\n")
         with pytest.raises(InvalidPermutation):
             load_permutation(str(path))
+
+    def test_load_permutation_names_the_bad_line(self, tmp_path):
+        # a comment-only line is skipped but counted
+        path = tmp_path / "perm.txt"
+        path.write_text("# swap\n0 -> 1 -> 0\n1 -> 0\n")
+        with pytest.raises(InvalidPermutation) as refusal:
+            load_permutation(str(path))
+        assert str(refusal.value) == f"bad permutation line 2 in {path}"
+
+    def test_blockperm_needs_a_path(self):
+        with pytest.raises(FsdimError) as refusal:
+            parse_enumerator("blockperm:1", 2)
+        assert str(refusal.value) == "bad enumerator spec 'blockperm:1', want blockperm:m:PERMFILE"
+
+    @pytest.mark.parametrize("answer", [ktf_delta, ktf_delta_oracle])
+    @pytest.mark.parametrize("enumerator", [make_canonical, lambda base: make_targeted(THIRD, base)],
+                             ids=["canonical", "targeted"])
+    def test_an_enumerator_of_another_base_is_refused(self, identity2, answer, enumerator):
+        # the query is in f's base, which the transducer does not read
+        with pytest.raises(FsdimError) as refusal:
+            answer(identity2, enumerator(3), THIRD, Fraction(1, 8))
+        assert str(refusal.value) == "transducer base 2 != query base 3"
+
+    def test_an_oracle_table_of_another_base_is_refused(self, identity2):
+        with pytest.raises(FsdimError) as refusal:
+            KdeltaOracleTable(identity2, 4, make_canonical(3))
+        assert str(refusal.value) == "transducer base 2 != enumerator base 3"
 
 
 class TestKtfDelta:
@@ -183,6 +212,25 @@ class TestKtfDeltaMatchesOracle:
         res = ktf_delta(zeros, f, RealSpec.rational(1, 2), Fraction(1, 8), max_input_len=40)
         assert res.status == "unreachable"
 
+    def test_a_target_on_the_interval_boundary_ends_at_once(self):
+        # f(0^k) is a truncation of 1/4 = 1/2 - 1/4: never strictly inside,
+        # and its exact value ends the search at the first k, not after
+        # 2**24-digit truncations
+        zeros = Fst(2, 1, 0, (((0, (0,)), (0, (0,))),))
+        f = make_targeted(RealSpec.rational(1, 4), 2)
+
+        def hang(signum, frame):
+            pytest.fail("the zero search ran past 3 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(3)
+        try:
+            res = ktf_delta(zeros, f, RealSpec.rational(1, 2), Fraction(1, 4), max_input_len=24)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.status == "unreachable"
+
     def test_zero_output_reaches_other_point(self):
         # f(00) is the 4-digit truncation 0.0101 of 1/3, i.e. 5/16
         zeros = Fst(2, 1, 0, (((0, (0, 0)), (0, (0, 0))),))
@@ -208,6 +256,14 @@ class TestKtfDeltaMatchesOracle:
             for answer in (ktf_delta, ktf_delta_oracle):
                 with pytest.raises(FsdimError, match=r"delta must lie in \(0, 1\]"):
                     answer(identity2, ENUMERATORS[name], THIRD, delta, max_input_len=4)
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_a_negative_input_cap_is_refused_by_every_enumerator(self, identity2, name):
+        # the query owns the check of its input cap, max_input_len
+        for answer in (ktf_delta, ktf_delta_oracle):
+            with pytest.raises(FsdimError) as refusal:
+                answer(identity2, ENUMERATORS[name], THIRD, Fraction(1, 8), max_input_len=-1)
+            assert str(refusal.value) == "the input cap must be >= 0, got -1"
 
     def test_an_enumerator_without_a_search_is_enumerated_at_every_delta(self, pool, short_digits):
         calls = []
