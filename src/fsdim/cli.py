@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -31,7 +32,9 @@ MAX_POOL_COUNT = 10_000
 #: of the pool draws a next state and at most max_burst digits
 MAX_POOL_SIZE = 1_000_000
 
-#: the largest |exponent| of an exact-rational flag: Fraction builds 10**exponent
+#: the largest |exponent| of an exact-rational flag, and the most digits of
+#: each of its numerals: Fraction builds 10**exponent, and int() reads no
+#: longer numeral
 MAX_EXPONENT = 4300
 
 
@@ -210,6 +213,9 @@ def _echo(text: str) -> str:
 
 def _fraction_arg(text: str) -> Fraction:
     _, e, exponent = text.lower().partition("e")
+    if any(len(numeral) > MAX_EXPONENT for numeral in re.findall(r"\d+", text)):
+        raise argparse.ArgumentTypeError(f"a numeral of more than {MAX_EXPONENT} digits: "
+                                         f"{_echo(text)}")
     try:
         if e and abs(int(exponent)) > MAX_EXPONENT:
             raise argparse.ArgumentTypeError(f"exponent above {MAX_EXPONENT}: {_echo(text)}")

@@ -44,12 +44,17 @@ def check_precision(n: int) -> None:
         raise FsdimError(f"precision {n} exceeds the largest supported, {MAX_PRECISION}")
 
 
-def inverse_power(base: int, n: int) -> Fraction:
-    """delta = base**-n, built only once the base and n are checked."""
+def check_scale(base: int, n: int) -> None:
+    """Refuse a base or an exponent n that delta = base**-n may not have."""
     check_base(base)
     if n < 0:
         raise FsdimError(f"n must be >= 0, got {n}")
     check_precision(n)
+
+
+def inverse_power(base: int, n: int) -> Fraction:
+    """delta = base**-n, built only once `check_scale` passes."""
+    check_scale(base, n)
     return Fraction(1, base ** n)
 
 
@@ -127,14 +132,25 @@ _INT_PIECE = 4000
 
 def _numeral_to_int(w: str, base: int) -> int:
     """The integer whose base-b numeral is w, of any length: the package's
-    one int() conversion with a base."""
+    one int() conversion with a base. A w longer than one piece must be
+    plain digits; a shorter one may have what int() allows, such as a sign."""
     if len(w) <= _INT_PIECE:
         return int(w or "0", base)
+    if not (w.isascii() and w.isdigit()):
+        raise ValueError(f"not a base-{base} numeral")
     num = 0
     for i in range(0, len(w), _INT_PIECE):
         piece = w[i : i + _INT_PIECE]
         num = num * base ** len(piece) + int(piece, base)
     return num
+
+
+def _decimal(text: str) -> int:
+    """A decimal integer literal of any length: a field of rat:P/Q or of a
+    P/Q delta."""
+    if not text:
+        raise ValueError("empty numeral")
+    return _numeral_to_int(text, 10)
 
 
 def digits_to_int(digits, base: int) -> int:
@@ -166,7 +182,9 @@ class DigitStream:
     byte buffer, and more are drawn on demand from `source`, an iterator of
     digits. Reading past the point where the source runs dry raises
     InsufficientDigits. `value` is the exact rational value when known, else
-    None (digit-only streams: files, champernowne).
+    None (digit-only streams: files, champernowne). `ends_at` is, for an
+    exact value, the least index from which its expansion is all zeros, or
+    None when the expansion never ends.
     """
 
     origin = "<digits>"
@@ -174,6 +192,7 @@ class DigitStream:
     def __init__(self, base: int, source=(), digits=b"", value: Fraction | None = None):
         self.base = base
         self.value = value
+        self.ends_at = None if value is None else _ends_at(value.denominator, base)
         self._digits = bytearray(digits)
         self._source = iter(source)
 
@@ -220,8 +239,7 @@ class DigitStream:
         zeros.
         """
         if self.value is not None:
-            scaled = self.value * self.base ** m
-            return scaled.denominator == 1
+            return self.ends_at is not None and m >= self.ends_at
         for i in range(m, m + DEFAULT_LOOKAHEAD):
             if self.digit(i) != 0:
                 return False
@@ -251,6 +269,40 @@ class DigitStream:
                 return -1
             m *= 2
         raise InsufficientDigits(f"comparison against {r} undecided after {m // 2} digits")
+
+
+def _ends_at(q: int, base: int) -> int | None:
+    """The least m with q dividing base**m, or None when there is none. With
+    p**e the largest power of a prime p that divides q, and p**f the largest
+    that divides base, m is the largest ceil(e / f), provided q has no prime
+    that base lacks."""
+    m, rest = 0, base
+    for p in range(2, base + 1):  # base's primes, by trial division
+        f = 0
+        while rest % p == 0:
+            rest //= p
+            f += 1
+        if f:
+            e, q = _multiplicity(q, p)
+            m = max(m, -(-e // f))
+    return m if q == 1 else None
+
+
+def _multiplicity(q: int, p: int) -> tuple[int, int]:
+    """(e, q // p**e) for the largest e with p**e dividing q: divide out
+    p**(2**k) for k = 0, 1, ... while it divides, then for k back down to 0
+    where it does. O(log e) big divisions, not e."""
+    e, powers, power = 0, [], p
+    while q % power == 0:
+        q //= power
+        e += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for k in range(len(powers) - 1, -1, -1):
+        if q % powers[k] == 0:
+            q //= powers[k]
+            e += 1 << k
+    return e, q
 
 
 class FractionStream(DigitStream):
@@ -366,7 +418,7 @@ class RealSpec(namedtuple("RealSpec", "kind numerator denominator pattern path",
             if not slash:
                 raise FsdimError(f"bad rational spec {text!r}, want rat:P/Q")
             try:
-                return cls.rational(int(p), int(q))
+                return cls.rational(_decimal(p), _decimal(q))
             except ValueError:
                 raise FsdimError(f"bad rational spec {text!r}") from None
         if head == "periodic":
@@ -455,6 +507,6 @@ def parse_delta(text: str, base: int) -> Fraction:
         return inverse_power(base, n)
     p, slash, q = text.partition("/")
     try:
-        return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        return Fraction(_decimal(p), _decimal(q)) if slash else Fraction(_decimal(p))
     except (ValueError, ZeroDivisionError):
         raise FsdimError(f"bad delta {text!r}") from None

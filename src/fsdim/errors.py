@@ -2,7 +2,11 @@
 
 
 class FsdimError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package; `line`, when
+    given, is the input line at fault."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class InvalidBase(FsdimError):
@@ -22,8 +26,7 @@ class InsufficientDigits(FsdimError):
 
 
 class FstSyntaxError(FsdimError):
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"{message} (line {line})")
+    pass
 
 
 class MissingTransition(FstSyntaxError):

@@ -135,11 +135,14 @@ def parse_fst(text: str) -> Fst:
         if not (0 <= q < states):
             raise StateOutOfRange(f"state out of range in transition", line=lineno)
         if not (0 <= a < base):
-            raise InvalidDigit(f"input symbol {a} out of base {base} (line {lineno})")
+            raise InvalidDigit(f"input symbol {a} out of base {base}", line=lineno)
         if (q, a) in table:
             raise DuplicateTransition(f"transition ({q},{a}) defined twice", line=lineno)
         out_s = parts[4]
-        out = () if out_s == "-" else tuple(str_to_digits(out_s, base))
+        out = () if out_s == "-" else tuple(ord(c) - 48 for c in out_s)
+        for c, d in zip(out_s, out):
+            if not (0 <= d < base):
+                raise InvalidDigit(f"output digit {c!r} out of base {base}", line=lineno)
         table[(q, a)] = (nxt, out)
 
     rows = []

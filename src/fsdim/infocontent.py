@@ -50,6 +50,11 @@ class CostResult(namedtuple("CostResult", "status cost witness_input witness_out
         return f"{self.status},,"
 
 
+#: the one result of each flag: answers share them, and build none per row
+CAPPED = CostResult(CAP_EXCEEDED)
+UNREACHED = CostResult(UNREACHABLE)
+
+
 class Search:
     """Resumable breadth-first search over configurations (state, pos) of T
     from (start, start_pos).
@@ -124,18 +129,22 @@ class Search:
         return self.level == cap and bool(self.frontier)
 
     def answer(self, goal, cap: int, witness: bool = True) -> CostResult:
-        """goal's result at input cap `cap`, stepping while it is open; a
-        found result carries its witness only when `witness` is true."""
-        while self.open(goal) and self.frontier and self.level < cap:
-            self.step()
+        """goal's result at input cap `cap`. A resolved goal is read off
+        `resolved` before the walk; an open one steps the search while it
+        stays open below the cap. A found result carries its witness only
+        when `witness` is true; a flagged one is `CAPPED` or `UNREACHED`."""
         hit = self.resolved.get(goal)
-        if hit is not None:
-            if hit[0] > cap:
-                return CostResult(CAP_EXCEEDED)
-            return self.witness(hit) if witness else CostResult(FOUND, hit[0])
-        if self.spent is not None:
-            raise self.spent.with_traceback(None)
-        return CostResult(CAP_EXCEEDED if self.capped(goal, cap) else UNREACHABLE)
+        if hit is None:
+            while self.open(goal) and self.frontier and self.level < cap:
+                self.step()
+            hit = self.resolved.get(goal)
+            if hit is None:
+                if self.spent is not None:
+                    raise self.spent.with_traceback(None)
+                return CAPPED if self.capped(goal, cap) else UNREACHED
+        if hit[0] > cap:
+            return CAPPED
+        return self.witness(hit) if witness else CostResult(FOUND, hit[0])
 
     def witness(self, hit) -> CostResult:
         """The found result of a resolved goal, with its input and output."""
@@ -166,7 +175,7 @@ def best_of(results) -> CostResult:
             capped = True
     if best is not None:
         return best
-    return CostResult(CAP_EXCEEDED if capped else UNREACHABLE)
+    return CAPPED if capped else UNREACHED
 
 
 class PrefixSearch(Search):
@@ -260,7 +269,7 @@ def kt_oracle(t: Fst, w: str, max_len: int = 12) -> CostResult:
     for pi, out in distinct_outputs(t, max_len, keep):
         if out == target:
             return CostResult(FOUND, len(pi), digits_to_str(pi), w)
-    return CostResult(CAP_EXCEEDED)
+    return CAPPED
 
 
 def kt_oracle_table(t: Fst, max_len: int, max_out_len: int) -> dict:

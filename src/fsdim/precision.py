@@ -30,13 +30,17 @@ on the track of x - delta too. All decisions are exact; no floats.
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
 carries its exponent n. `PrecisionQuery.at_scale` builds one query per
 (point, base, n, cap) per process, shared by every transducer's row at that
-precision. `kdelta_profile`, the estimators in `dimension` and
+precision. It takes n from its caller, and builds delta = b^-n only when
+something reads it, which no row with an open search does; with the
+all-zero-tail test one comparison (`DigitStream.ends_at`), no row does work
+that grows with n. `kdelta_profile`, the estimators in `dimension` and
 `separator.dimf_estimate` pass in the open search of the row's (transducer,
 point); without one, `kdelta` runs a fresh one-precision search on the same
 core. An accept writes the precisions it solves into `resolved`, all with
 one hit. Rows ask with `witness=False` and read the cost off that hit, so
 no row builds a witness; only a caller that prints one, such as the
-`kdelta` command, asks for it. One n <= S missing there was given up. A
+`kdelta` command, asks for it. One n <= S missing there was given up;
+giving up goals on an empty frontier prunes nothing. A
 finite digit file gives `InsufficientDigits` for a precision that its
 digits do not decide; a level of the shared search that they do not decide
 spends it, and each open row goes to a fresh search for its precision
@@ -66,6 +70,7 @@ from .digits import (
     RealSpec,
     check_base,
     check_precision,
+    check_scale,
     delta_exponent,
     digits_to_int,
     digits_to_str,
@@ -76,6 +81,7 @@ from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
 from .infocontent import (
     CAP_EXCEEDED,
+    CAPPED,
     FOUND,
     CostResult,
     Search,
@@ -92,29 +98,40 @@ class PrecisionQuery(Frozen):
     """The interval (x - delta, x + delta) in base `base`, searched with at
     most cap_input inputs, by default 4 * (n + 2). n is the exponent with
     delta == base**-n, else None, and then the default cap reads n as
-    FALLBACK_SCALE. The constructor sets n from delta, and equality, hash
-    and repr leave it out."""
+    FALLBACK_SCALE. The constructor sets n from delta; given delta None, it
+    takes n from its caller, and delta = `inverse_power(base, n)` is built
+    only when read. Equality, hash and repr leave n out."""
 
-    __slots__ = ("x", "base", "delta", "cap_input", "n")
+    __slots__ = ("x", "base", "_delta", "cap_input", "n")
     _fields = ("x", "base", "delta", "cap_input")
 
-    def __init__(self, x: RealSpec, base: int, delta: Fraction, cap_input=None):
-        check_base(base)
-        if delta <= 0 or delta > 1:
-            raise FsdimError(f"delta must lie in (0, 1], got {delta}")
-        n = delta_exponent(delta, base)
+    def __init__(self, x: RealSpec, base: int, delta: Fraction | None, cap_input=None, n=None):
+        if delta is None:
+            check_scale(base, n)
+        else:
+            check_base(base)
+            if delta <= 0 or delta > 1:
+                raise FsdimError(f"delta must lie in (0, 1], got {delta}")
+            n = delta_exponent(delta, base)
         if cap_input is None:
             cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
         elif cap_input < 0:
             raise FsdimError(f"the input cap must be >= 0, got {cap_input}")
         self._init(x, base, delta, cap_input, n)
 
+    @property
+    def delta(self) -> Fraction:
+        if self._delta is None:  # built once, on the first read
+            object.__setattr__(self, "_delta", inverse_power(self.base, self.n))
+        return self._delta
+
     @classmethod
     @cache
     def at_scale(cls, x: RealSpec, base: int, n: int, cap_input=None) -> "PrecisionQuery":
-        """The query at delta = `inverse_power(base, n)`, one per (x, base, n,
-        cap_input) per process: every transducer's row at that n shares it."""
-        return cls(x, base, inverse_power(base, n), cap_input)
+        """The query at delta = base**-n, one per (x, base, n, cap_input) per
+        process: every transducer's row at that n shares it. It is built
+        from n, so no row builds base**n or recovers n from it."""
+        return cls(x, base, None, cap_input, n)
 
 
 def shared_stream(x: RealSpec, base: int) -> DigitStream:
@@ -249,7 +266,7 @@ class PrecisionSearch(Search):
     def step(self) -> None:
         S = self.S
         super().step()
-        if self.S != S:
+        if self.S != S and self.frontier:
             self._prune()
 
     def open(self, n: int) -> bool:
@@ -259,7 +276,8 @@ class PrecisionSearch(Search):
         if n > self.S:
             if n - 1 > self.S:
                 self.S = n - 1
-                self._prune()
+                if self.frontier:
+                    self._prune()
             return True
         if n not in self.resolved:
             raise FsdimError(f"the search gave up precision {n} when a finer one was asked")
@@ -359,7 +377,7 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12, f=None) -> CostR
     for pi, out in distinct_outputs(t, max_len):
         if near(value(out), q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
-    return CostResult(CAP_EXCEEDED)
+    return CAPPED
 
 
 class KdeltaOracleTable:
@@ -381,7 +399,7 @@ class KdeltaOracleTable:
             i = bisect_right(values, x - delta)
             if i < len(values) and values[i] < x + delta:
                 return CostResult(FOUND, cost)
-        return CostResult(CAP_EXCEEDED)
+        return CAPPED
 
 
 _ZERO = Fraction(0)  # the ratio of every flagged row

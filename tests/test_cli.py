@@ -190,16 +190,17 @@ class TestBadValuesExitCleanly:
     def test_a_literal_of_any_length_exits_with_one_short_line(self, tmp_path, capsys,
                                                                kind, length, base):
         # past 4,300 digits int() refuses a numeral in a base that is not a
-        # power of two; a digit literal converts, a rational one is refused
+        # power of two; digit literals and the numerals of rat:P/Q and a P/Q
+        # delta convert through digits' one conversion, which has no limit
         identity = tmp_path / "id.fst"
         identity.write_text(format_fst(make_identity(int(base))))
         digits, decimal = ("21" * length)[:length], "3" * length
         kdelta = ["kdelta", "--fst", str(identity), "--base", base]
         argv, code = {
             "dyadic": (kdelta + ["--x", "dyadic:" + digits, "--n", "3"], 0),
-            "rat": (kdelta + ["--x", f"rat:1/{decimal}", "--n", "3"], 1),
+            "rat": (kdelta + ["--x", f"rat:1/{decimal}", "--n", "3"], 0),
             "periodic": (kdelta + ["--x", "periodic:" + digits, "--n", "3"], 0),
-            "delta": (kdelta + ["--x", "rat:1/3", "--delta", f"1/{decimal}"], 1),
+            "delta": (kdelta + ["--x", "rat:1/3", "--delta", f"1/{decimal}"], 0),
             "pattern": (["fst", "gen", "--kind", "periodic", "--pattern", digits, "--base", base,
                          "--out", str(tmp_path / "p.fst")], 0),
         }[kind]
@@ -295,6 +296,17 @@ class TestBadValuesExitCleanly:
         assert not out and len(err.splitlines()) == 1, err[:200]
         assert err.startswith("error: ") and err.endswith(" characters)\n") and len(err) <= 171
 
+    def test_a_long_identity_profile_costs_each_row_constant_work(self, family_dir, capsys):
+        # each row of a one-machine profile is O(1) once the search has
+        # walked. When each row built b**n, recovered n from it and scaled x
+        # by b**m, this took 15-16 s on a 2-core host (peak RSS 162 MB)
+        argv = ["profile", "--fsts", family_dir, "--x", "rat:1/3", "--nmax", "40000"]
+        assert dispatch_within(3, argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        # an output of n - 1 digits of 1/3, rounded either way, is within 2**-n of it
+        assert len(rows) == 40_001 and rows[1] == "1,0,0.000000,0.000000,"
+        assert rows[-1] == "40000,39999,0.999975,0.000000,"
+
     def test_a_delta_with_a_long_denominator_is_answered_at_once(self, id_fst, capsys):
         # the goal, the largest m with delta <= 2**-m, is 13,287: found by
         # repeated squaring, not one power at a time
@@ -336,6 +348,16 @@ class TestBadValuesExitCleanly:
         (["dim", "point", "--window-frac", "0"], 2, "must lie in (0, 1]"),
         (["dim", "point", "--window-frac", "1e-4301"], 2, "exponent above 4300: '1e-4301'"),
         (["dim", "point", "--window-frac", "1e-4300"], 0, ""),
+        # int() reads no numeral past 4,300 digits: each numeral shares the bound
+        (["dim", "point", "--window-frac", "0." + "9" * 4301], 2,
+         "a numeral of more than 4300 digits: '0.999"),
+        (["dim", "point", "--window-frac", "0." + "9" * 4300], 0, ""),
+        (["dim", "point", "--window-frac", "1/" + "3" * 5000], 2,
+         "a numeral of more than 4300 digits: '1/333"),
+        (["normality", "--threshold", "0." + "9" * 5000], 2,
+         "a numeral of more than 4300 digits: '0.999"),
+        (["normality", "--threshold", "1e" + "1" * 5000], 2,
+         "a numeral of more than 4300 digits: '1e111"),
         (["pool", "--max-states", "0"], 2, "--max-states: must be >= 1"),
         (["pool", "--max-burst", "-1"], 2, "--max-burst: must be >= 0"),
         (["sedim", "--f", "blockperm:x:PERM"], 1, "bad block length 'x'"),

@@ -170,6 +170,42 @@ class TestStreams:
         assert not FractionStream(Fraction(1, 3), 2).is_zero_from(3)
         assert not ChampernowneStream(2).is_zero_from(5)
 
+    @pytest.mark.parametrize("value, base, ends_at", [
+        (Fraction(0), 2, 0),
+        (Fraction(3, 8), 2, 3),
+        (Fraction(1, 8), 10, 3),
+        (Fraction(1, 6), 6, 1),
+        (Fraction(5, 24), 2, None),
+        # a base with a squared prime: 8 = 2**3 needs 4**2
+        (Fraction(1, 8), 4, 2),
+        (Fraction(5, 27), 9, 2),
+        (Fraction(1, 16), 8, 2),
+    ])
+    def test_ends_at(self, value, base, ends_at):
+        assert FractionStream(value, base).ends_at == ends_at
+        _is_zero_from_meets_its_definition(value, base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10), st.tuples(*[st.integers(0, 12)] * 4), st.booleans(),
+           st.sampled_from([1, 11, 13]), st.integers(0, 10**9))
+    def test_ends_at_meets_its_definition(self, base, exponents, base_primes_only, other, p):
+        # q is a product of small primes, often of base's alone, so many expansions end
+        q = other
+        for prime, e in zip((2, 3, 5, 7), exponents):
+            if base % prime == 0 or not base_primes_only:
+                q *= prime**e
+        _is_zero_from_meets_its_definition(Fraction(p % q, q), base)
+
+
+def _is_zero_from_meets_its_definition(value: Fraction, base: int) -> None:
+    """ends_at is the least m with value * base**m an integer, and
+    is_zero_from(m) says whether m is such an index, at and around it. The
+    denominators drawn here end, if at all, by index 12."""
+    s = FractionStream(value, base)
+    ends = [m for m in range(16) if (value * base**m).denominator == 1]
+    assert s.ends_at == (ends[0] if ends else None)
+    assert [s.is_zero_from(m) for m in range(16)] == [m in ends for m in range(16)]
+
 
 class TestSpecGrammar:
     @pytest.mark.parametrize(
@@ -189,9 +225,16 @@ class TestSpecGrammar:
         assert RealSpec.parse("dyadic:101").exact_value(2) == Fraction(5, 8)
 
     def test_bad_specs(self):
-        for text in ["rat:5", "huh:1", "rat:x/y", ":"]:
+        # past one int() piece a numeral must be plain digits
+        for text in ["rat:5", "huh:1", "rat:x/y", ":", "rat:/3", "rat:1/",
+                     "rat:1/-" + "3" * 5_000, "rat:1/" + "3" * 5_000 + " "]:
             with pytest.raises(FsdimError):
                 RealSpec.parse(text)
+
+    def test_a_rational_numeral_of_any_length(self):
+        thirds = (10**5_000 - 1) // 3  # 5,000 threes: past int()'s 4,300-digit limit
+        assert RealSpec.parse("rat:1/" + "3" * 5_000).exact_value(2) == Fraction(1, thirds)
+        assert parse_delta("1/" + "3" * 5_000, 2) == Fraction(1, thirds)
 
 
 class TestDelta:
@@ -207,6 +250,8 @@ class TestDelta:
         ("b^-3", 0, InvalidBase, "base must be an integer in [2, 10], got 0"),
         ("0^-3", 0, InvalidBase, "base must be an integer in [2, 10], got 0"),
         ("1/0", 2, FsdimError, "bad delta '1/0'"),
+        ("/2", 2, FsdimError, "bad delta '/2'"),
+        ("1/", 2, FsdimError, "bad delta '1/'"),
     ])
     def test_parse_refusals(self, text, base, error, message):
         # the shorthand is built by inverse_power, which checks the base first

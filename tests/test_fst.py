@@ -120,13 +120,15 @@ class TestFileFormat:
         ("t 0 1 0 1", "t 0 1 x 1", FstSyntaxError, "transition fields must be integers (line 6)"),
         ("t 0 1 0 1", "t 1 1 0 1", StateOutOfRange, "state out of range in transition (line 6)"),
         ("t 0 1 0 1", "t 0 2 0 1", InvalidDigit, "input symbol 2 out of base 2 (line 6)"),
+        ("t 0 1 0 1", "t 0 1 0 2", InvalidDigit, "output digit '2' out of base 2 (line 6)"),
+        ("t 0 1 0 1", "t 0 1 0 1x", InvalidDigit, "output digit 'x' out of base 2 (line 6)"),
         (IDENTITY_TEXT, "fst 1\nbase 2\nstates 0\nstart 0\n", FsdimError,
          "an FST needs at least one state"),
         ("start 0", "start 1", StateOutOfRange, "start state 1 out of range [0, 1)"),
         ("t 0 1 0 1", "t 0 1 5 1", StateOutOfRange, "transition (0,1) targets missing state 5"),
     ], ids=["empty", "no-states-line", "wrong-directive", "version-2", "header-field", "transition-shape",
-            "transition-field", "state-range", "symbol-range", "no-states", "start-range",
-            "target-range"])
+            "transition-field", "state-range", "symbol-range", "output-range", "output-letter",
+            "no-states", "start-range", "target-range"])
     def test_refusals(self, tmp_path, capsys, old, new, error, message):
         # the parser checks the text and Fst the machine; each refusal is
         # one error line through the CLI

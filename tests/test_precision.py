@@ -591,6 +591,19 @@ class TestPerRowWork:
         rows = kdelta_profile([t for _, t in pool[:30]], THIRD, 2, 25)
         assert len(rows) == 25 and len(built) == 25
 
+    def test_no_prune_runs_on_an_empty_frontier(self, monkeypatch, pool):
+        # a search with nothing left to walk gives up goals by moving S alone
+        frontiers = []
+        prune = PrecisionSearch._prune
+
+        def counting_prune(self):
+            frontiers.append(len(self.frontier))
+            prune(self)
+
+        monkeypatch.setattr(PrecisionSearch, "_prune", counting_prune)
+        dim_point_estimate(pool[:20], RealSpec.parse("rat:1/3"), 2, 30)
+        assert frontiers and 0 not in frontiers
+
     def test_one_witness_per_accept(self, identity2):
         # 1/4 is the output "01" exactly: one accept at level 2 solves every
         # precision from 2 up, and each of those rows gets the same result
