@@ -184,7 +184,8 @@ class DigitStream:
     InsufficientDigits. `value` is the exact rational value when known, else
     None (digit-only streams: files, champernowne). `ends_at` is, for an
     exact value, the least index from which its expansion is all zeros, or
-    None when the expansion never ends.
+    None when the expansion never ends: the least m with the denominator
+    dividing base**m, found once per stream (`_ends_at`).
     """
 
     origin = "<digits>"
@@ -272,37 +273,25 @@ class DigitStream:
 
 
 def _ends_at(q: int, base: int) -> int | None:
-    """The least m with q dividing base**m, or None when there is none. With
-    p**e the largest power of a prime p that divides q, and p**f the largest
-    that divides base, m is the largest ceil(e / f), provided q has no prime
-    that base lacks."""
-    m, rest = 0, base
-    for p in range(2, base + 1):  # base's primes, by trial division
-        f = 0
-        while rest % p == 0:
-            rest //= p
-            f += 1
-        if f:
-            e, q = _multiplicity(q, p)
-            m = max(m, -(-e // f))
-    return m if q == 1 else None
-
-
-def _multiplicity(q: int, p: int) -> tuple[int, int]:
-    """(e, q // p**e) for the largest e with p**e dividing q: divide out
-    p**(2**k) for k = 0, 1, ... while it divides, then for k back down to 0
-    where it does. O(log e) big divisions, not e."""
-    e, powers, power = 0, [], p
-    while q % power == 0:
-        q //= power
-        e += 1 << len(powers)
-        powers.append(power)
-        power *= power
-    for k in range(len(powers) - 1, -1, -1):
-        if q % powers[k] == 0:
-            q //= powers[k]
-            e += 1 << k
-    return e, q
+    """The least m with q dividing base**m, or None when there is none. A
+    prime of q appears in q fewer than q.bit_length() times, and in base**m at
+    least m times if it divides base, so q divides some power iff it divides
+    base**(2**K), 2**K >= q.bit_length(). Divisibility is monotone in m, so
+    the largest m it fails at is built from the top bit down with the squares
+    base**(2**k) mod q: about 2K multiplications."""
+    if q == 1:
+        return 0
+    squares = [base % q]
+    while 1 << (len(squares) - 1) < q.bit_length():
+        squares.append(squares[-1] * squares[-1] % q)
+    if squares[-1]:
+        return None
+    m, power = 0, 1  # power = base**m mod q, never 0
+    for k in reversed(range(len(squares) - 1)):
+        if power * squares[k] % q:
+            power = power * squares[k] % q
+            m += 1 << k
+    return m + 1
 
 
 class FractionStream(DigitStream):

@@ -1,10 +1,12 @@
 """Upper-bound estimators for finite-state dimension.
 
-The liminf over precisions is approximated by the minimum cost/n ratio over a
-tail window of n values, and the infimum over all transducers by the minimum
-over a supplied finite family. Enlarging the family can only lower an
-estimate, so every number reported here is an upper bound; nothing in this
-module claims a lower bound.
+An estimate is the least, over a supplied finite family of transducers, of
+the worst point's least cost/n over the tail window [n_lo, n_max] of
+precisions. Enlarging the family can only lower it, and leaving a row out
+(flagged, or off a sampled grid) only raise it, so every number reported here
+is an upper bound on that reading over all transducers. It is not a bound,
+either way, on the liminf over n in the paper's characterization of dimension.
+Nothing in this module claims a lower bound.
 
 Every estimator is `estimate` with one row source: a point is a set of one,
 a digit sequence is a point whose rows come from `kt` on its prefixes, and

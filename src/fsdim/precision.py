@@ -34,17 +34,17 @@ precision. It takes n from its caller, and builds delta = b^-n only when
 something reads it, which no row with an open search does; with the
 all-zero-tail test one comparison (`DigitStream.ends_at`), no row does work
 that grows with n. `kdelta_profile`, the estimators in `dimension` and
-`separator.dimf_estimate` pass in the open search of the row's (transducer,
-point); without one, `kdelta` runs a fresh one-precision search on the same
-core. An accept writes the precisions it solves into `resolved`, all with
-one hit. Rows ask with `witness=False` and read the cost off that hit, so
-no row builds a witness; only a caller that prints one, such as the
-`kdelta` command, asks for it. One n <= S missing there was given up;
-giving up goals on an empty frontier prunes nothing. A
-finite digit file gives `InsufficientDigits` for a precision that its
-digits do not decide; a level of the shared search that they do not decide
-spends it, and each open row goes to a fresh search for its precision
-alone.
+`separator.dimf_estimate` (whose `ktf_delta` rows ask with the same
+queries) pass in the open search of the row's (transducer, point); without
+one, `kdelta` runs a fresh one-precision search on the same core. An accept
+writes the precisions it solves into `resolved`, all with one hit. Rows
+ask with `witness=False` and read the cost off that hit, so no row builds a
+witness; only a caller that prints one, such as the `kdelta` command, asks
+for it. One n <= S missing there was given up; giving up goals on an empty
+frontier prunes nothing. A finite digit file gives `InsufficientDigits` for
+a precision that its digits do not decide; a level of the shared search
+that they do not decide spends it, and each open row goes to a fresh search
+for its precision alone.
 
 `profile_rows` turns a row source into profile rows; it is the row builder
 of `kdelta_profile` and of every estimator in `dimension` and `separator`.

@@ -10,7 +10,8 @@ that the point's enumerator dimension collapses toward 0 while its canonical
 dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
 
-Each enumerator carries its kind's search, with `kdelta`'s signature. At
+Each enumerator carries its kind's search, with `kdelta`'s signature, and
+`ktf_delta(t, f, q, search, witness)` is that signature with f in front. At
 the canonical enumerator the content is K_T(x, delta) itself, so its search
 is `kdelta`; the targeted one's is `kdelta` and one more search whose pos is
 the number of zeros emitted, which evaluates f(0^k) once per k. Neither
@@ -25,14 +26,17 @@ that is not base**-n, which `kdelta` cannot express. Its batch form is
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
 `kdelta` rows. For the canonical and targeted kinds it opens one
-`PrecisionSearch` per (transducer, point), so a profile walks each once.
+`PrecisionSearch` per (transducer, point), so a profile walks each once. Its
+rows ask with `PrecisionQuery.at_scale`, built from n, so no row builds
+b^-n or recovers n from it; the targeted zero search reads delta, which the
+query builds once for every transducer's row at that n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .digits import RealSpec, content_lines, inverse_power, real_value, str_to_digits
+from .digits import RealSpec, content_lines, real_value, str_to_digits
 from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
@@ -113,7 +117,7 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
         # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
         # output but 0^k exactly, and _ZeroSearch completes the minimum
         best = kdelta(t, q, search, witness)
-        zeros = _ZeroSearch(f, t, q.x, q.delta, stream.value)
+        zeros = _ZeroSearch(f, t, q, stream.value)
         cap = best.cost if best.found else q.cap_input
         return best_of((best, zeros.answer(zeros.GOAL, cap, witness)))
 
@@ -160,25 +164,25 @@ def load_permutation(path: str) -> dict:
     return permutation
 
 
-def ktf_delta(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
-              max_input_len: int = DEFAULT_MAX_INPUT_LEN,
-              search: PrecisionSearch = None, witness: bool = True) -> CostResult:
-    """Minimal input length (at most max_input_len) whose output w satisfies
+def ktf_delta(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery, search: PrecisionSearch = None,
+              witness: bool = True) -> CostResult:
+    """Minimal input length (at most q.cap_input) whose output w satisfies
     |f(w) - x| < delta, with the witness input and output unless `witness`
-    is false (the enumeration oracle has its witness either way). The
-    query is in f's base: it refuses a delta outside (0, 1] and a negative
-    cap, and `kdelta` or the oracle a T of another base.
+    is false (the enumeration oracle has its witness either way). This is
+    `kdelta` with f in front: the query is in f's base, and `kdelta` or the
+    oracle refuses a T of another base.
 
     The canonical and targeted enumerators are answered by their searches,
     described in the module docstring; `search` is the open `kdelta` search
-    for T at x, if any. Everything else falls back to the enumeration of
+    for T at q.x, if any. Everything else falls back to the enumeration of
     `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
     no input qualifies and `cap_exceeded` when the input-length cap stopped it.
     """
-    q = PrecisionQuery(x, f.base, delta, max_input_len)
+    if f.base != q.base:
+        raise FsdimError(f"enumerator base {f.base} != query base {q.base}")
     # kdelta bounds a digit-only point's interval only at delta = base**-n
-    if f.search is None or (q.n is None and x.exact_value(q.base) is None):
-        return kdelta_oracle(t, q, max_input_len, f)
+    if f.search is None or (q.n is None and q.x.exact_value(q.base) is None):
+        return ktf_delta_oracle(t, f, q)
     return f.search(t, q, search, witness)
 
 
@@ -195,10 +199,10 @@ class _ZeroSearch(Search):
 
     GOAL = "0^k"  # the one goal: some accepted all-zero output
 
-    def __init__(self, f: SeparatorEnumerator, t: Fst, x: RealSpec, delta: Fraction, y):
+    def __init__(self, f: SeparatorEnumerator, t: Fst, q: PrecisionQuery, y):
         super().__init__(t, 0)
-        self.f, self.delta, self.y = f, delta, y
-        self.cmp = shared_stream(x, t.base).compare  # sign of x - r, exact
+        self.f, self.delta, self.y = f, q.delta, y
+        self.cmp = shared_stream(q.x, t.base).compare  # sign of x - r, exact
         self.rejected: set = set()
         self.dead = None  # least k from which no all-zero output is accepted
 
@@ -220,24 +224,26 @@ class _ZeroSearch(Search):
         return k2
 
 
-def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, x: RealSpec, delta: Fraction,
-                     max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> CostResult:
+def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery) -> CostResult:
     """Enumeration oracle for ktf_delta: `kdelta_oracle` under f's value
-    map, so f is evaluated once per distinct output, with no interval bounds,
-    and it works for any enumerator (exponential; desk-scale by contract).
-    Not found is cap_exceeded."""
-    return kdelta_oracle(t, PrecisionQuery(x, f.base, delta, max_input_len), max_input_len, f)
+    map, inputs up to q.cap_input, so f is evaluated once per distinct
+    output, with no interval bounds, and it works for any enumerator
+    (exponential; desk-scale by contract). Not found is cap_exceeded."""
+    return kdelta_oracle(t, q, q.cap_input, f)
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
-    """Enumerator-dimension upper bound; the point and set estimators' shape
-    (`dimension.estimate`) with ktf_delta in place of kdelta."""
+    """The point and set estimators' shape (`dimension.estimate`) with
+    ktf_delta in place of kdelta: the least, over the family, of the worst
+    point's least cost/n over the window [n_lo, n_max]. That bounds the same
+    reading over all transducers from above; it is not a bound, either way,
+    on the liminf that defines the enumerator dimension."""
     if isinstance(xs, RealSpec):
         xs = [xs]
     def rows_of(t, x, grid):
         search = None if f.search is None else open_search(t, x, base, max(grid))
-        return profile_rows(grid, lambda n: ktf_delta(t, f, x, inverse_power(base, n),
-                                                      max_input_len, search, witness=False))
+        return profile_rows(grid, lambda n: ktf_delta(
+            t, f, PrecisionQuery.at_scale(x, base, n, max_input_len), search, witness=False))
 
     return estimate(family, base, xs, n_max, DEFAULT_WINDOW_FRAC, rows_of)

@@ -178,7 +178,7 @@ def test_criterion_9_canonical_enumerator_coincidence(pool):
 def test_criterion_10_targeted_collapse(identity2):
     f = make_targeted(THIRD, 2)
     for n in range(1, 61):
-        res = ktf_delta(identity2, f, THIRD, Fraction(1, 2**n))
+        res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 20))
         bound = math.ceil(math.log2(n + 1)) + 1
         assert res.found and res.cost <= bound, (n, res.cost, bound)
     collapsed = dimf_estimate([("id", identity2)], f, THIRD, 2, 60)

@@ -139,6 +139,9 @@ class TestBadValuesExitCleanly:
          "bad enumerator spec 'blockperm:1', want blockperm:m:PERMFILE"),
         (["sedim", "--f", "blockperm:1:@BADPERM", "--fsts", "@DIR", "--x", "rat:1/3", "--nmax", "3"],
          "bad permutation line 2 in @BADPERM"),
+        (["dim", "point", "--fsts", "@DIR", "--x", "foo", "--nmax", "6"], "bad real spec 'foo'"),
+        (["dim", "point", "--fsts", "@DIR", "--x", "rat:1/3", "--nmax", "1"],
+         "n_max must be >= 2, got 1"),
     ])
     def test_a_refused_input_is_one_error_line(self, id_fst, family_dir, tmp_path, capsys,
                                                argv, message):
@@ -441,6 +444,19 @@ class TestShortDigitFile:
         assert all(r[4] == "" for r in rows[:99])
         assert {r[4] for r in rows[100:]} == {"insufficient"}
         assert all(r[1] == "" and r[2] == "" for r in rows if r[4])
+
+    def test_a_zero_tail_past_the_file_is_insufficient(self, family_dir, id_fst, tmp_path, capsys):
+        # x = 0.0 1^10 0^70: within 2**-11 of x asks whether x's digits from
+        # 11 on are all zeros, which 70 zeros cannot confirm; 2**-12 does not
+        path = tmp_path / "d.txt"
+        path.write_text("0" + "1" * 10 + "0" * 70 + "\n")
+        x = f"digitfile:{path}"
+        assert dispatch(["profile", "--fsts", family_dir, "--x", x, "--nmax", "14"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[4] for r in rows[9:12]] == ["", "insufficient", ""]
+        assert (rows[9][1], rows[11][1]) == ("1", "11")
+        assert dispatch(["kdelta", "--fst", id_fst, "--x", x, "--n", "12"]) == 0
+        assert capsys.readouterr().out == "found,11,01111111111\n"
 
     def test_sedim_gives_its_own_answer(self, family_dir, digits, capsys):
         code = dispatch(["sedim", "--f", "canonical", "--fsts", family_dir, "--x", digits,

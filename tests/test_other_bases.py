@@ -79,8 +79,9 @@ def test_ktf_delta_matches_its_oracle(base_pool, kind):
         for _, t in pool[: POOL_COUNT // 2]:
             for n in range(1, n_max + 1):
                 delta = Fraction(1, base ** n)
-                res = ktf_delta(t, f, x, delta, max_input_len=cap)
-                want = ktf_delta_oracle(t, f, x, delta, max_input_len=cap)
+                q = PrecisionQuery(x, base, delta, cap)
+                res = ktf_delta(t, f, q)
+                want = ktf_delta_oracle(t, f, q)
                 assert res.found == want.found and res.cost == want.cost, (x, n, res, want)
                 if res.found:
                     assert t.run(res.witness_input) == res.witness_output

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsdim import dimension
+from fsdim import dimension, separator
 from fsdim.cli import gen_pool
 from fsdim.digits import MAX_PRECISION, FileDigitStream, RealSpec, parse_delta, real_value, seq_digits
 from fsdim.dimension import (
@@ -590,6 +590,42 @@ class TestPerRowWork:
         PrecisionQuery.at_scale.cache_clear()
         rows = kdelta_profile([t for _, t in pool[:30]], THIRD, 2, 25)
         assert len(rows) == 25 and len(built) == 25
+
+    @pytest.mark.parametrize("point", ["rat:5/24", "digitfile:DIGITS"])
+    @pytest.mark.parametrize("kind", ["canonical", "targeted:rat:1/3", "blockperm:2:PERM"])
+    def test_separator_estimate_builds_one_query_per_precision(self, monkeypatch, tmp_path, pool,
+                                                               kind, point):
+        built, rows = [], []
+        init = PrecisionQuery.__init__
+        row = separator.profile_rows
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def counting_rows(grid, search):
+            out = row(grid, search)
+            rows.extend(out)
+            return out
+
+        def refused(*args):
+            pytest.fail("a row recovered n from its delta")
+
+        (tmp_path / "perm.txt").write_text("00 -> 10\n01 -> 00\n10 -> 11\n11 -> 01\n")
+        (tmp_path / "d.txt").write_text(seq_digits(RealSpec.parse("rat:5/7"), 2, 200) + "\n")
+        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
+        monkeypatch.setattr(separator, "profile_rows", counting_rows)
+        monkeypatch.setattr("fsdim.digits.delta_exponent", refused)
+        monkeypatch.setattr("fsdim.precision.delta_exponent", refused)
+        PrecisionQuery.at_scale.cache_clear()  # a query built by another test is not counted
+        f = parse_enumerator(kind.replace("PERM", str(tmp_path / "perm.txt")), 2)
+        x = RealSpec.parse(point.replace("DIGITS", str(tmp_path / "d.txt")))
+        family, n_max = pool[:20], 12
+        dimf_estimate(family, f, x, 2, n_max, max_input_len=8)
+        assert len(rows) == len(family) * n_max  # F * G rows ...
+        assert len(built) == n_max  # ... from G queries
+        assert sorted(q.n for q in built) == list(range(1, n_max + 1))
+        assert {q.cap_input for q in built} == {8}
 
     def test_no_prune_runs_on_an_empty_frontier(self, monkeypatch, pool):
         # a search with nothing left to walk gives up goals by moving S alone

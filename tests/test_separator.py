@@ -106,7 +106,7 @@ class TestEnumerators:
     def test_an_enumerator_of_another_base_is_refused(self, identity2, answer, enumerator):
         # the query is in f's base, which the transducer does not read
         with pytest.raises(FsdimError) as refusal:
-            answer(identity2, enumerator(3), THIRD, Fraction(1, 8))
+            answer(identity2, enumerator(3), PrecisionQuery(THIRD, 3, Fraction(1, 8), 20))
         assert str(refusal.value) == "transducer base 2 != query base 3"
 
     def test_an_oracle_table_of_another_base_is_refused(self, identity2):
@@ -118,12 +118,12 @@ class TestEnumerators:
 class TestKtfDelta:
     def test_canonical_matches_kdelta(self, identity2):
         f = make_canonical(2)
-        res = ktf_delta(identity2, f, THIRD, Fraction(1, 8))
+        res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 8), 20))
         assert res.found and res.cost == 2
 
     def test_targeted_collapse_example(self, identity2):
         f = make_targeted(THIRD, 2)
-        res = ktf_delta(identity2, f, THIRD, Fraction(1, 64))
+        res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 64), 20))
         assert (res.cost, res.witness_input, res.witness_output) == (3, "000", "000")
         # the two shorter all-zero strings genuinely miss at this precision
         assert abs(f.eval("0") - Fraction(1, 3)) >= Fraction(1, 64)
@@ -131,17 +131,17 @@ class TestKtfDelta:
 
     def test_block_swap_half(self, identity2):
         f = make_block_permuted(1, {"0": "1", "1": "0"}, 2)
-        res = ktf_delta(identity2, f, RealSpec.rational(1, 2), Fraction(1, 4))
+        res = ktf_delta(identity2, f, PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 4), 20))
         assert (res.cost, res.witness_input) == (1, "0")
 
     def test_lambda_tried_first(self, identity2):
         f = make_canonical(2)
-        res = ktf_delta(identity2, f, RealSpec.rational(0, 1), Fraction(1, 2))
+        res = ktf_delta(identity2, f, PrecisionQuery(RealSpec.rational(0, 1), 2, Fraction(1, 2), 20))
         assert (res.cost, res.witness_input) == (0, "")
 
     def test_cap(self, identity2):
         f = make_canonical(2)
-        res = ktf_delta(identity2, f, THIRD, Fraction(1, 1024), max_input_len=3)
+        res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 1024), 3))
         assert res.status == "cap_exceeded"
 
     def test_canonical_coincidence_on_pool(self, pool):
@@ -150,7 +150,7 @@ class TestKtfDelta:
             for n in range(1, 6):
                 q = PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 12)
                 a = kdelta(t, q)
-                b = ktf_delta_oracle(t, f, THIRD, Fraction(1, 2**n), max_input_len=12)
+                b = ktf_delta_oracle(t, f, q)
                 if a.found or b.found:
                     assert a.found and b.found and a.cost == b.cost
 
@@ -158,7 +158,7 @@ class TestKtfDelta:
         f = make_targeted(THIRD, 2)
         prev = None
         for n in range(8, 0, -1):
-            res = ktf_delta(identity2, f, THIRD, Fraction(1, 2**n))
+            res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 20))
             assert res.found
             if prev is not None:
                 assert res.cost <= prev
@@ -195,8 +195,9 @@ class TestKtfDeltaMatchesOracle:
             for x in points:
                 for n in range(1, 7):
                     delta = Fraction(1, 2**n)
-                    a = ktf_delta(t, f, x, delta, max_input_len=7)
-                    b = ktf_delta_oracle(t, f, x, delta, max_input_len=7)
+                    q = PrecisionQuery(x, 2, delta, 7)
+                    a = ktf_delta(t, f, q)
+                    b = ktf_delta_oracle(t, f, q)
                     assert a.found == b.found, (x, n, a, b)
                     if a.found:
                         assert a.cost == b.cost, (x, n, a, b)
@@ -209,7 +210,7 @@ class TestKtfDeltaMatchesOracle:
         # enumeration would build a 2**80-digit truncation here
         zeros = Fst(2, 1, 0, (((0, (0, 0)), (0, (0, 0))),))
         f = make_targeted(THIRD, 2)
-        res = ktf_delta(zeros, f, RealSpec.rational(1, 2), Fraction(1, 8), max_input_len=40)
+        res = ktf_delta(zeros, f, PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 8), 40))
         assert res.status == "unreachable"
 
     def test_a_target_on_the_interval_boundary_ends_at_once(self):
@@ -225,7 +226,7 @@ class TestKtfDeltaMatchesOracle:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(3)
         try:
-            res = ktf_delta(zeros, f, RealSpec.rational(1, 2), Fraction(1, 4), max_input_len=24)
+            res = ktf_delta(zeros, f, PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 4), 24))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -235,7 +236,7 @@ class TestKtfDeltaMatchesOracle:
         # f(00) is the 4-digit truncation 0.0101 of 1/3, i.e. 5/16
         zeros = Fst(2, 1, 0, (((0, (0, 0)), (0, (0, 0))),))
         f = make_targeted(THIRD, 2)
-        res = ktf_delta(zeros, f, RealSpec.rational(5, 16), Fraction(1, 64))
+        res = ktf_delta(zeros, f, PrecisionQuery(RealSpec.rational(5, 16), 2, Fraction(1, 64), 20))
         assert (res.cost, res.witness_output) == (1, "00")
 
     def test_digit_point_at_delta_not_power_of_base(self, pool, short_digits):
@@ -243,27 +244,24 @@ class TestKtfDeltaMatchesOracle:
         for name in ("canonical", "targeted(1/3)"):
             f = ENUMERATORS[name]
             for _, t in pool[:10]:
-                a = ktf_delta(t, f, short_digits, Fraction(1, 3), max_input_len=6)
-                assert a == ktf_delta_oracle(t, f, short_digits, Fraction(1, 3), max_input_len=6)
+                q = PrecisionQuery(short_digits, 2, Fraction(1, 3), 6)
+                assert ktf_delta(t, f, q) == ktf_delta_oracle(t, f, q)
 
-    def test_bad_delta(self, identity2):
-        with pytest.raises(FsdimError):
-            ktf_delta(identity2, make_canonical(2), THIRD, Fraction(0))
-
-    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
-    def test_delta_outside_the_unit_interval_is_refused_by_every_enumerator(self, identity2, name):
+    def test_the_query_refuses_a_bad_delta_and_a_negative_cap(self):
+        # ktf_delta and its oracle take the query, which owns both checks
         for delta in (Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(9, 8)):
-            for answer in (ktf_delta, ktf_delta_oracle):
-                with pytest.raises(FsdimError, match=r"delta must lie in \(0, 1\]"):
-                    answer(identity2, ENUMERATORS[name], THIRD, delta, max_input_len=4)
+            with pytest.raises(FsdimError, match=r"delta must lie in \(0, 1\]"):
+                PrecisionQuery(THIRD, 2, delta, 4)
+        with pytest.raises(FsdimError) as refusal:
+            PrecisionQuery(THIRD, 2, Fraction(1, 8), -1)
+        assert str(refusal.value) == "the input cap must be >= 0, got -1"
 
-    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
-    def test_a_negative_input_cap_is_refused_by_every_enumerator(self, identity2, name):
-        # the query owns the check of its input cap, max_input_len
-        for answer in (ktf_delta, ktf_delta_oracle):
-            with pytest.raises(FsdimError) as refusal:
-                answer(identity2, ENUMERATORS[name], THIRD, Fraction(1, 8), max_input_len=-1)
-            assert str(refusal.value) == "the input cap must be >= 0, got -1"
+    def test_a_query_of_another_base_than_the_enumerator_is_refused(self):
+        # f reads base 2; the query and the transducer read base 3
+        q = PrecisionQuery(THIRD, 3, Fraction(1, 9), 6)
+        with pytest.raises(FsdimError) as refusal:
+            ktf_delta(make_identity(3), make_canonical(2), q)
+        assert str(refusal.value) == "enumerator base 2 != query base 3"
 
     def test_an_enumerator_without_a_search_is_enumerated_at_every_delta(self, pool, short_digits):
         calls = []
@@ -274,10 +272,11 @@ class TestKtfDeltaMatchesOracle:
             for x in (THIRD, RealSpec.rational(5, 24), short_digits):
                 for delta in deltas:
                     calls.clear()
-                    res = ktf_delta(t, f, x, delta, max_input_len=6)
+                    q = PrecisionQuery(x, 2, delta, 6)
+                    res = ktf_delta(t, f, q)
                     assert calls, (x, delta)  # f was evaluated: the enumeration answered
-                    assert res == ktf_delta_oracle(t, f, x, delta, max_input_len=6)
-                    assert res == ktf_delta_oracle(t, canonical, x, delta, max_input_len=6)
+                    assert res == ktf_delta_oracle(t, f, q)
+                    assert res == ktf_delta_oracle(t, canonical, q)
 
     def test_oracle_reads_a_digit_file_once(self, tmp_path, file_reads, identity2):
         # blockperm's production path: one call tests every enumerated output
@@ -285,9 +284,9 @@ class TestKtfDeltaMatchesOracle:
         path.write_text(seq_digits(THIRD, 2, 40) + "\n")
         x = RealSpec.digitfile(str(path))
         f = make_block_permuted(1, {"0": "1", "1": "0"}, 2)
-        res = ktf_delta_oracle(identity2, f, x, Fraction(1, 2**6), max_input_len=8)
+        res = ktf_delta_oracle(identity2, f, PrecisionQuery(x, 2, Fraction(1, 2**6), 8))
         assert file_reads == [str(path)]
-        assert res == ktf_delta_oracle(identity2, f, THIRD, Fraction(1, 2**6), max_input_len=8)
+        assert res == ktf_delta_oracle(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 2**6), 8))
         assert (res.status, res.cost, res.witness_output) == ("found", 5, "10100")
 
 
@@ -303,7 +302,7 @@ class TestKtfOracleTable:
                 spec = RealSpec.rational(x.numerator, x.denominator)
                 for n in range(1, 7):
                     a = table.query(x, Fraction(1, 2**n))
-                    b = ktf_delta_oracle(t, f, spec, Fraction(1, 2**n), max_input_len=6)
+                    b = ktf_delta_oracle(t, f, PrecisionQuery(spec, 2, Fraction(1, 2**n), 6))
                     assert (a.status, a.cost) == (b.status, b.cost), (name, x, n)
 
     def test_evaluates_each_output_once(self, pool):

@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Mutation checks: each mutant is one deliberate defect in `src/fsdim`, and
+the tests named with it must fail on it.
+
+    python3 tools/mutants.py
+
+`src/` is copied to a temporary directory once. The tests named by all the
+mutants first run on the unmutated copy, which must pass them. Then each
+mutant replaces one exact snippet of one file in the copy, runs only its
+named tests (`python -m pytest -x`, with PYTHONPATH at the copy) under a
+timeout of TIMEOUT seconds, and puts the file back. Each mutant is reported as
+
+- killed: its tests failed, or ran past the timeout;
+- survived: its tests passed, so none of them catches the defect;
+- stale: its snippet does not occur exactly once, so the code it mutated
+  has changed. A stale mutant is a report line, not a failure: rewrite it
+  for the new code or drop it.
+
+The exit status is 1 when a mutant survives, a test run cannot start, or the
+unmutated copy fails its tests, else 0. The tests run with the temporary
+directory as their working directory, so the repository gains no cache.
+Standard library only; pytest runs as a child process.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per test run
+
+#: file is relative to src/fsdim; tests are pytest node ids relative to the root
+Mutant = namedtuple("Mutant", "name file snippet replacement tests")
+
+MUTANTS = [
+    # the search core and its inputs
+    Mutant("step-without-prune", "precision.py",
+           "        if self.S != S and self.frontier:\n            self._prune()\n",
+           "", ["tests/test_level_invariant.py"]),
+    Mutant("through-d1-reads-digit-1", "precision.py",
+           "r = self._run(j, b - 1, hi + 1)", "r = self._run(j, 1, hi + 1)",
+           ["tests/test_other_bases.py"]),
+    Mutant("query-without-cap-check", "precision.py",
+           "        elif cap_input < 0:\n", "        elif False:\n",
+           ["tests/test_separator.py"]),
+    Mutant("fraction-arg-without-exponent-bound", "cli.py",
+           "if e and abs(int(exponent)) > MAX_EXPONENT:", "if False:",
+           ["tests/test_cli.py::TestBadValuesExitCleanly"]),
+    Mutant("fst-without-start-check", "fst.py",
+           "if not (0 <= start < state_count):", "if False:",
+           ["tests/test_fst.py"]),
+    Mutant("fst-without-target-check", "fst.py",
+           "if not (0 <= nxt < state_count):", "if False:",
+           ["tests/test_fst.py"]),
+    Mutant("content-lines-keeps-comments", "digits.py",
+           'line = raw.split("#", 1)[0].strip()', "line = raw.strip()",
+           ["tests/test_separator.py", "tests/test_fst.py"]),
+    Mutant("huffman-without-padding", "fst.py",
+           "pad = (1 - len(heap)) % (base - 1) if base > 2 else 0", "pad = 0",
+           ["tests/test_closed_forms.py"]),
+    # the separator layer
+    Mutant("zero-search-without-exact-target", "separator.py",
+           "zeros = _ZeroSearch(f, t, q, stream.value)", "zeros = _ZeroSearch(f, t, q, None)",
+           ["tests/test_separator.py"]),
+    Mutant("ktf-delta-without-base-check", "separator.py",
+           '    if f.base != q.base:\n'
+           '        raise FsdimError(f"enumerator base {f.base} != query base {q.base}")\n',
+           "", ["tests/test_separator.py"]),
+    Mutant("dimf-row-query-without-cap", "separator.py",
+           "PrecisionQuery.at_scale(x, base, n, max_input_len)",
+           "PrecisionQuery.at_scale(x, base, n)",
+           ["tests/test_precision.py::TestPerRowWork"]),
+    # where an exact expansion ends
+    Mutant("ends-at-refusal", "digits.py",
+           "    if squares[-1]:\n        return None\n", "",
+           ["tests/test_digits.py"]),
+    # the oracles, which the searches are checked against
+    Mutant("distinct-outputs-lex-largest-input", "infocontent.py",
+           "for a, (q2, o) in enumerate(rows[cfg[0]]):",
+           "for a, (q2, o) in reversed(list(enumerate(rows[cfg[0]]))):",
+           ["tests/test_infocontent.py"]),
+    Mutant("kdelta-oracle-twice-delta", "precision.py",
+           "if near(value(out), q.delta):", "if near(value(out), 2 * q.delta):",
+           ["tests/test_precision.py"]),
+    Mutant("oracle-table-closed-below", "precision.py",
+           "i = bisect_right(values, x - delta)", "i = bisect_left(values, x - delta)",
+           ["tests/test_separator.py", "tests/test_precision.py"]),
+    Mutant("kt-oracle-table-short-outputs", "infocontent.py",
+           "lambda out: len(out) <= max_out_len", "lambda out: len(out) < max_out_len",
+           ["tests/test_infocontent.py", "tests/test_other_bases.py"]),
+]
+
+
+def run_tests(tests, src: Path, cwd: Path):
+    """(exit status or None on timeout, seconds) of pytest on the node ids."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--rootdir", str(ROOT), *(str(ROOT / t) for t in tests)]
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, timeout=TIMEOUT,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - t0
+    return proc.returncode, time.perf_counter() - t0
+
+
+def verdict(status) -> str:
+    """pytest's exit status as a mutant's fate: 0 passed, 1 failed, 2 a
+    collection error (the mutant broke an import); anything else means the
+    run itself went wrong."""
+    if status is None:
+        return "killed (timeout)"
+    return {0: "survived", 1: "killed", 2: "killed"}.get(status, f"error (pytest exit {status})")
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="fsdim-mutants-") as tmp:
+        tmp = Path(tmp)
+        src = tmp / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        status, seconds = run_tests(tests, src, tmp)
+        print(f"{'unmutated':<9} {len(tests)} test targets ({seconds:.1f} s)", flush=True)
+        if status != 0:
+            print(f"the unmutated copy fails its tests (pytest exit {status}); no mutant was run")
+            return 1
+
+        fates = []
+        for m in MUTANTS:
+            path = src / "fsdim" / m.file
+            original = path.read_text()
+            if original.count(m.snippet) != 1:
+                fate, note = "stale", f"snippet occurs {original.count(m.snippet)} times"
+            else:
+                path.write_text(original.replace(m.snippet, m.replacement))
+                try:
+                    status, seconds = run_tests(m.tests, src, tmp)
+                finally:
+                    path.write_text(original)
+                fate, note = verdict(status), f"{seconds:.1f} s"
+            fates.append(fate)
+            print(f"{fate:<9} {m.name} ({m.file}; {' '.join(m.tests)}; {note})", flush=True)
+
+    counts = {f: fates.count(f) for f in dict.fromkeys(fates)}
+    summary = ", ".join(f"{n} {f}" for f, n in counts.items())
+    print(f"{len(fates)} mutants: {summary}; {time.perf_counter() - start:.1f} s in all")
+    return 1 if any(f == "survived" or f.startswith("error") for f in fates) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
