@@ -32,7 +32,6 @@ from .separator import (
     SeparatorEnumerator,
     dimf_estimate,
     ktf_delta,
-    ktf_delta_oracle,
     make_block_permuted,
     make_canonical,
     make_targeted,

@@ -133,7 +133,7 @@ def cmd_fst_gen(args) -> int:
         t = make_periodic_decoder(args.pattern, args.copies, args.base)
     else:  # huffman, the last of --kind's choices
         stream = RealSpec.parse(args.train).stream(args.base)
-        t = make_block_huffman(stream, args.train_len, args.block_len, args.base)
+        t = make_block_huffman(stream, args.train_len, args.block_len)
     _write(args, format_fst(t))
     return 0
 
@@ -190,8 +190,7 @@ def cmd_sedim(args) -> int:
     f = separator.parse_enumerator(args.f, args.base)
     family = _load_family(args.fsts)
     xs = [RealSpec.parse(s) for s in args.x]
-    report = separator.dimf_estimate(family, f, xs, args.base, args.nmax,
-                                     max_input_len=args.max_input_len)
+    report = separator.dimf_estimate(family, f, xs, args.nmax, max_input_len=args.max_input_len)
     _report_out(args, report)
     return 0
 

@@ -186,7 +186,7 @@ def normality_family(x: RealSpec, base: int, n_max: int,
     stream = shared_stream(x, base)  # the stream the report's searches read
     train_len = stream.available(min(n_max, 4096))
     for k in range(1, min(max_block_len, train_len) + 1):  # no longer block fits the training
-        members.append((f"huffman(b{k})", make_block_huffman(stream, train_len, k, base)))
+        members.append((f"huffman(b{k})", make_block_huffman(stream, train_len, k)))
     periods = detect_periods(stream)
     if periods:
         pattern = stream.prefix_str(periods[0])

@@ -202,16 +202,17 @@ def huffman_code(freqs: dict, base: int) -> dict:
     return heap[0][2]
 
 
-def make_block_huffman(train: DigitStream, train_len: int, block_len: int, base: int) -> Fst:
+def make_block_huffman(train: DigitStream, train_len: int, block_len: int) -> Fst:
     """Decoder for a b-ary Huffman code over the whole blocks among the
-    first train_len digits of the training stream.
+    first train_len digits of the training stream, in its base.
 
     States are the proper prefixes of codewords: reading a digit descends the
     code tree; completing a codeword emits its block and returns to the root.
     Digits that leave the prefix set self-loop emitting nothing, keeping the
     maps total.
     """
-    check_base(base)
+    base = train.base
+    check_base(base)  # a stream built by hand has not checked it
     if block_len < 1:
         raise FsdimError(f"block length must be >= 1, got {block_len}")
     check_precision(train_len)  # the digits read to train

@@ -52,8 +52,8 @@ of `kdelta_profile` and of every estimator in `dimension` and `separator`.
 `kdelta_oracle` and `KdeltaOracleTable`, the one interval table, re-derive
 `kdelta` from `infocontent.distinct_outputs`, never from a search or the
 shared stream. Both read outputs through one value map: canonical values,
-or a separator enumerator f's, so `kdelta_oracle(t, q, max_len, f)` is also
-`ktf_delta`'s oracle.
+or a separator enumerator f's, so `kdelta_oracle(t, q, f)`, which reads
+inputs up to q.cap_input as `kdelta` does, is also `ktf_delta`'s oracle.
 """
 
 from __future__ import annotations
@@ -368,13 +368,14 @@ def _value_map(t: Fst, base: int, f=None):
     return lambda out: f.eval(digits_to_str(out))
 
 
-def kdelta_oracle(t: Fst, q: PrecisionQuery, max_len: int = 12, f=None) -> CostResult:
-    """The first distinct output, inputs up to max_len in length-then-lex
+def kdelta_oracle(t: Fst, q: PrecisionQuery, f=None) -> CostResult:
+    """The first distinct output, inputs up to q.cap_input in length-then-lex
     order, whose value falls strictly inside the interval: its canonical
-    value, or f.eval's for a separator enumerator f (`ktf_delta`'s oracle)."""
+    value, or f.eval's for a separator enumerator f (`ktf_delta`'s oracle).
+    The cost is exponential in the cap, so callers ask with small caps."""
     value = _value_map(t, q.base, f)
     near = within_at(q.x, q.base)
-    for pi, out in distinct_outputs(t, max_len):
+    for pi, out in distinct_outputs(t, q.cap_input):
         if near(value(out), q.delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CAPPED

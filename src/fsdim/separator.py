@@ -17,11 +17,11 @@ is `kdelta`; the targeted one's is `kdelta` and one more search whose pos is
 the number of zeros emitted, which evaluates f(0^k) once per k. Neither
 uses a float or calls f per node.
 
-`ktf_delta_oracle` is `precision.kdelta_oracle` under f's value map, one
-loop over `infocontent.distinct_outputs` for both quantities, independent
-of the searches it checks. It also answers every enumerator without a
-search (`blockperm`, any built by hand), and a digit-only point at a delta
-that is not base**-n, which `kdelta` cannot express. Its batch form is
+`ktf_delta`'s oracle is `precision.kdelta_oracle(t, q, f)`, under f's value
+map: one loop over `infocontent.distinct_outputs` for both quantities,
+independent of the searches it checks. It also answers every enumerator
+without a search (`blockperm`, any built by hand), and a digit-only point at
+a delta that is not base**-n, which `kdelta` cannot express. Its batch form is
 `precision.KdeltaOracleTable(t, max_len, f)`.
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
@@ -174,15 +174,16 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery, search: Precisi
 
     The canonical and targeted enumerators are answered by their searches,
     described in the module docstring; `search` is the open `kdelta` search
-    for T at q.x, if any. Everything else falls back to the enumeration of
-    `ktf_delta_oracle`. Not found is `unreachable` when a search proved that
-    no input qualifies and `cap_exceeded` when the input-length cap stopped it.
+    for T at q.x, if any. Everything else falls back to `kdelta_oracle(t, q,
+    f)`, the enumeration up to q.cap_input. Not found is `unreachable` when a
+    search proved that no input qualifies and `cap_exceeded` when the cap
+    stopped it.
     """
     if f.base != q.base:
         raise FsdimError(f"enumerator base {f.base} != query base {q.base}")
     # kdelta bounds a digit-only point's interval only at delta = base**-n
     if f.search is None or (q.n is None and q.x.exact_value(q.base) is None):
-        return ktf_delta_oracle(t, f, q)
+        return kdelta_oracle(t, q, f)
     return f.search(t, q, search, witness)
 
 
@@ -224,23 +225,15 @@ class _ZeroSearch(Search):
         return k2
 
 
-def ktf_delta_oracle(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery) -> CostResult:
-    """Enumeration oracle for ktf_delta: `kdelta_oracle` under f's value
-    map, inputs up to q.cap_input, so f is evaluated once per distinct
-    output, with no interval bounds, and it works for any enumerator
-    (exponential; desk-scale by contract). Not found is cap_exceeded."""
-    return kdelta_oracle(t, q, q.cap_input, f)
-
-
-def dimf_estimate(family, f: SeparatorEnumerator, xs, base: int, n_max: int,
+def dimf_estimate(family, f: SeparatorEnumerator, xs, n_max: int,
                   max_input_len: int = DEFAULT_MAX_INPUT_LEN) -> EstimateReport:
     """The point and set estimators' shape (`dimension.estimate`) with
     ktf_delta in place of kdelta: the least, over the family, of the worst
     point's least cost/n over the window [n_lo, n_max]. That bounds the same
     reading over all transducers from above; it is not a bound, either way,
-    on the liminf that defines the enumerator dimension."""
-    if isinstance(xs, RealSpec):
-        xs = [xs]
+    on the liminf that defines the enumerator dimension. xs is a list of
+    points in f's base."""
+    base = f.base
     def rows_of(t, x, grid):
         search = None if f.search is None else open_search(t, x, base, max(grid))
         return profile_rows(grid, lambda n: ktf_delta(

@@ -181,7 +181,7 @@ def test_criterion_10_targeted_collapse(identity2):
         res = ktf_delta(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 20))
         bound = math.ceil(math.log2(n + 1)) + 1
         assert res.found and res.cost <= bound, (n, res.cost, bound)
-    collapsed = dimf_estimate([("id", identity2)], f, THIRD, 2, 60)
+    collapsed = dimf_estimate([("id", identity2)], f, [THIRD], 60)
     assert collapsed.estimate <= Fraction(15, 100), collapsed.estimate
     canonical = dim_point_estimate([("id", identity2)], THIRD, 2, 60)
     assert canonical.estimate >= Fraction(9, 10), canonical.estimate

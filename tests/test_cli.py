@@ -532,7 +532,7 @@ class TestOtherCommands:
         assert parse_fst(capsys.readouterr().out) == make_periodic_decoder("01", 2, 2)
         assert dispatch(["fst", "gen", "--kind", "huffman", "--train", "rat:1/3", "--train-len", "64"]) == 0
         stream = RealSpec.parse("rat:1/3").stream(2)
-        assert parse_fst(capsys.readouterr().out) == make_block_huffman(stream, 64, 2, 2)
+        assert parse_fst(capsys.readouterr().out) == make_block_huffman(stream, 64, 2)
 
     def test_gen_huffman_trains_on_whole_blocks(self, capsys):
         # 1,023 digits of 1/3 hold 511 whole blocks, each 01: one codeword

@@ -49,7 +49,7 @@ def test_block_huffman_kt_of_aligned_prefixes_is_the_codeword_sum(spec, base, k)
     x = RealSpec.parse(spec)
     word = seq_digits(x, base, HUFFMAN_LEN // k * k)
     code = huffman_code(dict(Counter(_blocks(word, k))), base)
-    t = make_block_huffman(x.stream(base), len(word), k, base)
+    t = make_block_huffman(x.stream(base), len(word), k)
     search = PrefixSearch(t, word)
     total = 0
     for i, block in enumerate(_blocks(word, k), start=1):

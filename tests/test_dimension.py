@@ -80,7 +80,7 @@ class TestSeqEstimate:
 
     def test_block_huffman_on_own_word(self):
         train = THIRD.stream(2)
-        family = [("hb2", make_block_huffman(train, 40, 2, 2))]
+        family = [("hb2", make_block_huffman(train, 40, 2))]
         report = dim_seq_estimate(family, THIRD.stream(2), 40)
         assert report.estimate <= Fraction(1, 2)
 

@@ -176,18 +176,18 @@ class TestBuilders:
     def test_degenerate_huffman_single_block(self):
         # only one observed block: it still gets a length-1 codeword
         train = RealSpec.periodic("01").stream(2)
-        t = make_block_huffman(train, 8, 2, 2)
+        t = make_block_huffman(train, 8, 2)
         assert t.run("00") == "0101"
 
     def test_huffman_needs_a_block(self):
         train = RealSpec.periodic("01").stream(2)
         with pytest.raises(InsufficientTraining):
-            make_block_huffman(train, 0, 2, 2)
+            make_block_huffman(train, 0, 2)
 
     @pytest.mark.parametrize("build, error, message", [
         (lambda: make_periodic_decoder("01", 0, 2), FsdimError, "copies must be >= 1, got 0"),
         (lambda: huffman_code({}, 2), InsufficientTraining, "no symbols to code"),
-        (lambda: make_block_huffman(RealSpec.periodic("01").stream(2), 8, 0, 2), FsdimError,
+        (lambda: make_block_huffman(RealSpec.periodic("01").stream(2), 8, 0), FsdimError,
          "block length must be >= 1, got 0"),
     ], ids=["periodic-copies", "huffman-no-symbols", "huffman-block-length"])
     def test_builder_refusals(self, build, error, message):
@@ -197,7 +197,7 @@ class TestBuilders:
 
     def test_huffman_decoder_is_prefix_free(self):
         train = RealSpec.champernowne().stream(2)
-        t = make_block_huffman(train, 1024, 4, 2)
+        t = make_block_huffman(train, 1024, 4)
         codewords = _codewords(t)
         assert len(codewords) == 16
         for cw in codewords:
@@ -208,8 +208,8 @@ class TestBuilders:
     def test_huffman_round_trips_training_blocks(self, train_len, whole):
         # a training length that is not a multiple trains on its whole blocks
         train = RealSpec.champernowne().stream(2)
-        t = make_block_huffman(train, train_len, 2, 2)
-        assert t == make_block_huffman(train, whole, 2, 2)
+        t = make_block_huffman(train, train_len, 2)
+        assert t == make_block_huffman(train, whole, 2)
         code = {t.run_from(0, cw)[0]: cw for cw in _codewords(t)}
         digs = train.prefix_str(40)
         encoded = "".join(code[digs[i : i + 2]] for i in range(0, 40, 2))

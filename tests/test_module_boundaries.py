@@ -10,12 +10,16 @@ call passes a base, since from Python 3.11 such a call refuses a numeral of
 more than 4,300 digits in a base that is not a power of two. And only
 `cli.dispatch` builds an "error: " line, so every error line is cut to one
 bound in one place. And no module but the package's `__init__`, which
-re-exports, imports a name it never uses."""
+re-exports, imports a name it never uses. And the package and `tools/`
+import only the standard library and fsdim: the project has no
+dependencies."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fsdim"
+TOOLS = SRC.parent.parent / "tools"
 
 
 def _private_imports(path: Path) -> list:
@@ -63,7 +67,7 @@ def test_the_guard_sees_a_stream_kind_import(tmp_path):
 
 
 ORACLES = {"distinct_outputs", "kt_oracle", "kt_oracle_table", "kdelta_oracle",
-           "KdeltaOracleTable", "ktf_delta_oracle"}
+           "KdeltaOracleTable"}
 SEARCHES = {"Search", "PrefixSearch", "PrecisionSearch", "_DeltaSearch", "_ZeroSearch",
             "open_search", "shared_stream", "kt", "kdelta", "ktf_delta"}
 
@@ -246,3 +250,43 @@ def cmd_kdelta(args):
     return RealSpec.parse(args.x), F(args.delta), os.path.join("a", "b")
 """)
     assert _unused_imports(path) == ["cli: sys", "cli: check_precision"]
+
+
+def _foreign_imports(path: Path) -> list:
+    """Each module an import names outside the standard library and fsdim,
+    as "module: name"; a relative import is the package's own."""
+    allowed = sys.stdlib_module_names | {"fsdim"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.stem}: {name}" for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_the_package_and_its_tools_import_only_the_standard_library():
+    paths = sorted(SRC.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+    assert paths
+    assert [site for path in paths for site in _foreign_imports(path)] == []
+
+
+def test_the_guard_sees_a_foreign_import(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("""
+from __future__ import annotations
+import os.path, numpy as np
+from fractions import Fraction
+from fsdim.digits import RealSpec
+from . import digits
+from .precision import kdelta
+from sympy.ntheory import factorint
+
+def value(w):
+    import gmpy2
+    return gmpy2.mpq(w)
+""")
+    assert _foreign_imports(path) == ["mod: numpy", "mod: sympy.ntheory", "mod: gmpy2"]

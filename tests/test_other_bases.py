@@ -16,7 +16,7 @@ from fsdim.cli import gen_pool
 from fsdim.digits import RealSpec, digits_to_str, seq_digits
 from fsdim.infocontent import kt, kt_oracle_table
 from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta, kdelta_oracle
-from fsdim.separator import ktf_delta, ktf_delta_oracle, make_canonical, make_targeted
+from fsdim.separator import ktf_delta, make_canonical, make_targeted
 
 #: base -> (input cap of every search and oracle, largest precision n)
 SIZES = {3: (6, 4), 4: (5, 3), 5: (4, 3), 10: (3, 2)}
@@ -52,7 +52,7 @@ def test_kdelta_matches_its_oracle(base_pool):
             for n in range(1, n_max + 1):
                 q = PrecisionQuery(x, base, Fraction(1, base ** n), cap)
                 res = kdelta(t, q)
-                want = kdelta_oracle(t, q, cap) if value is None else table.query(value, q.delta)
+                want = kdelta_oracle(t, q) if value is None else table.query(value, q.delta)
                 assert res.found == want.found and res.cost == want.cost, (x, n, res, want)
 
 
@@ -81,7 +81,7 @@ def test_ktf_delta_matches_its_oracle(base_pool, kind):
                 delta = Fraction(1, base ** n)
                 q = PrecisionQuery(x, base, delta, cap)
                 res = ktf_delta(t, f, q)
-                want = ktf_delta_oracle(t, f, q)
+                want = kdelta_oracle(t, q, f)
                 assert res.found == want.found and res.cost == want.cost, (x, n, res, want)
                 if res.found:
                     assert t.run(res.witness_input) == res.witness_output

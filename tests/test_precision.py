@@ -92,14 +92,21 @@ class TestKdelta:
 
 class TestKdeltaOracle:
     def test_identity_third(self, identity2):
-        assert kdelta_oracle(identity2, query(THIRD, 3), max_len=4).cost == 2
+        assert kdelta_oracle(identity2, query(THIRD, 3, cap_in=4)).cost == 2
 
     def test_zero(self, identity2):
-        assert kdelta_oracle(identity2, query(ZERO, 1), max_len=2).cost == 0
+        assert kdelta_oracle(identity2, query(ZERO, 1, cap_in=2)).cost == 0
 
     def test_doubling(self, doubling2):
-        q = PrecisionQuery(THIRD, 2, Fraction(1, 4), 16)
-        assert kdelta_oracle(doubling2, q, max_len=4).cost == 2
+        q = PrecisionQuery(THIRD, 2, Fraction(1, 4), 4)
+        assert kdelta_oracle(doubling2, q).cost == 2
+
+    def test_answers_at_its_query_cap(self, identity2):
+        # 1/3 needs 7 digits to land within 2**-8, past a cap of 3 inputs
+        q = PrecisionQuery(THIRD, 2, Fraction(1, 256), 3)
+        res = kdelta_oracle(identity2, q)
+        assert res.status == CAP_EXCEEDED
+        assert res == kdelta(identity2, q)
 
     def test_table_matches_per_call(self, pool):
         for _, t in pool[:15]:
@@ -107,7 +114,7 @@ class TestKdeltaOracle:
             for x in [Fraction(0), Fraction(1, 3), Fraction(5, 24)]:
                 spec = RealSpec.rational(x.numerator, x.denominator)
                 for n in range(1, 5):
-                    a = kdelta_oracle(t, query(spec, n), max_len=8)
+                    a = kdelta_oracle(t, query(spec, n, cap_in=8))
                     b = table.query(x, Fraction(1, 2**n))
                     assert a.status == b.status
                     if a.found:
@@ -131,7 +138,7 @@ class TestDigitStreamPath:
         x = RealSpec.champernowne()
         for n in range(1, 8):
             a = kdelta(identity2, query(x, n, cap_in=12))
-            b = kdelta_oracle(identity2, query(x, n, cap_in=12), max_len=12)
+            b = kdelta_oracle(identity2, query(x, n, cap_in=12))
             assert a.found and b.found and a.cost == b.cost
 
     def test_digit_stream_needs_power_delta(self, tmp_path):
@@ -428,7 +435,7 @@ class TestExactPowerBoundary:
         assert len(rows) == 36
         for q, shared, fresh in rows:
             assert shared == fresh, q
-            oracle = kdelta_oracle(t, q, max_len=10)
+            oracle = kdelta_oracle(t, PrecisionQuery.at_scale(q.x, 2, q.n, 10))
             assert oracle == shared if shared.status == FOUND else oracle.status == CAP_EXCEEDED, q
 
 
@@ -460,7 +467,7 @@ class TestSharedInterval:
         assert len(rows) == 10
         assert reads == [str(path)]
         # the enumeration oracle stays independent of the shared stream
-        kdelta_oracle(identity2, query(x, 4), max_len=6)
+        kdelta_oracle(identity2, query(x, 4, cap_in=6))
         assert len(reads) > 1
 
     def test_an_oracle_reads_a_digit_file_once_per_call(self, tmp_path, file_reads, identity2):
@@ -468,8 +475,8 @@ class TestSharedInterval:
         path.write_text(seq_digits(THIRD, 2, 40) + "\n")
         x = RealSpec.digitfile(str(path))
         for n in (6, 8):
-            res = kdelta_oracle(identity2, query(x, n), max_len=10)
-            assert res == kdelta_oracle(identity2, query(THIRD, n), max_len=10)
+            res = kdelta_oracle(identity2, query(x, n, cap_in=10))
+            assert res == kdelta_oracle(identity2, query(THIRD, n, cap_in=10))
         assert file_reads == [str(path)] * 2
 
 
@@ -547,7 +554,7 @@ class TestPrecisionCeiling:
 
     def test_make_block_huffman(self):
         with pytest.raises(FsdimError, match="exceeds the largest supported"):
-            make_block_huffman(THIRD.stream(2), MAX_PRECISION + 1, 2, 2)
+            make_block_huffman(THIRD.stream(2), MAX_PRECISION + 1, 2)
 
 
 class TestPerRowWork:
@@ -621,7 +628,7 @@ class TestPerRowWork:
         f = parse_enumerator(kind.replace("PERM", str(tmp_path / "perm.txt")), 2)
         x = RealSpec.parse(point.replace("DIGITS", str(tmp_path / "d.txt")))
         family, n_max = pool[:20], 12
-        dimf_estimate(family, f, x, 2, n_max, max_input_len=8)
+        dimf_estimate(family, f, [x], n_max, max_input_len=8)
         assert len(rows) == len(family) * n_max  # F * G rows ...
         assert len(built) == n_max  # ... from G queries
         assert sorted(q.n for q in built) == list(range(1, n_max + 1))
@@ -701,7 +708,7 @@ class TestCostOnlyRows:
         dim_set_estimate(family, [THIRD, RealSpec.parse("champernowne")], 2, 16)
         dim_seq_estimate(family, RealSpec.parse("champernowne").stream(2), 24)
         for kind in ("canonical", "targeted:rat:1/3"):
-            dimf_estimate(family, parse_enumerator(kind, 2), [THIRD, ZERO], 2, 8, max_input_len=10)
+            dimf_estimate(family, parse_enumerator(kind, 2), [THIRD, ZERO], 8, max_input_len=10)
         normality_report(RealSpec.parse("champernowne"), 2, 40)
         assert witnesses == []
 

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fsdim.digits import RealSpec, real_value, seq_digits
-from fsdim.errors import FsdimError, InvalidPermutation
+from fsdim.errors import FsdimError, InvalidDigit, InvalidPermutation
 from fsdim.fst import Fst, make_identity
-from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta, within_at
+from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta, kdelta_oracle, within_at
 from fsdim.separator import (
     SeparatorEnumerator,
     dimf_estimate,
     ktf_delta,
-    ktf_delta_oracle,
     load_permutation,
     make_block_permuted,
     make_canonical,
@@ -34,6 +33,9 @@ class TestEnumerators:
         f = make_block_permuted(1, {"0": "1", "1": "0"}, 2)
         assert f.eval("01") == real_value("10", 2)
         assert f.eval("0") == Fraction(1, 2)
+        with pytest.raises(InvalidDigit) as refusal:
+            f.eval("02")
+        assert str(refusal.value) == "digit '2' not in alphabet of base 2"
 
     def test_block_padding(self):
         swap = {"00": "11", "11": "00", "01": "01", "10": "10"}
@@ -100,7 +102,8 @@ class TestEnumerators:
             parse_enumerator("blockperm:1", 2)
         assert str(refusal.value) == "bad enumerator spec 'blockperm:1', want blockperm:m:PERMFILE"
 
-    @pytest.mark.parametrize("answer", [ktf_delta, ktf_delta_oracle])
+    @pytest.mark.parametrize("answer", [ktf_delta, lambda t, f, q: kdelta_oracle(t, q, f)],
+                             ids=["ktf_delta", "kdelta_oracle"])
     @pytest.mark.parametrize("enumerator", [make_canonical, lambda base: make_targeted(THIRD, base)],
                              ids=["canonical", "targeted"])
     def test_an_enumerator_of_another_base_is_refused(self, identity2, answer, enumerator):
@@ -150,7 +153,7 @@ class TestKtfDelta:
             for n in range(1, 6):
                 q = PrecisionQuery(THIRD, 2, Fraction(1, 2**n), 12)
                 a = kdelta(t, q)
-                b = ktf_delta_oracle(t, f, q)
+                b = kdelta_oracle(t, q, f)
                 if a.found or b.found:
                     assert a.found and b.found and a.cost == b.cost
 
@@ -197,7 +200,7 @@ class TestKtfDeltaMatchesOracle:
                     delta = Fraction(1, 2**n)
                     q = PrecisionQuery(x, 2, delta, 7)
                     a = ktf_delta(t, f, q)
-                    b = ktf_delta_oracle(t, f, q)
+                    b = kdelta_oracle(t, q, f)
                     assert a.found == b.found, (x, n, a, b)
                     if a.found:
                         assert a.cost == b.cost, (x, n, a, b)
@@ -245,7 +248,7 @@ class TestKtfDeltaMatchesOracle:
             f = ENUMERATORS[name]
             for _, t in pool[:10]:
                 q = PrecisionQuery(short_digits, 2, Fraction(1, 3), 6)
-                assert ktf_delta(t, f, q) == ktf_delta_oracle(t, f, q)
+                assert ktf_delta(t, f, q) == kdelta_oracle(t, q, f)
 
     def test_the_query_refuses_a_bad_delta_and_a_negative_cap(self):
         # ktf_delta and its oracle take the query, which owns both checks
@@ -275,8 +278,8 @@ class TestKtfDeltaMatchesOracle:
                     q = PrecisionQuery(x, 2, delta, 6)
                     res = ktf_delta(t, f, q)
                     assert calls, (x, delta)  # f was evaluated: the enumeration answered
-                    assert res == ktf_delta_oracle(t, f, q)
-                    assert res == ktf_delta_oracle(t, canonical, q)
+                    assert res == kdelta_oracle(t, q, f)
+                    assert res == kdelta_oracle(t, q, canonical)
 
     def test_oracle_reads_a_digit_file_once(self, tmp_path, file_reads, identity2):
         # blockperm's production path: one call tests every enumerated output
@@ -284,9 +287,9 @@ class TestKtfDeltaMatchesOracle:
         path.write_text(seq_digits(THIRD, 2, 40) + "\n")
         x = RealSpec.digitfile(str(path))
         f = make_block_permuted(1, {"0": "1", "1": "0"}, 2)
-        res = ktf_delta_oracle(identity2, f, PrecisionQuery(x, 2, Fraction(1, 2**6), 8))
+        res = kdelta_oracle(identity2, PrecisionQuery(x, 2, Fraction(1, 2**6), 8), f)
         assert file_reads == [str(path)]
-        assert res == ktf_delta_oracle(identity2, f, PrecisionQuery(THIRD, 2, Fraction(1, 2**6), 8))
+        assert res == kdelta_oracle(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 2**6), 8), f)
         assert (res.status, res.cost, res.witness_output) == ("found", 5, "10100")
 
 
@@ -302,7 +305,7 @@ class TestKtfOracleTable:
                 spec = RealSpec.rational(x.numerator, x.denominator)
                 for n in range(1, 7):
                     a = table.query(x, Fraction(1, 2**n))
-                    b = ktf_delta_oracle(t, f, PrecisionQuery(spec, 2, Fraction(1, 2**n), 6))
+                    b = kdelta_oracle(t, PrecisionQuery(spec, 2, Fraction(1, 2**n), 6), f)
                     assert (a.status, a.cost) == (b.status, b.cost), (name, x, n)
 
     def test_evaluates_each_output_once(self, pool):
@@ -314,12 +317,13 @@ class TestKtfOracleTable:
 
 
 class TestDimfEstimate:
-    def test_canonical_matches_point_estimate(self, identity2):
+    @pytest.mark.parametrize("base", [2, 3, 10])
+    def test_canonical_matches_point_estimate(self, base):
         from fsdim.dimension import dim_point_estimate
 
-        f = make_canonical(2)
-        a = dimf_estimate([("id", identity2)], f, THIRD, 2, 12, max_input_len=16)
-        b = dim_point_estimate([("id", identity2)], THIRD, 2, 12)
+        identity = make_identity(base)
+        a = dimf_estimate([("id", identity)], make_canonical(base), [THIRD], 12, max_input_len=16)
+        b = dim_point_estimate([("id", identity)], THIRD, base, 12)
         assert a.estimate == b.estimate
         rows_a = a.profiles["id"]
         rows_b = b.profiles["id"]
@@ -327,17 +331,17 @@ class TestDimfEstimate:
 
     def test_targeted_collapses_dimension(self, identity2):
         f = make_targeted(THIRD, 2)
-        report = dimf_estimate([("id", identity2)], f, THIRD, 2, 60)
+        report = dimf_estimate([("id", identity2)], f, [THIRD], 60)
         assert report.estimate <= Fraction(15, 100)
 
     def test_free_point(self, identity2):
         f = make_canonical(2)
-        report = dimf_estimate([("id", identity2)], f, RealSpec.rational(0, 1), 2, 10)
+        report = dimf_estimate([("id", identity2)], f, [RealSpec.rational(0, 1)], 10)
         assert report.estimate == 0
 
     def test_set_form_uses_sup(self, identity2):
         f = make_canonical(2)
-        both = dimf_estimate([("id", identity2)], f, [RealSpec.rational(0, 1), THIRD], 2, 10,
+        both = dimf_estimate([("id", identity2)], f, [RealSpec.rational(0, 1), THIRD], 10,
                              max_input_len=14)
-        alone = dimf_estimate([("id", identity2)], f, THIRD, 2, 10, max_input_len=14)
+        alone = dimf_estimate([("id", identity2)], f, [THIRD], 10, max_input_len=14)
         assert both.estimate == alone.estimate

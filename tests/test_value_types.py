@@ -62,12 +62,16 @@ class TestValueType:
                 setattr(value, field, 0)
         with pytest.raises(AttributeError):
             value.extra = 0
+        with pytest.raises(AttributeError):
+            delattr(value, type(value)._fields[0])
 
     def test_equality_and_hash_go_by_field(self, name):
         build, build_other, _ = CASES[name]
         value, again, other = build(), build(), build_other()
         assert value is not again and value == again and value != other
         key = tuple(getattr(value, field) for field in type(value)._fields)
+        # a namedtuple equals the plain tuple of its fields; a Frozen value does not
+        assert (value == key) is isinstance(value, tuple)
         if name == "EstimateReport":  # a dict field: unhashable, as it always was
             with pytest.raises(TypeError):
                 hash(value)

@@ -65,6 +65,9 @@ MUTANTS = [
     Mutant("huffman-without-padding", "fst.py",
            "pad = (1 - len(heap)) % (base - 1) if base > 2 else 0", "pad = 0",
            ["tests/test_closed_forms.py"]),
+    Mutant("huffman-in-base-2", "fst.py",
+           "    base = train.base\n", "    base = 2\n",
+           ["tests/test_closed_forms.py"]),
     # the separator layer
     Mutant("zero-search-without-exact-target", "separator.py",
            "zeros = _ZeroSearch(f, t, q, stream.value)", "zeros = _ZeroSearch(f, t, q, None)",
@@ -77,6 +80,9 @@ MUTANTS = [
            "PrecisionQuery.at_scale(x, base, n, max_input_len)",
            "PrecisionQuery.at_scale(x, base, n)",
            ["tests/test_precision.py::TestPerRowWork"]),
+    Mutant("dimf-estimate-in-base-2", "separator.py",
+           "    base = f.base\n", "    base = 2\n",
+           ["tests/test_separator.py::TestDimfEstimate"]),
     # where an exact expansion ends
     Mutant("ends-at-refusal", "digits.py",
            "    if squares[-1]:\n        return None\n", "",
@@ -86,6 +92,9 @@ MUTANTS = [
            "for a, (q2, o) in enumerate(rows[cfg[0]]):",
            "for a, (q2, o) in reversed(list(enumerate(rows[cfg[0]]))):",
            ["tests/test_infocontent.py"]),
+    Mutant("kdelta-oracle-depth-12", "precision.py",
+           "distinct_outputs(t, q.cap_input)", "distinct_outputs(t, 12)",
+           ["tests/test_precision.py::TestKdeltaOracle"]),
     Mutant("kdelta-oracle-twice-delta", "precision.py",
            "if near(value(out), q.delta):", "if near(value(out), 2 * q.delta):",
            ["tests/test_precision.py"]),
