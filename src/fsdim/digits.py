@@ -178,9 +178,11 @@ def comp(w: str, base: int) -> str:
 class DigitStream:
     """Canonical base-b expansion read one digit at a time.
 
-    This is the one class that holds digits: those already known sit in a
-    byte buffer, and more are drawn on demand from `source`, an iterator of
-    digits. Reading past the point where the source runs dry raises
+    This is the one class that holds digits: those already known sit in
+    `buffer`, a bytearray, and more are drawn on demand from `source`, an
+    iterator of digits. `buffer` only grows, in place, so a caller may keep
+    it and index it; callers never write to it, and a read past its end goes
+    through `digit`. Reading past the point where the source runs dry raises
     InsufficientDigits. `value` is the exact rational value when known, else
     None (digit-only streams: files, champernowne). `ends_at` is, for an
     exact value, the least index from which its expansion is all zeros, or
@@ -194,36 +196,36 @@ class DigitStream:
         self.base = base
         self.value = value
         self.ends_at = None if value is None else _ends_at(value.denominator, base)
-        self._digits = bytearray(digits)
+        self.buffer = bytearray(digits)
         self._source = iter(source)
 
     def _fill(self, m: int) -> None:
-        digits = self._digits
+        digits = self.buffer
         digits.extend(islice(self._source, m - len(digits)))
         if len(digits) < m:
             raise InsufficientDigits(f"{self.origin} supplies {len(digits)} digits, {m} requested")
 
     def digit(self, i: int) -> int:
         try:
-            return self._digits[i]
+            return self.buffer[i]
         except IndexError:  # cheaper than a length test on the hot path
             self._fill(i + 1)
-            return self._digits[i]
+            return self.buffer[i]
 
     def available(self, m: int) -> int:
         """How many of the first m digits exist: m, or fewer for a source
         that runs dry first."""
-        if m > len(self._digits):
+        if m > len(self.buffer):
             try:
                 self._fill(m)
             except InsufficientDigits:
-                return len(self._digits)
+                return len(self.buffer)
         return m
 
     def prefix(self, m: int) -> list[int]:
-        if m > len(self._digits):
+        if m > len(self.buffer):
             self._fill(m)
-        return list(self._digits[:m])
+        return list(self.buffer[:m])
 
     def prefix_str(self, m: int) -> str:
         return digits_to_str(self.prefix(m))

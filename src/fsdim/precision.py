@@ -16,16 +16,30 @@ x - b^-(S+1), the lower-endpoint track; every other configuration has been
 accepted or never can be. `step` prunes the frontier to that track whenever
 S moves, so when a level starts every frontier configuration is on the track
 of g = S + 1, and none was accepted at the goal of the level that reached
-it, which is at most g. `advance` checks only what a transition can change:
-- an empty emission leaves (j, D) as it is, so it cannot be accepted; it is
+it, which is at most g. From j = g on that track is D = -b^(j-g); a
+configuration there holds e = j - g in place of D, as the pos (-j, e), and
+while one emission runs D is -b^e plus an offset below b^k after k digits.
+So `advance`, the pruning bound, `_through` and `_on_track` read only small
+integers, and a level costs the same however far past its goal an output
+has run: a walk is linear in its input cap. x's digits are read from the
+stream's buffer, which holds x[:hi] from the start; a read past its end goes
+through `DigitStream.digit`, which fills it. `advance` checks only what a
+transition can change:
+- an empty emission leaves its pos as it is, so it cannot be accepted; it is
   kept unchecked, and if an accept earlier in the level moved g, `step`
   prunes it with the frontier. Off the track of one goal is off the track of
   every later one, so the visited entry it leaves drops nothing;
-- an output with D == 0 is x[:j], and when it is not accepted x's first
-  nonzero digit from j lies below g, so it is on the track without a check.
-`_DeltaSearch` is the same search at one delta that is not b^-n, for a
-point with an exact value; there a D == 0 output that is not accepted lies
-on the track of x - delta too. All decisions are exact; no floats.
+- an output with D == 0 is x[:j]: it solves n up to x's first nonzero digit
+  from j, and when it is not accepted that digit lies below g, so it is on
+  the track without a check;
+- an output with D == -1 solves n up to j - 1;
+- an output on the track of g past g ends the emission on it (offset 0), or
+  above it, which solves g alone, or below it, outside every interval.
+`_settle` decides how an emission ends. `_DeltaSearch` is the same search
+at one delta that is not b^-n, for a point with an exact value; its
+`_settle` makes exact rational tests, every pos of it is (j, D), and there a
+D == 0 output that is not accepted lies on the track of x - delta too. All
+decisions are exact; no floats.
 
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
 carries its exponent n. `PrecisionQuery.at_scale` builds one query per
@@ -152,9 +166,10 @@ def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
 class PrecisionSearch(Search):
     """`kdelta` at delta = b**-n for every n up to hi at one point x.
 
-    pos is (j, D), as in the module docstring. Each answer is the one a
-    search for that precision alone gives: the same cost, witness and
-    status. hi is at most the number of digits x has.
+    pos is (j, D), or (-j, e) on the track past a goal, as in the module
+    docstring. Each answer is the one a search for that precision alone
+    gives: the same cost, witness and status. hi is at most the number of
+    digits x has.
     """
 
     def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, hi: int):
@@ -165,6 +180,7 @@ class PrecisionSearch(Search):
         super().__init__(t, (0, 0))
         self.x = x
         self.base = t.base
+        self.buffer = stream.buffer  # holds x[:hi] at least; a miss goes to `digit`
         self.digit = stream.digit
         self.zero_from = stream.is_zero_from
         self.hi = hi
@@ -178,36 +194,92 @@ class PrecisionSearch(Search):
         j, D = pos
         if not out:  # pos was not accepted at a goal <= g when it was reached
             return pos
-        b = self.base
-        digit = self.digit
+        b, x = self.base, self.buffer
+        if j < 0:  # (-j, e): D = -b**e on the track of the goal j - e
+            j, e = -j, D
+            if j - e == g:  # on the track of g: D = o - b**(j - g) from here on
+                o = 0
+                for d in out:
+                    try:
+                        xj = x[j]
+                    except IndexError:
+                        try:
+                            xj = self.digit(j)
+                        except InsufficientDigits as exc:
+                            return self._cut(j, o - b ** (j - g), g, exc)
+                    o = b * o + d - xj
+                    j += 1
+                    if o < 0:  # below x - b**-g, so outside every interval
+                        return None
+                if o:  # 0 < o < b**(j - g - 1): inside the interval for g alone
+                    self._solve(g, g)
+                    return None
+                return -j, j - g
+            D = -b ** e  # off the track of g, so the bound drops it at its first digit
         # once |D| > b**max(0, j - g), every continuation is outside the
         # interval for g, and so for every finer precision
         p = b ** (j - g) if j > g else 1
-        try:
-            for d in out:
-                D = b * D + d - digit(j)
-                j += 1
-                if j > g:
-                    p *= b
-                if D > p or D < -p:
+        for d in out:
+            try:
+                xj = x[j]
+            except IndexError:
+                try:
+                    xj = self.digit(j)
+                except InsufficientDigits as exc:
+                    return self._cut(j, D, g, exc)
+            D = b * D + d - xj
+            j += 1
+            if j > g:
+                p *= b
+            if D > p or D < -p:
+                return None
+        return self._settle(j, D, g)
+
+    def _settle(self, j: int, D: int, g: int):
+        """Records the goals that the output at (j, D) solves, and returns
+        the pos it leaves, or None when it is off the track of the least goal
+        left open. The exact prefixes D == 0 and D == -1 are decided on x's
+        digits alone; g <= hi, and the buffer holds x[:hi]."""
+        hi, x = self.hi, self.buffer
+        if D == 0:  # w = x[:j]: solves n up to x's first nonzero digit from j
+            top = j
+            while top < hi and x[top] == 0:
+                top += 1
+            if top >= g:
+                self._solve(g, min(top, hi))
+                if top >= hi:
                     return None
-        except InsufficientDigits as exc:
-            return self._cut(j, D, g, exc)
+            return j, 0  # that digit lies below the open goals, so w is on the track
+        if D == -1:  # solves n < j
+            if j > g:  # and is on the track of j from there
+                self._solve(g, min(j - 1, hi))
+                return (j, D) if j <= hi else None
+            r = j  # on the track of g iff x[j:g] is all zeros
+            while r < g and x[r] == 0:
+                r += 1
+            return (j, D) if r == g else None
         top = self._through(j, D, g)
         if top >= g:
-            self.S = top
-            self.hits.extend(range(g, top + 1))
+            self._solve(g, top)
             g = top + 1
-            if g > self.hi:
+            if g > hi:
                 return None
-        # D == 0 is w = x[:j], and x's first nonzero digit from j lies below g
-        return (j, D) if D == 0 or self._on_track(j, D, g) else None
+        # the track is 0 or -1 up to g, and -b**(j - g) past it
+        return (-j, j - g) if j > g and D == -self.base ** (j - g) else None
+
+    def _solve(self, g: int, top: int) -> None:
+        """Solves the goals g..top."""
+        self.S = top
+        self.hits.extend(range(g, top + 1))
 
     def _run(self, j: int, v: int, stop: int) -> int:
         """The first index in [j, stop) where x's digit is not v, else stop."""
-        digit = self.digit
-        while j < stop and digit(j) == v:
-            j += 1
+        x = self.buffer
+        try:
+            while j < stop and x[j] == v:
+                j += 1
+        except IndexError:  # only x[hi] can lie past the buffer, and stop <= hi + 1
+            j += self.digit(j) == v
         return min(j, stop)
 
     def _through(self, j: int, D: int, g: int) -> int:
@@ -215,10 +287,10 @@ class PrecisionSearch(Search):
         (j, D), or some value below g when that n is below g. Reads only the
         digits that decide it."""
         hi = self.hi
+        if j < 0:  # (-j, e): |D - t_j| = b**e + t_j is below b**(j - n) iff n < j - e
+            return min(-j - D - 1, hi)
         if D == 0:  # w = x[:j]: within b**-n iff x[j:n] is all zeros
             return self._run(j, 0, hi)
-        if D == -1:
-            return min(j - 1, hi)
         b = self.base
         if D == 1:  # n > j needs x[j:n] all b - 1 and x's tail from n nonzero
             if j > hi:
@@ -238,6 +310,8 @@ class PrecisionSearch(Search):
         """Whether the output at (j, D) is a prefix of the expansion of
         x - b**-g: D = -b**(j - g) from j = g on, before that -1 if x[j:g]
         is all zeros and 0 if not."""
+        if j < 0:  # (-j, e) is on the track of the goal -j - e
+            return -j - D == g
         if j >= g:
             return D == -self.base ** (j - g)
         if D == 0:
@@ -255,8 +329,7 @@ class PrecisionSearch(Search):
             raise exc
         top = min(j - m - 1, self.hi)
         if top >= g:
-            self.S = top
-            self.hits.extend(range(g, top + 1))
+            self._solve(g, top)
         return None
 
     def _prune(self) -> None:  # to the track of S + 1, the least open goal
@@ -288,7 +361,7 @@ class _DeltaSearch(PrecisionSearch):
     """`kdelta` at one delta that is not b**-n, for a point with an exact
     value. The goal is m, the largest with delta <= b**-m, so the pruning
     bound of `PrecisionSearch.advance` holds; acceptance and the track of
-    x - delta are exact rational tests."""
+    x - delta are exact rational tests, so every pos is (j, D)."""
 
     def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, delta: Fraction):
         self.value, self.delta = stream.value, delta
@@ -298,6 +371,13 @@ class _DeltaSearch(PrecisionSearch):
 
     def _floor(self, j: int, shift: Fraction) -> int:
         return (self.value + shift) * self.base ** j // 1
+
+    def _settle(self, j: int, D: int, g: int):
+        if self._through(j, D, g) >= g:  # it solves its one goal
+            self._solve(g, self.hi)
+            return None
+        # a D == 0 output that is not solved lies on the track of x - delta
+        return (j, D) if D == 0 or self._on_track(j, D, g) else None
 
     def _through(self, j: int, D: int, g: int) -> int:
         value = Fraction(self._floor(j, 0) + D, self.base ** j)

@@ -97,6 +97,19 @@ class TestKdeltaCommand:
         assert dispatch(["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--delta", "1/12"]) == 0
         assert capsys.readouterr().out == "found,3,011\n"
 
+    def test_an_output_on_the_track_past_its_goal_costs_constant_work_per_level(
+            self, tmp_path, capsys):
+        # from x = 1/2 this machine outputs 011 0 0 0 ...: from digit 3 on,
+        # D = -2**(j - 3), the lower track of 2**-3, for every level to the
+        # cap. When each level rebuilt 2**(j - 3), this took 5.8 s on a
+        # 2-core host
+        path = tmp_path / "track.fst"
+        path.write_text("fst 1\nbase 2\nstates 2\nstart 0\n"
+                        "t 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n")
+        argv = ["kdelta", "--fst", str(path), "--x", "rat:1/2", "--n", "3", "--cap-in", "20000"]
+        assert dispatch_within(3, argv) == 0
+        assert capsys.readouterr().out == "cap_exceeded,,\n"
+
 
 class TestBadValuesExitCleanly:
     @pytest.mark.parametrize("argv", [

@@ -8,7 +8,9 @@ be accepted now; `advance` returns it at once, and when an accept earlier in
 the level moved g, `step`'s pruning drops it. A checking subclass asserts
 both facts at every level, over pool machines in bases 2, 3 and 10 and over
 rational, periodic, dyadic, Champernowne and finite digit-file points, and
-at a delta that is not b**-n.
+at a delta that is not b**-n. A base-2 machine whose output follows the
+lower track past its goal at x = 1/2 puts (-j, e) positions in the frontier,
+so the facts are checked on them too.
 """
 
 from collections import Counter
@@ -17,14 +19,20 @@ from fractions import Fraction
 import pytest
 
 from fsdim.cli import gen_pool
-from fsdim.digits import RealSpec, seq_digits
+from fsdim.digits import DigitStream, RealSpec, seq_digits
 from fsdim.dimension import normality_report
 from fsdim.errors import InsufficientDigits
+from fsdim.fst import parse_fst
 from fsdim.precision import PrecisionQuery, PrecisionSearch, _DeltaSearch, kdelta, shared_stream
 
 #: base -> (pool machines, largest precision)
 SIZES = {2: (60, 32), 3: (30, 16), 10: (20, 8)}
 FILE_DIGITS = 64
+
+#: from x = 1/2, outputs 011 0 0 0 ...: from digit 3 on, the lower track of
+#: goal 3, D = -2**(j - 3), for as many levels as the cap allows
+TRACK_PAST_GOAL = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
+                            "t 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n")
 
 
 class Checked:
@@ -57,7 +65,8 @@ def points(base: int, tmp_path) -> list:
     path = tmp_path / f"digits{base}.txt"
     path.write_text(seq_digits(RealSpec.rational(5, 7), base, FILE_DIGITS) + "\n")
     top = str(base - 1)
-    return [RealSpec.rational(1, 3), RealSpec.rational(5, 24), RealSpec.rational(1, base),
+    return [RealSpec.rational(1, 2), RealSpec.rational(1, 3), RealSpec.rational(5, 24),
+            RealSpec.rational(1, base),
             RealSpec.periodic("1" + top * 3 + "0"), RealSpec.parse("dyadic:" + top + "01"),
             RealSpec.champernowne(), RealSpec.digitfile(str(path))]
 
@@ -65,7 +74,10 @@ def points(base: int, tmp_path) -> list:
 @pytest.mark.parametrize("base", sorted(SIZES))
 def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
     count, n_max = SIZES[base]
-    for _, t in gen_pool(base, count, 4, base, 3):
+    machines = [t for _, t in gen_pool(base, count, 4, base, 3)]
+    if base == 2:
+        machines.append(TRACK_PAST_GOAL)
+    for t in machines:
         for x in points(base, tmp_path):
             stream = shared_stream(x, base)
             search = CheckedSearch(t, x, stream, stream.available(n_max))
@@ -86,6 +98,9 @@ def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
 
 #: the work `normality_report(champernowne, 2, 500)` did before the shortcuts
 PARENT_CALLS = {"advance": 9546, "step": 2477, "_on_track": 7281, "_run": 12007}
+#: and the digits and acceptance tests it read before `advance` indexed x's
+#: buffer and settled the outputs D == 0 and D == -1 itself
+BUFFER_PARENT_CALLS = {"digit": 20963, "_through": 3455}
 
 
 def test_the_shortcuts_at_least_halve_the_track_and_run_checks(monkeypatch):
@@ -97,11 +112,15 @@ def test_the_shortcuts_at_least_halve_the_track_and_run_checks(monkeypatch):
             return method(*args)
         return counted
 
-    for name in PARENT_CALLS:
+    for name in [*PARENT_CALLS, "_through"]:
         monkeypatch.setattr(PrecisionSearch, name, counting(name, getattr(PrecisionSearch, name)))
+    monkeypatch.setattr(DigitStream, "digit", counting("digit", DigitStream.digit))
     report = normality_report(RealSpec.champernowne(), 2, 500)
     assert report.estimate == Fraction(309, 326)
     # the walk is the same: every level and every transition is still made
     assert calls["advance"] == PARENT_CALLS["advance"] and calls["step"] == PARENT_CALLS["step"]
     assert 2 * calls["_on_track"] <= PARENT_CALLS["_on_track"], calls
     assert 2 * calls["_run"] <= PARENT_CALLS["_run"], calls
+    # a digit is read through the stream only past its buffer
+    assert 10 * calls["digit"] <= BUFFER_PARENT_CALLS["digit"], calls
+    assert 2 * calls["_through"] <= BUFFER_PARENT_CALLS["_through"], calls

@@ -288,6 +288,23 @@ class TestSharedSearch:
         assert sum(r is None for r in rows) == 200 * 5 + 16  # n > 100, and 16 rows at n <= 100
         assert sum(r is not None and r[0] == FOUND for r in rows) == 2596
 
+    def test_a_walk_past_the_buffer_fills_it_and_matches_the_oracle(self):
+        # a fresh stream holds the hi digits the search asks for at the
+        # start; bursts of up to 3 digits read past them, and each such digit
+        # comes through `DigitStream.digit`, which fills the buffer
+        cap, hi = 8, 6
+        grew = 0
+        for _, t in gen_pool(11, 12, 4, 2, 3):
+            for x in (THIRD, RealSpec.champernowne()):
+                stream = x.stream(2)
+                search = PrecisionSearch(t, x, stream, hi)
+                for n in range(1, hi + 1):
+                    res = search.answer(n, cap)
+                    oracle = kdelta_oracle(t, PrecisionQuery.at_scale(x, 2, n, cap))
+                    assert oracle == res if res.status == FOUND else oracle.status == CAP_EXCEEDED
+                grew += len(stream.buffer) > hi
+        assert grew == 9, grew  # searches whose walk read past their buffer
+
     def test_long_bursts_past_the_end_of_a_file(self, tmp_path):
         # emissions that cross the file's last digit, and a tail of zeros the
         # file cannot confirm, leave some precisions undecided

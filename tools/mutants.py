@@ -47,6 +47,20 @@ MUTANTS = [
     Mutant("through-d1-reads-digit-1", "precision.py",
            "r = self._run(j, b - 1, hi + 1)", "r = self._run(j, 1, hi + 1)",
            ["tests/test_other_bases.py"]),
+    Mutant("buffer-miss-reads-zero", "precision.py",
+           "                try:\n"
+           "                    xj = self.digit(j)\n"
+           "                except InsufficientDigits as exc:\n"
+           "                    return self._cut(j, D, g, exc)\n",
+           "                xj = 0\n",
+           ["tests/test_precision.py::TestSharedSearch::"
+            "test_a_walk_past_the_buffer_fills_it_and_matches_the_oracle"]),
+    Mutant("settle-minus-one-through-j", "precision.py",
+           "self._solve(g, min(j - 1, hi))", "self._solve(g, min(j, hi))",
+           ["tests/test_precision.py::TestSharedSearch"]),
+    Mutant("track-exponent-not-incremented", "precision.py",
+           "return -j, j - g", "return -j, D",
+           ["tests/test_level_invariant.py", "tests/test_cli.py::TestKdeltaCommand"]),
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
