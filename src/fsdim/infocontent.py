@@ -11,9 +11,9 @@ resolves; `step` keeps them in one map, `resolved`, and every search is
 asked through one loop, `answer(goal, cap)`. `PrefixSearch` is the
 exact-output search: pos is the matched length of a word, and one search
 answers `kt` for every prefix of that word. `precision.PrecisionSearch`
-answers `kdelta` at every precision b^-n; the targeted enumerator's
-all-zero-output search in `separator` is a third subclass. A witness is
-built from parent pointers only for a goal asked.
+answers `kdelta` at every precision b^-n, `_DeltaSearch` at one other
+delta; `separator`'s targeted all-zero-output search is a fourth. A
+witness is built from parent pointers only for a goal asked.
 
 `distinct_outputs` is the one enumeration every oracle reads, independent
 of `Search`; `kt_oracle` and `kt_oracle_table` re-derive kt's answers from

@@ -35,11 +35,7 @@ transition can change:
 - an output with D == -1 solves n up to j - 1;
 - an output on the track of g past g ends the emission on it (offset 0), or
   above it, which solves g alone, or below it, outside every interval.
-`_settle` decides how an emission ends. `_DeltaSearch` is the same search
-at one delta that is not b^-n, for a point with an exact value; its
-`_settle` makes exact rational tests, every pos of it is (j, D), and there a
-D == 0 output that is not accepted lies on the track of x - delta too. All
-decisions are exact; no floats.
+`_settle` decides how an emission ends. All decisions are exact; no floats.
 
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
 carries its exponent n. `PrecisionQuery.at_scale` builds one query per
@@ -357,34 +353,35 @@ class PrecisionSearch(Search):
         return False
 
 
-class _DeltaSearch(PrecisionSearch):
-    """`kdelta` at one delta that is not b**-n, for a point with an exact
-    value. The goal is m, the largest with delta <= b**-m, so the pruning
-    bound of `PrecisionSearch.advance` holds; acceptance and the track of
-    x - delta are exact rational tests, so every pos is (j, D)."""
+class _DeltaSearch(Search):
+    """`kdelta` at one delta that is not b**-n at an exact point x: a walk on
+    the expansion of L = x - delta, pos j the output L[:j]. An emission builds
+    E = b**i * val(w) - floor(b**i * L) digit by digit. E < 0 drops w, at or
+    below L with every continuation; E == 0 at the end keeps L[:i]; E > 0 puts
+    w above L, inside iff val(w) < x + delta."""
 
-    def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, delta: Fraction):
-        self.value, self.delta = stream.value, delta
-        # delta <= b**-m iff b**m <= floor(1/delta), as b**m is an integer
-        m, _ = floor_log(stream.base, delta.denominator // delta.numerator)
-        super().__init__(t, x, stream, m)
+    GOAL = "delta"  # the one goal: some output inside the interval
 
-    def _floor(self, j: int, shift: Fraction) -> int:
-        return (self.value + shift) * self.base ** j // 1
+    def __init__(self, t: Fst, x: Fraction, delta: Fraction):
+        super().__init__(t, 0)
+        self.base, self.low, self.high = t.base, x - delta, x + delta
+        if self.low < 0:  # the empty output, value 0, is inside
+            self.resolved[self.GOAL] = (0, None, None)
+        else:
+            self.digit = RealSpec.rational(*self.low.as_integer_ratio()).stream(t.base).digit
 
-    def _settle(self, j: int, D: int, g: int):
-        if self._through(j, D, g) >= g:  # it solves its one goal
-            self._solve(g, self.hi)
+    def advance(self, j, out):
+        if self.resolved:  # the first hit answers the goal; no later one may overwrite it
             return None
-        # a D == 0 output that is not solved lies on the track of x - delta
-        return (j, D) if D == 0 or self._on_track(j, D, g) else None
-
-    def _through(self, j: int, D: int, g: int) -> int:
-        value = Fraction(self._floor(j, 0) + D, self.base ** j)
-        return self.hi if abs(value - self.value) < self.delta else g - 1
-
-    def _on_track(self, j: int, D: int, g: int) -> bool:
-        return D == self._floor(j, -self.delta) - self._floor(j, 0)
+        b, E, i = self.base, 0, j
+        for d in out:
+            E = b * E + d - self.digit(i)
+            i += 1
+            if E < 0:
+                return None
+        if E and self.low * b ** i // 1 + E < self.high * b ** i:
+            self.hits.append(self.GOAL)
+        return None if E else i
 
 
 def open_search(t: Fst, x: RealSpec, base: int, n_max: int) -> PrecisionSearch:
@@ -420,8 +417,7 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
         return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input, witness)
     if stream.value is None:
         raise InsufficientDigits(f"{q.x.describe()} has no exact value; delta must be base**-n")
-    search = _DeltaSearch(t, q.x, stream, q.delta)
-    return search.answer(search.hi, q.cap_input, witness)
+    return _DeltaSearch(t, stream.value, q.delta).answer(_DeltaSearch.GOAL, q.cap_input, witness)
 
 
 def within_at(x: RealSpec, base: int):

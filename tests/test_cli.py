@@ -110,6 +110,20 @@ class TestKdeltaCommand:
         assert dispatch_within(3, argv) == 0
         assert capsys.readouterr().out == "cap_exceeded,,\n"
 
+    def test_an_output_on_the_track_of_x_minus_delta_costs_constant_work_per_level(
+            self, tmp_path, capsys):
+        # 1/6 is not 2**-n, and from x = 13/24 this machine's output 011 0 0 ...
+        # is x - 1/6 = 3/8 exactly, for every level to the cap. When each
+        # level built b**j and two Fraction floors, this took 6.85 s on a
+        # 2-core host
+        path = tmp_path / "track.fst"
+        path.write_text("fst 1\nbase 2\nstates 2\nstart 0\n"
+                        "t 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n")
+        argv = ["kdelta", "--fst", str(path), "--x", "rat:13/24", "--delta", "1/6",
+                "--cap-in", "20000"]
+        assert dispatch_within(3, argv) == 0
+        assert capsys.readouterr().out == "cap_exceeded,,\n"
+
 
 class TestBadValuesExitCleanly:
     @pytest.mark.parametrize("argv", [

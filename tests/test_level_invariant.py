@@ -7,10 +7,14 @@ and (j, D) was not accepted at a goal <= g when it was reached, so it cannot
 be accepted now; `advance` returns it at once, and when an accept earlier in
 the level moved g, `step`'s pruning drops it. A checking subclass asserts
 both facts at every level, over pool machines in bases 2, 3 and 10 and over
-rational, periodic, dyadic, Champernowne and finite digit-file points, and
-at a delta that is not b**-n. A base-2 machine whose output follows the
-lower track past its goal at x = 1/2 puts (-j, e) positions in the frontier,
-so the facts are checked on them too.
+rational, periodic, dyadic, Champernowne and finite digit-file points. A
+base-2 machine whose output follows the lower track past its goal at x = 1/2
+puts (-j, e) positions in the frontier, so the facts are checked on them
+too.
+
+At a delta that is not b**-n, `kdelta` walks the expansion of x - delta
+instead; its answers, witnesses included, are checked against the
+enumeration oracle.
 """
 
 from collections import Counter
@@ -19,11 +23,12 @@ from fractions import Fraction
 import pytest
 
 from fsdim.cli import gen_pool
-from fsdim.digits import DigitStream, RealSpec, seq_digits
+from fsdim.digits import DigitStream, RealSpec, delta_exponent, seq_digits
 from fsdim.dimension import normality_report
 from fsdim.errors import InsufficientDigits
 from fsdim.fst import parse_fst
-from fsdim.precision import PrecisionQuery, PrecisionSearch, _DeltaSearch, kdelta, shared_stream
+from fsdim.infocontent import CAPPED, UNREACHABLE
+from fsdim.precision import PrecisionQuery, PrecisionSearch, kdelta, kdelta_oracle, shared_stream
 
 #: base -> (pool machines, largest precision)
 SIZES = {2: (60, 32), 3: (30, 16), 10: (20, 8)}
@@ -57,10 +62,6 @@ class CheckedSearch(Checked, PrecisionSearch):
     pass
 
 
-class CheckedDeltaSearch(Checked, _DeltaSearch):
-    pass
-
-
 def points(base: int, tmp_path) -> list:
     path = tmp_path / f"digits{base}.txt"
     path.write_text(seq_digits(RealSpec.rational(5, 7), base, FILE_DIGITS) + "\n")
@@ -88,12 +89,43 @@ def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
                     break
                 q = PrecisionQuery.at_scale(x, base, n)
                 assert res == kdelta(t, q, witness=False), (t, x, n)
-            if stream.value is not None:
-                delta = Fraction(1, 3)
-                search = CheckedDeltaSearch(t, x, stream, delta)
-                res = search.answer(search.hi, 4 * (search.hi + 2), witness=False)
-                q = PrecisionQuery(x, base, delta, 4 * (search.hi + 2))
-                assert res == kdelta(t, q, witness=False), (t, x)
+
+
+#: base -> (pool machines, largest input cap) of the differential at deltas
+#: that are not b**-n
+DELTA_SIZES = {2: (40, 8), 3: (12, 5), 10: (4, 3)}
+
+
+@pytest.mark.parametrize("base", sorted(DELTA_SIZES))
+def test_a_delta_that_is_not_a_power_matches_the_oracle(base):
+    # enumeration never proves unreachability: its not found is cap_exceeded
+    count, cap = DELTA_SIZES[base]
+    machines = [t for _, t in gen_pool(base, count, 4, base, 3)]
+    if base == 2:
+        machines.append(TRACK_PAST_GOAL)  # at 13/24 and 1/6 its output 0110... is x - delta
+    xs = [RealSpec.rational(0, 1), RealSpec.rational(1, base), RealSpec.rational(13, 24)]
+    deltas = [d for d in (Fraction(1, 3), Fraction(1, 6), Fraction(1, 12),
+                          Fraction(2, 7 * base ** 2), Fraction(5, 9))
+              if delta_exponent(d, base) is None]
+    for t in machines:
+        for x in xs:
+            for delta in deltas:
+                for c in range(cap + 1):
+                    q = PrecisionQuery(x, base, delta, c)
+                    res = kdelta(t, q)
+                    assert (CAPPED if res.status == UNREACHABLE else res) == kdelta_oracle(t, q), q
+
+
+def test_a_walk_that_leaves_the_track_outside_is_unreachable():
+    # at x = 1/2 and delta = 1/3, x - delta = 1/6 = 0.00101...; this machine
+    # emits 000, below it, or 111, at 7/8 >= x + delta, and then nothing, so
+    # its frontier empties at level 1. The oracle cannot tell this from
+    # cap_exceeded
+    t = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
+                  "t 0 0 1 000\nt 0 1 1 111\nt 1 0 1 -\nt 1 1 1 -\n")
+    for cap in (1, 3, 8):
+        q = PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 3), cap)
+        assert kdelta(t, q).status == UNREACHABLE, cap
 
 
 #: the work `normality_report(champernowne, 2, 500)` did before the shortcuts

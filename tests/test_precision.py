@@ -16,7 +16,7 @@ from fsdim.dimension import (
     normality_report,
 )
 from fsdim.errors import FsdimError, InsufficientDigits
-from fsdim.fst import Fst, make_block_huffman, make_identity, make_periodic_decoder
+from fsdim.fst import Fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, CostResult, PrefixSearch, Search, kt
 from fsdim.precision import (
     FALLBACK_SCALE,
@@ -322,6 +322,19 @@ class TestSharedSearch:
         # of an answer its digits decide, changes them
         assert sum(r is None for r in rows) == 98 * (18 + 12) + 24  # n past each file, and 24 more
         assert sum(r is not None and r[0] == FOUND for r in rows) == 1461
+
+    def test_the_track_past_a_goal_is_cut_at_the_end_of_a_file(self, tmp_path):
+        # at x = 0.1000, the file's four digits, this machine's output
+        # 011 0 0 ... is on the track of goal 3 from digit 3 on, D = -2**(j - 3),
+        # until a burst needs digit 4. Only the digits past the file decide
+        # whether it stays there (cap_exceeded) or falls off (unreachable)
+        t = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
+                      "t 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n")
+        path = tmp_path / "d.txt"
+        path.write_text("1000")
+        rows = kdelta_profile([t], RealSpec.digitfile(str(path)), 2, 4)
+        assert [(r.n, r.flags or r.cost) for r in rows] == [
+            (1, 1), (2, 1), (3, "insufficient"), (4, "unreachable")]
 
     def test_a_spent_search_keeps_its_answers_and_never_steps_again(self, tmp_path):
         # level 10 of this search needs digit 28 of a 28-digit file, after it

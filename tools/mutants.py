@@ -61,6 +61,21 @@ MUTANTS = [
     Mutant("track-exponent-not-incremented", "precision.py",
            "return -j, j - g", "return -j, D",
            ["tests/test_level_invariant.py", "tests/test_cli.py::TestKdeltaCommand"]),
+    Mutant("track-cut-at-offset-only", "precision.py",
+           "return self._cut(j, o - b ** (j - g), g, exc)", "return self._cut(j, o, g, exc)",
+           ["tests/test_precision.py::TestSharedSearch::"
+            "test_the_track_past_a_goal_is_cut_at_the_end_of_a_file"]),
+    # the walk on the expansion of x - delta at a delta that is not b**-n
+    Mutant("delta-keeps-outputs-above-the-track", "precision.py",
+           "        return None if E else i\n", "        return i\n",
+           ["tests/test_level_invariant.py::test_a_walk_that_leaves_the_track_outside_is_unreachable"]),
+    Mutant("delta-keeps-outputs-below-the-track", "precision.py",
+           "            if E < 0:\n                return None\n", "",
+           ["tests/test_level_invariant.py::test_a_delta_that_is_not_a_power_matches_the_oracle"]),
+    Mutant("delta-later-hit-overwrites-the-goal", "precision.py",
+           "        if self.resolved:  # the first hit answers the goal; no later one may overwrite it\n"
+           "            return None\n",
+           "", ["tests/test_level_invariant.py::test_a_delta_that_is_not_a_power_matches_the_oracle"]),
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
