@@ -7,8 +7,8 @@ one search per (transducer, target) walks its levels once and answers every
 goal of that target from the level where the goal resolved. A search is a
 subclass with one `advance(pos, out)`, which drops the emission of `out`
 from pos or moves to a new pos, and reports the goals the emission
-resolves; `step` keeps them in one map, `resolved`, and every search is
-asked through one loop, `answer(goal, cap)`. `PrefixSearch` is the
+resolves; `walk`, the one level loop, keeps them in one map, `resolved`,
+and every search is asked through `answer(goal, cap)`. `PrefixSearch` is the
 exact-output search: pos is the matched length of a word, and one search
 answers `kt` for every prefix of that word. `precision.PrecisionSearch`
 answers `kdelta` at every precision b^-n, `_DeltaSearch` at one other
@@ -59,14 +59,15 @@ class Search:
     """Resumable breadth-first search over configurations (state, pos) of T
     from (start, start_pos).
 
-    Configurations are deduplicated, and `step` expands the frontier one
-    input symbol deeper, in frontier order and input symbols ascending. So
+    Configurations are deduplicated, and `walk` expands the frontier one input
+    symbol deeper per level, in frontier order and input symbols ascending. So
     the first transition to resolve a goal gives a minimal input and, among
     those, the lexicographically least. `advance(pos, out)` returns None to
     drop a transition or the next pos; to resolve goals it appends them to
-    `hits`, and `step` writes each into `resolved` as goal -> (level, path
-    to the configuration, input symbol). A path is a chain of (path, symbol)
-    links ending in None at the start.
+    `hits`, and `walk` writes each into `resolved` as goal -> (level, path,
+    input symbol); a path to a configuration is a chain of (path, symbol) links
+    ending in None at the start. The hook `_prune` ends each level that
+    resolves a goal and leaves a frontier.
 
     `answer(goal, cap)` answers a resolved goal at any cap and an open one
     only at a cap the search has not walked past; `capped` raises past it.
@@ -74,7 +75,7 @@ class Search:
 
     A level that runs out of digits (InsufficientDigits) spends the search:
     goals resolved before the failing transition keep that first resolution,
-    and every later step, like every goal still open, raises it again.
+    it walks no further, and every goal still open raises it again.
     """
 
     def __init__(self, t: Fst, start_pos):
@@ -90,35 +91,40 @@ class Search:
     def advance(self, pos, out):
         raise NotImplementedError
 
-    def step(self) -> None:
-        if self.spent is not None:
-            raise self.spent.with_traceback(None)
+    def walk(self, goal, cap: int) -> None:
+        """Walks levels while goal is open, a frontier is left and level < cap."""
         advance, hits, resolved, visited = self.advance, self.hits, self.resolved, self.visited
         rows = self.t.transitions
-        level = self.level + 1
-        frontier = []
         try:
-            for cfg, path in self.frontier:
-                pos = cfg[1]
-                for a, (q2, out) in enumerate(rows[cfg[0]]):
-                    pos2 = advance(pos, out)
-                    if hits:
-                        hit = (level, path, a)
-                        while hits:
-                            resolved[hits.pop()] = hit
-                    if pos2 is not None:
-                        nxt = (q2, pos2)
-                        if nxt not in visited:
-                            visited.add(nxt)
-                            frontier.append((nxt, (path, a)))
+            while goal not in resolved and self.frontier and self.level < cap:
+                level = self.level + 1
+                frontier, hit = [], None
+                for cfg, path in self.frontier:
+                    pos = cfg[1]
+                    for a, (q2, out) in enumerate(rows[cfg[0]]):
+                        pos2 = advance(pos, out)
+                        if hits:
+                            hit = (level, path, a)
+                            while hits:
+                                resolved[hits.pop()] = hit
+                        if pos2 is not None:
+                            nxt = (q2, pos2)
+                            if nxt not in visited:
+                                visited.add(nxt)
+                                frontier.append((nxt, (path, a)))
+                self.frontier = frontier
+                self.level = level
+                if hit is not None and frontier:
+                    self._prune()
         except InsufficientDigits as exc:
             self.spent = exc
             raise
-        self.frontier = frontier
-        self.level = level
+
+    def _prune(self) -> None:
+        """Drops the frontier configurations no open goal needs: none here."""
 
     def open(self, goal) -> bool:
-        """Whether stepping on may still resolve goal."""
+        """Whether walking on may still resolve goal."""
         return goal not in self.resolved
 
     def capped(self, goal, cap: int) -> bool:
@@ -130,13 +136,13 @@ class Search:
 
     def answer(self, goal, cap: int, witness: bool = True) -> CostResult:
         """goal's result at input cap `cap`. A resolved goal is read off
-        `resolved` before the walk; an open one steps the search while it
+        `resolved` before the walk; an open one walks the search while it
         stays open below the cap. A found result carries its witness only
         when `witness` is true; a flagged one is `CAPPED` or `UNREACHED`."""
         hit = self.resolved.get(goal)
         if hit is None:
-            while self.open(goal) and self.frontier and self.level < cap:
-                self.step()
+            if self.open(goal) and self.spent is None and self.frontier and self.level < cap:
+                self.walk(goal, cap)
             hit = self.resolved.get(goal)
             if hit is None:
                 if self.spent is not None:

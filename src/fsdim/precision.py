@@ -13,21 +13,21 @@ are nested, so the search keeps S, the largest solved precision, which only
 moves up: an accepting emission solves every n in (S, N] at once. A
 configuration is kept only while its output is a prefix of the expansion of
 x - b^-(S+1), the lower-endpoint track; every other configuration has been
-accepted or never can be. `step` prunes the frontier to that track whenever
-S moves, so when a level starts every frontier configuration is on the track
-of g = S + 1, and none was accepted at the goal of the level that reached
-it, which is at most g. From j = g on that track is D = -b^(j-g); a
-configuration there holds e = j - g in place of D, as the pos (-j, e), and
-while one emission runs D is -b^e plus an offset below b^k after k digits.
-So `advance`, the pruning bound, `_through` and `_on_track` read only small
-integers, and a level costs the same however far past its goal an output
-has run: a walk is linear in its input cap. x's digits are read from the
-stream's buffer, which holds x[:hi] from the start; a read past its end goes
-through `DigitStream.digit`, which fills it. `advance` checks only what a
-transition can change:
+accepted or never can be. After a level that moved S, `walk` calls the hook
+`_prune`, which cuts the frontier to that track; so when a level starts every
+frontier configuration is on the track of g = S + 1, and none was accepted at
+the goal of the level that reached it, which is at most g. From j = g on that
+track is D = -b^(j-g); a configuration there holds e = j - g in place of D,
+as the pos (-j, e), and while one emission runs D is -b^e plus an offset
+below b^k after k digits. So `advance`, the pruning bound, `_through` and
+`_on_track` read only small integers, and a level costs the same however far
+past its goal an output has run: a walk is linear in its input cap. x's
+digits are read from the stream's buffer, which holds x[:hi] from the start;
+a read past its end goes through `DigitStream.digit`, which fills it.
+`advance` checks only what a transition can change:
 - an empty emission leaves its pos as it is, so it cannot be accepted; it is
-  kept unchecked, and if an accept earlier in the level moved g, `step`
-  prunes it with the frontier. Off the track of one goal is off the track of
+  kept unchecked, and if an accept earlier in the level moved g, `_prune`
+  drops it with the frontier. Off the track of one goal is off the track of
   every later one, so the visited entry it leaves drops nothing;
 - an output with D == 0 is x[:j]: it solves n up to x's first nonzero digit
   from j, and when it is not accepted that digit lies below g, so it is on
@@ -331,12 +331,6 @@ class PrecisionSearch(Search):
     def _prune(self) -> None:  # to the track of S + 1, the least open goal
         g = self.S + 1
         self.frontier = [c for c in self.frontier if g <= self.hi and self._on_track(*c[0][1], g)]
-
-    def step(self) -> None:
-        S = self.S
-        super().step()
-        if self.S != S and self.frontier:
-            self._prune()
 
     def open(self, n: int) -> bool:
         """Whether precision n is unsolved. Asking for n gives up the open

@@ -5,8 +5,9 @@ When a level starts, every frontier configuration (j, D) is on the track of
 g = S + 1, the least open goal. An empty emission leaves (j, D) as it is,
 and (j, D) was not accepted at a goal <= g when it was reached, so it cannot
 be accepted now; `advance` returns it at once, and when an accept earlier in
-the level moved g, `step`'s pruning drops it. A checking subclass asserts
-both facts at every level, over pool machines in bases 2, 3 and 10 and over
+the level moved g, the pruning hook that `walk` runs at the level's end
+drops it. A checking subclass walks one level at a time and asserts both
+facts at every level, over pool machines in bases 2, 3 and 10 and over
 rational, periodic, dyadic, Champernowne and finite digit-file points. A
 base-2 machine whose output follows the lower track past its goal at x = 1/2
 puts (-j, e) positions in the frontier, so the facts are checked on them
@@ -41,15 +42,21 @@ TRACK_PAST_GOAL = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
 
 
 class Checked:
-    """Asserts the level-start invariant before each step, and that no
-    empty emission from the frontier is accepted during it."""
+    """Walks one level at a time, under `walk`'s own loop condition, and
+    asserts the level-start invariant before each level and that no empty
+    emission from the frontier is accepted during it. `checks` counts the
+    levels checked."""
 
-    def step(self):
-        g = self.S + 1
-        if g <= self.hi:
-            for cfg, _ in self.frontier:
-                assert self._on_track(*cfg[1], g), (self.level, cfg, g)
-        super().step()
+    checks = 0
+
+    def walk(self, goal, cap):
+        while goal not in self.resolved and self.frontier and self.level < cap:
+            g = self.S + 1
+            if g <= self.hi:
+                for cfg, _ in self.frontier:
+                    assert self._on_track(*cfg[1], g), (self.level, cfg, g)
+            self.checks += 1
+            super().walk(goal, self.level + 1)
 
     def advance(self, pos, out):
         g = self.S + 1
@@ -78,6 +85,7 @@ def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
     machines = [t for _, t in gen_pool(base, count, 4, base, 3)]
     if base == 2:
         machines.append(TRACK_PAST_GOAL)
+    checked = 0
     for t in machines:
         for x in points(base, tmp_path):
             stream = shared_stream(x, base)
@@ -89,6 +97,11 @@ def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
                     break
                 q = PrecisionQuery.at_scale(x, base, n)
                 assert res == kdelta(t, q, witness=False), (t, x, n)
+            # every level walked was checked; a level that ran out of digits
+            # was checked and never committed
+            assert search.checks == search.level + (search.spent is not None), (t, x)
+            checked += search.checks
+    assert checked
 
 
 #: base -> (pool machines, largest input cap) of the differential at deltas
@@ -128,15 +141,21 @@ def test_a_walk_that_leaves_the_track_outside_is_unreachable():
         assert kdelta(t, q).status == UNREACHABLE, cap
 
 
-#: the work `normality_report(champernowne, 2, 500)` did before the shortcuts
-PARENT_CALLS = {"advance": 9546, "step": 2477, "_on_track": 7281, "_run": 12007}
+#: the work `normality_report(champernowne, 2, 500)` did before the
+#: shortcuts: the levels its searches walked, and its calls
+PARENT_CALLS = {"levels": 2477, "advance": 9546, "_on_track": 7281, "_run": 12007}
 #: and the digits and acceptance tests it read before `advance` indexed x's
 #: buffer and settled the outputs D == 0 and D == -1 itself
 BUFFER_PARENT_CALLS = {"digit": 20963, "_through": 3455}
 
 
 def test_the_shortcuts_at_least_halve_the_track_and_run_checks(monkeypatch):
-    calls = Counter()
+    calls, searches = Counter(), []
+    init = PrecisionSearch.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        searches.append(self)
 
     def counting(name, method):
         def counted(*args):
@@ -144,13 +163,15 @@ def test_the_shortcuts_at_least_halve_the_track_and_run_checks(monkeypatch):
             return method(*args)
         return counted
 
-    for name in [*PARENT_CALLS, "_through"]:
+    for name in ["advance", "_on_track", "_run", "_through"]:
         monkeypatch.setattr(PrecisionSearch, name, counting(name, getattr(PrecisionSearch, name)))
+    monkeypatch.setattr(PrecisionSearch, "__init__", recording)
     monkeypatch.setattr(DigitStream, "digit", counting("digit", DigitStream.digit))
     report = normality_report(RealSpec.champernowne(), 2, 500)
     assert report.estimate == Fraction(309, 326)
     # the walk is the same: every level and every transition is still made
-    assert calls["advance"] == PARENT_CALLS["advance"] and calls["step"] == PARENT_CALLS["step"]
+    assert calls["advance"] == PARENT_CALLS["advance"]
+    assert sum(search.level for search in searches) == PARENT_CALLS["levels"]
     assert 2 * calls["_on_track"] <= PARENT_CALLS["_on_track"], calls
     assert 2 * calls["_run"] <= PARENT_CALLS["_run"], calls
     # a digit is read through the stream only past its buffer

@@ -41,9 +41,16 @@ Mutant = namedtuple("Mutant", "name file snippet replacement tests")
 
 MUTANTS = [
     # the search core and its inputs
-    Mutant("step-without-prune", "precision.py",
-           "        if self.S != S and self.frontier:\n            self._prune()\n",
+    Mutant("walk-without-prune", "infocontent.py",
+           "                if hit is not None and frontier:\n                    self._prune()\n",
            "", ["tests/test_level_invariant.py"]),
+    Mutant("walk-past-resolved-goal", "infocontent.py",
+           "while goal not in resolved and self.frontier and self.level < cap:",
+           "while self.frontier and self.level < cap:", ["tests/test_walk.py"]),
+    Mutant("walk-one-level-past-cap", "infocontent.py",
+           "while goal not in resolved and self.frontier and self.level < cap:",
+           "while goal not in resolved and self.frontier and self.level <= cap:",
+           ["tests/test_walk.py"]),
     Mutant("through-d1-reads-digit-1", "precision.py",
            "r = self._run(j, b - 1, hi + 1)", "r = self._run(j, 1, hi + 1)",
            ["tests/test_other_bases.py"]),
