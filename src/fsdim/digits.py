@@ -67,45 +67,6 @@ def content_lines(lines):
             yield lineno, line
 
 
-class Frozen:
-    """An immutable value: a subclass sets its `__slots__` once, in
-    `__init__`, through `_init`, and assigning an attribute afterwards
-    raises. Equality, hash and repr go by the fields listed in `_fields`, in
-    that order; a copy or pickle builds the value again through the
-    constructor."""
-
-    __slots__ = ()
-    _fields = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-
 def str_to_digits(w: str, base: int) -> list[int]:
     """Validate a digit string over sigma_b and return it as a list of ints."""
     check_base(base)

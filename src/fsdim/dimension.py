@@ -78,7 +78,8 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     inside), then the best transducer (inf outside). A point is a set of one.
 
     `family` holds transducers or (name, transducer) pairs, all reading base
-    `base`. rows_of(t, x, grid) gives one point's profile rows; flagged rows
+    `base`; an `Fst`, itself a tuple, is named T<i> by its index i in the
+    family. rows_of(t, x, grid) gives one point's profile rows; flagged rows
     are left out, and a transducer is dropped at its first point without a
     usable row in the window. A point's window minimum compares the rows'
     (cost, n) by exact integer cross-multiplication and keeps the least
@@ -88,7 +89,7 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     points = list(points)
     if not points:
         raise FsdimError("need at least one point")
-    members = [m if isinstance(m, tuple) else (f"T{i}", m) for i, m in enumerate(family)]
+    members = [(f"T{i}", m) if isinstance(m, Fst) else m for i, m in enumerate(family)]
     if not members:
         raise FsdimError("family must be nonempty")
     check_base(base)

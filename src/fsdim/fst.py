@@ -7,12 +7,11 @@ construction and `run` is pure.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from heapq import heapify, heappop, heappush
 
 from .digits import (
     DigitStream,
-    Frozen,
     check_base,
     check_precision,
     content_lines,
@@ -31,17 +30,16 @@ from .errors import (
 )
 
 
-class Fst(Frozen):
+class Fst(namedtuple("Fst", "base state_count start transitions")):
     """(Q, delta, nu, q0) with Q = range(state_count).
 
     transitions[q][a] = (next_state, output_digits) where output_digits is a
-    tuple of ints over the base alphabet. Not a tuple: `dimension.estimate`
-    tells a bare machine from a (name, machine) pair by that.
+    tuple of ints over the base alphabet.
     """
 
-    __slots__ = _fields = ("base", "state_count", "start", "transitions")
+    __slots__ = ()
 
-    def __init__(self, base: int, state_count: int, start: int, transitions: tuple):
+    def __new__(cls, base: int, state_count: int, start: int, transitions: tuple):
         check_base(base)
         if state_count < 1:
             raise FsdimError("an FST needs at least one state")
@@ -58,7 +56,7 @@ class Fst(Frozen):
                 for d in out:
                     if not (0 <= d < base):
                         raise InvalidDigit(f"output digit {d} of ({q},{a}) out of base {base}")
-        self._init(base, state_count, start, transitions)
+        return super().__new__(cls, base, state_count, start, transitions)
 
     def run_from(self, q: int, pi: str) -> tuple[str, int]:
         """Output and final state of running input pi from state q."""

@@ -40,14 +40,14 @@ a read past its end goes through `DigitStream.digit`, which fills it.
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
 carries its exponent n. `PrecisionQuery.at_scale` builds one query per
 (point, base, n, cap) per process, shared by every transducer's row at that
-precision. It takes n from its caller, and builds delta = b^-n only when
-something reads it, which no row with an open search does; with the
-all-zero-tail test one comparison (`DigitStream.ends_at`), no row does work
-that grows with n. `kdelta_profile`, the estimators in `dimension` and
-`separator.dimf_estimate` (whose `ktf_delta` rows ask with the same
-queries) pass in the open search of the row's (transducer, point); without
-one, `kdelta` runs a fresh one-precision search on the same core. An accept
-writes the precisions it solves into `resolved`, all with one hit. Rows
+precision. It takes n from its caller, and builds delta = b^-n, once per
+(base, n), only when something reads it, which no row with an open search
+does; with the all-zero-tail test one comparison (`DigitStream.ends_at`), no
+row does work that grows with n. `kdelta_profile`, the estimators in
+`dimension` and `separator.dimf_estimate` (whose `ktf_delta` rows ask with
+the same queries) pass in the open search of the row's (transducer, point);
+without one, `kdelta` runs a fresh one-precision search on the same core. An
+accept writes the precisions it solves into `resolved`, all with one hit. Rows
 ask with `witness=False` and read the cost off that hit, so no row builds a
 witness; only a caller that prints one, such as the `kdelta` command, asks
 for it. One n <= S missing there was given up; giving up goals on an empty
@@ -76,7 +76,6 @@ from functools import cache
 
 from .digits import (
     DigitStream,
-    Frozen,
     RealSpec,
     check_base,
     check_precision,
@@ -103,19 +102,23 @@ from .infocontent import (
 #: the n whose default input cap a delta that is not base**-n gets
 FALLBACK_SCALE = 14
 
+#: delta = base**-n, built once per (base, n) by the queries that read it
+_inverse_power = cache(inverse_power)
 
-class PrecisionQuery(Frozen):
+
+class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input n")):
     """The interval (x - delta, x + delta) in base `base`, searched with at
     most cap_input inputs, by default 4 * (n + 2). n is the exponent with
     delta == base**-n, else None, and then the default cap reads n as
     FALLBACK_SCALE. The constructor sets n from delta; given delta None, it
-    takes n from its caller, and delta = `inverse_power(base, n)` is built
-    only when read. Equality, hash and repr leave n out."""
+    takes n from its caller. A query keeps delta itself only when n is None,
+    as `other_delta`, so equal fields mean an equal (x, base, delta, cap);
+    base**-n is built only when `delta` is read, once per (base, n). The
+    repr shows delta and leaves n out."""
 
-    __slots__ = ("x", "base", "_delta", "cap_input", "n")
-    _fields = ("x", "base", "delta", "cap_input")
+    __slots__ = ()
 
-    def __init__(self, x: RealSpec, base: int, delta: Fraction | None, cap_input=None, n=None):
+    def __new__(cls, x: RealSpec, base: int, delta: Fraction | None, cap_input=None, n=None):
         if delta is None:
             check_scale(base, n)
         else:
@@ -123,17 +126,21 @@ class PrecisionQuery(Frozen):
             if delta <= 0 or delta > 1:
                 raise FsdimError(f"delta must lie in (0, 1], got {delta}")
             n = delta_exponent(delta, base)
+            if n is not None:
+                delta = None
         if cap_input is None:
             cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
         elif cap_input < 0:
             raise FsdimError(f"the input cap must be >= 0, got {cap_input}")
-        self._init(x, base, delta, cap_input, n)
+        return super().__new__(cls, x, base, delta, cap_input, n)
 
     @property
     def delta(self) -> Fraction:
-        if self._delta is None:  # built once, on the first read
-            object.__setattr__(self, "_delta", inverse_power(self.base, self.n))
-        return self._delta
+        return self.other_delta if self.n is None else _inverse_power(self.base, self.n)
+
+    def __repr__(self):
+        return (f"PrecisionQuery(x={self.x!r}, base={self.base!r}, delta={self.delta!r},"
+                f" cap_input={self.cap_input!r})")
 
     @classmethod
     @cache
@@ -445,8 +452,9 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, f=None) -> CostResult:
     The cost is exponential in the cap, so callers ask with small caps."""
     value = _value_map(t, q.base, f)
     near = within_at(q.x, q.base)
+    delta = q.delta
     for pi, out in distinct_outputs(t, q.cap_input):
-        if near(value(out), q.delta):
+        if near(value(out), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CAPPED
 

@@ -542,8 +542,6 @@ class TestCarriedExponent:
         q = PrecisionQuery.at_scale(THIRD, 2, 5)
         hand = PrecisionQuery(THIRD, 2, Fraction(1, 32), 28)
         assert q == hand and hash(q) == hash(hand)
-        assert hash(q) == hash((q.x, q.base, q.delta, q.cap_input))
-        assert PrecisionQuery._fields == ("x", "base", "delta", "cap_input")
         for args in ((ZERO, 2, Fraction(1, 32), 28), (THIRD, 4, Fraction(1, 32), 28),
                      (THIRD, 2, Fraction(1, 16), 28), (THIRD, 2, Fraction(1, 32), 27)):
             assert q != PrecisionQuery(*args)
@@ -593,19 +591,19 @@ class TestPerRowWork:
 
     def test_dim_point_builds_one_query_per_precision(self, monkeypatch, pool):
         built, rows = [], []
-        init = PrecisionQuery.__init__
+        new = PrecisionQuery.__new__
         row = dimension.kdelta_profile
 
-        def counting_init(self, *args):
-            built.append(self)
-            init(self, *args)
+        def counting_new(cls, *args):
+            built.append(new(cls, *args))
+            return built[-1]
 
         def counting_profile(ts, x, *args, **kwargs):
             out = row(ts, x, *args, **kwargs)
             rows.extend(out)
             return out
 
-        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
+        monkeypatch.setattr(PrecisionQuery, "__new__", counting_new)
         monkeypatch.setattr(dimension, "kdelta_profile", counting_profile)
         PrecisionQuery.at_scale.cache_clear()  # a query built by another test is not counted
         x = RealSpec.parse("rat:5/24")
@@ -617,13 +615,13 @@ class TestPerRowWork:
 
     def test_family_profile_builds_one_query_per_precision(self, monkeypatch, pool):
         built = []
-        init = PrecisionQuery.__init__
+        new = PrecisionQuery.__new__
 
-        def counting_init(self, *args):
-            built.append(self)
-            init(self, *args)
+        def counting_new(cls, *args):
+            built.append(new(cls, *args))
+            return built[-1]
 
-        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
+        monkeypatch.setattr(PrecisionQuery, "__new__", counting_new)
         PrecisionQuery.at_scale.cache_clear()
         rows = kdelta_profile([t for _, t in pool[:30]], THIRD, 2, 25)
         assert len(rows) == 25 and len(built) == 25
@@ -633,12 +631,12 @@ class TestPerRowWork:
     def test_separator_estimate_builds_one_query_per_precision(self, monkeypatch, tmp_path, pool,
                                                                kind, point):
         built, rows = [], []
-        init = PrecisionQuery.__init__
+        new = PrecisionQuery.__new__
         row = separator.profile_rows
 
-        def counting_init(self, *args):
-            built.append(self)
-            init(self, *args)
+        def counting_new(cls, *args):
+            built.append(new(cls, *args))
+            return built[-1]
 
         def counting_rows(grid, search):
             out = row(grid, search)
@@ -650,7 +648,7 @@ class TestPerRowWork:
 
         (tmp_path / "perm.txt").write_text("00 -> 10\n01 -> 00\n10 -> 11\n11 -> 01\n")
         (tmp_path / "d.txt").write_text(seq_digits(RealSpec.parse("rat:5/7"), 2, 200) + "\n")
-        monkeypatch.setattr(PrecisionQuery, "__init__", counting_init)
+        monkeypatch.setattr(PrecisionQuery, "__new__", counting_new)
         monkeypatch.setattr(separator, "profile_rows", counting_rows)
         monkeypatch.setattr("fsdim.digits.delta_exponent", refused)
         monkeypatch.setattr("fsdim.precision.delta_exponent", refused)

@@ -1,5 +1,6 @@
-"""The six value types are immutable, compare and hash by their fields, and
-print as they always have: the reprs below are pinned."""
+"""The six value types are `namedtuple` subclasses: immutable, they compare
+and hash by their fields, and they print as they always have: the reprs
+below are pinned."""
 
 import copy
 import pickle
@@ -70,8 +71,7 @@ class TestValueType:
         value, again, other = build(), build(), build_other()
         assert value is not again and value == again and value != other
         key = tuple(getattr(value, field) for field in type(value)._fields)
-        # a namedtuple equals the plain tuple of its fields; a Frozen value does not
-        assert (value == key) is isinstance(value, tuple)
+        assert value == key  # a namedtuple equals the plain tuple of its fields
         if name == "EstimateReport":  # a dict field: unhashable, as it always was
             with pytest.raises(TypeError):
                 hash(value)
@@ -92,9 +92,18 @@ def test_a_query_keeps_its_n_true():
     q = PrecisionQuery.at_scale(THIRD, 2, 5)
     with pytest.raises(AttributeError):
         q.n = 6
-    assert copy.copy(q).n == 5
     with pytest.raises(FsdimError):  # a query at another delta validates it
         PrecisionQuery(q.x, q.base, Fraction(0))
+    # a copy or a pickle keeps n and delta, also at a delta that is not a
+    # power, where n is None
+    for query, n, delta in ((q, 5, Fraction(1, 32)),
+                            (PrecisionQuery.at_scale(THIRD, 3, 5, 9), 5, Fraction(1, 3**5)),
+                            (PrecisionQuery(THIRD, 3, Fraction(1, 12), 8), None, Fraction(1, 12))):
+        copies = [copy.copy(query), copy.deepcopy(query)]
+        copies += [pickle.loads(pickle.dumps(query, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert type(again) is PrecisionQuery and again == query
+            assert (again.n, again.delta, again.cap_input) == (n, delta, query.cap_input)
 
 
 def test_a_report_gets_a_fresh_profiles_map():
@@ -104,10 +113,9 @@ def test_a_report_gets_a_fresh_profiles_map():
 
 
 def test_estimate_names_a_bare_transducer_and_unpacks_a_pair():
-    # `estimate` tells a (name, machine) pair from a bare machine with
-    # isinstance(m, tuple): an Fst must not be a tuple
+    # `estimate` tells a bare machine from a (name, machine) pair with
+    # isinstance(m, Fst)
     t = make_identity(2)
-    assert not isinstance(t, tuple)
     report = dim_point_estimate([t, ("id", t)], THIRD, 2, 8)
     assert sorted(report.per_transducer) == ["T0", "id"]
     assert sorted(report.profiles) == ["T0", "id"]

@@ -86,6 +86,12 @@ MUTANTS = [
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
+    Mutant("query-rebuild-drops-other-delta", "precision.py",
+           "    @property\n    def delta(self) -> Fraction:\n",
+           "    def __getnewargs__(self):\n"
+           "        return self.x, self.base, None, self.cap_input, self.n\n\n"
+           "    @property\n    def delta(self) -> Fraction:\n",
+           ["tests/test_value_types.py::test_a_query_keeps_its_n_true"]),
     Mutant("fraction-arg-without-exponent-bound", "cli.py",
            "if e and abs(int(exponent)) > MAX_EXPONENT:", "if False:",
            ["tests/test_cli.py::TestBadValuesExitCleanly"]),
@@ -132,7 +138,7 @@ MUTANTS = [
            "distinct_outputs(t, q.cap_input)", "distinct_outputs(t, 12)",
            ["tests/test_precision.py::TestKdeltaOracle"]),
     Mutant("kdelta-oracle-twice-delta", "precision.py",
-           "if near(value(out), q.delta):", "if near(value(out), 2 * q.delta):",
+           "if near(value(out), delta):", "if near(value(out), 2 * delta):",
            ["tests/test_precision.py"]),
     Mutant("oracle-table-closed-below", "precision.py",
            "i = bisect_right(values, x - delta)", "i = bisect_left(values, x - delta)",
