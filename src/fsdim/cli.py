@@ -92,27 +92,37 @@ def _emit(args, text_line: str, json_obj: dict) -> None:
     _write(args, (json.dumps(json_obj, sort_keys=True) if args.json else text_line) + "\n")
 
 
-def _cost_json(res: CostResult) -> dict:
-    obj = {"status": res.status}
-    if res.found:
-        obj.update(cost=res.cost, witness_input=res.witness_input,
-                   witness_output=res.witness_output)
-    return obj
+def _cost_out(args, res: CostResult) -> None:
+    """An answer as "status,cost,witness_input", or its JSON object."""
+    if not res.found:
+        _emit(args, f"{res.status},,", {"status": res.status})
+        return
+    _emit(args, f"{res.status},{res.cost},{res.witness_input}",
+          {"status": res.status, "cost": res.cost, "witness_input": res.witness_input,
+           "witness_output": res.witness_output})
 
 
 def _profile_csv(rows) -> str:
+    """The profile as CSV: each row's cost/n and the running infimum of cost/n
+    over the found rows so far, to 6 places. The infimum is kept as the
+    (cost, n) that set it, compared by c * n' < c' * n, and reads 0 before
+    the first found row. A flagged row leaves its cost and ratio empty."""
     lines = ["n,cost,ratio,running_inf,flags"]
-    for r in rows:
-        cost = "" if r.flags else r.cost
-        ratio = "" if r.flags else f"{float(r.ratio):.6f}"
-        lines.append(f"{r.n},{cost},{ratio},{float(r.running_inf):.6f},{r.flags}")
+    running, least = "0.000000", None
+    for n, cost, flags in rows:
+        ratio = "" if flags else f"{cost / n:.6f}"
+        if not flags and (least is None or cost * least[1] < least[0] * n):
+            running, least = ratio, (cost, n)
+        lines.append(f"{n},{'' if flags else cost},{ratio},{running},{flags}")
     return "\n".join(lines) + "\n"
 
 
 def _report_out(args, report) -> None:
     _emit(args, f"estimate={float(report.estimate):.6f}"
           + (f" verdict={report.verdict!r}" if report.verdict else ""),
-          report.to_json_dict())
+          {"estimate": str(report.estimate), "estimate_float": float(report.estimate),
+           "per_transducer": {k: str(v) for k, v in report.per_transducer.items()},
+           "window": list(report.window), "verdict": report.verdict})
 
 
 def cmd_fst_validate(args) -> int:
@@ -140,8 +150,7 @@ def cmd_fst_gen(args) -> int:
 
 def cmd_kt(args) -> int:
     t = _load_fst(args.fst)
-    res = kt(t, args.w, cap=args.cap)
-    _emit(args, res.line(), _cost_json(res))
+    _cost_out(args, kt(t, args.w, cap=args.cap))
     return 0
 
 
@@ -149,8 +158,7 @@ def cmd_kdelta(args) -> int:
     t = _load_fst(args.fst)
     x = RealSpec.parse(args.x)
     delta = parse_delta(args.delta, args.base) if args.n is None else inverse_power(args.base, args.n)
-    res = kdelta(t, PrecisionQuery(x, args.base, delta, args.cap_in))
-    _emit(args, res.line(), _cost_json(res))
+    _cost_out(args, kdelta(t, PrecisionQuery(x, args.base, delta, args.cap_in)))
     return 0
 
 

@@ -23,8 +23,8 @@ from .errors import (
 MIN_BASE = 2
 MAX_BASE = 10
 
-#: digits of lookahead used when a digit-only stream must answer an exact
-#: question (is the tail all zeros? which side of a rational are we on?)
+#: the zeros a digit-only stream reads before `is_zero_from` gives up on
+#: confirming an all-zero tail
 DEFAULT_LOOKAHEAD = 64
 
 #: the largest precision n (delta = base**-n, or a profile's or estimate's
@@ -214,9 +214,12 @@ class DigitStream:
     def compare(self, r: Fraction) -> int:
         """Exact three-way comparison of this real against a rational r.
 
-        Returns -1, 0 or +1. Digit-only streams refine until the cylinder
-        around the known prefix separates from r, raising InsufficientDigits
-        if DEFAULT_LOOKAHEAD doublings do not settle it.
+        Returns -1, 0 or +1. A digit-only stream doubles the prefix it reads
+        until the cylinder [lo, lo + b**-m) around it separates from r. That
+        loop ends: a finite source, such as a digit file, raises
+        InsufficientDigits past its last digit, and Champernowne's constant,
+        the one infinite digit-only stream, is irrational, so it is not r and
+        the cylinder separates once b**-m <= |x - r|.
         """
         if self.value is not None:
             return (self.value > r) - (self.value < r)
@@ -225,14 +228,13 @@ class DigitStream:
         if r >= 1:
             return -1
         m = 8
-        for _ in range(DEFAULT_LOOKAHEAD):
+        while True:
             lo = self.exact_value_up_to(m)
             if r < lo:
                 return 1
             if r >= lo + Fraction(1, self.base ** m):
                 return -1
             m *= 2
-        raise InsufficientDigits(f"comparison against {r} undecided after {m // 2} digits")
 
 
 def _ends_at(q: int, base: int) -> int | None:

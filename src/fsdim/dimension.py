@@ -43,7 +43,8 @@ NO_COMPRESSION = "no compression found (consistent with normality)"
 
 class EstimateReport(namedtuple("EstimateReport", "estimate per_transducer window verdict profiles")):
     """An estimate, each transducer's value and the window read; profiles
-    maps a name to its tuple of ProfileRow, for one point only."""
+    maps a name to its tuple of ProfileRow, for one point only. The values
+    are exact; `cli` formats them."""
 
     __slots__ = ()
 
@@ -52,23 +53,17 @@ class EstimateReport(namedtuple("EstimateReport", "estimate per_transducer windo
         return super().__new__(cls, estimate, per_transducer, window, verdict,
                                {} if profiles is None else profiles)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": str(self.estimate),
-            "estimate_float": float(self.estimate),
-            "per_transducer": {k: str(v) for k, v in self.per_transducer.items()},
-            "window": list(self.window),
-            "verdict": self.verdict,
-        }
-
 
 def _grid(n_lo: int, n_hi: int) -> list[int]:
-    """All n in [1, n_hi] when small, else an evenly spaced subsample."""
+    """All n in [1, n_hi] when small, else an evenly spaced subsample: the
+    nearest integers to n_lo + (span - 1) * i / w and 1 + (n_lo - 2) * i / h,
+    built as (2a + d) // (2d). h and w are odd, so no quotient is a tie."""
     if n_hi <= FULL_GRID_LIMIT:
         return list(range(1, n_hi + 1))
     span = n_hi - n_lo + 1
-    head = {max(1, round(1 + (n_lo - 2) * i / (HEAD_SAMPLES - 1))) for i in range(HEAD_SAMPLES)}
-    window = {n_lo + round((span - 1) * i / (WINDOW_SAMPLES - 1)) for i in range(WINDOW_SAMPLES)}
+    h, w = HEAD_SAMPLES - 1, WINDOW_SAMPLES - 1
+    head = {max(1, 1 + (2 * (n_lo - 2) * i + h) // (2 * h)) for i in range(HEAD_SAMPLES)}
+    window = {n_lo + (2 * (span - 1) * i + w) // (2 * w) for i in range(WINDOW_SAMPLES)}
     return sorted(head | window)
 
 
@@ -81,10 +76,11 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     `base`; an `Fst`, itself a tuple, is named T<i> by its index i in the
     family. rows_of(t, x, grid) gives one point's profile rows; flagged rows
     are left out, and a transducer is dropped at its first point without a
-    usable row in the window. A point's window minimum compares the rows'
-    (cost, n) by exact integer cross-multiplication and keeps the least
-    row's ratio; only the worst point and the best transducer are found by
-    Fraction comparisons, one per (transducer, point), not one per row.
+    usable row in the window. A point's window minimum and the worst point
+    are kept as the (cost, n) of a row and compared by exact integer
+    cross-multiplication, c * n' < c' * n; a transducer's value is the one
+    Fraction built from its worst point, and only the best transducer is
+    found by Fraction comparisons.
     """
     points = list(points)
     if not points:
@@ -104,20 +100,21 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     per = {}
     profiles = {}
     for name, t in members:
-        worst = Fraction(0)
+        worst_cost = None  # the worst point's window minimum is worst_cost / worst_n
         for x in points:
             rows = rows_of(t, x, grid)
             if len(points) == 1:
                 profiles[name] = tuple(rows)
-            proxy = None  # the window's least ratio, compared as c * n' < c' * n
-            for n, cost, ratio, _, flags in rows:
-                if n >= n_lo and not flags and (proxy is None or cost * proxy_n < proxy_cost * n):
-                    proxy, proxy_cost, proxy_n = ratio, cost, n
-            if proxy is None:
+            least_cost = None  # the window's least ratio is least_cost / least_n
+            for n, cost, flags in rows:
+                if n >= n_lo and not flags and (least_cost is None or cost * least_n < least_cost * n):
+                    least_cost, least_n = cost, n
+            if least_cost is None:
                 break  # a point this transducer cannot handle: drop it
-            worst = max(worst, proxy)
+            if worst_cost is None or least_cost * worst_n > worst_cost * least_n:
+                worst_cost, worst_n = least_cost, least_n
         else:
-            per[name] = worst
+            per[name] = Fraction(worst_cost, worst_n)
     if not per:
         raise AllRowsFlagged("no transducer produced a usable row in the window for every point")
     return EstimateReport(min(per.values()), per, (n_lo, n_max), profiles=profiles)

@@ -44,11 +44,6 @@ class CostResult(namedtuple("CostResult", "status cost witness_input witness_out
     def found(self) -> bool:
         return self.status == FOUND
 
-    def line(self) -> str:
-        if self.found:
-            return f"{self.status},{self.cost},{self.witness_input}"
-        return f"{self.status},,"
-
 
 #: the one result of each flag: answers share them, and build none per row
 CAPPED = CostResult(CAP_EXCEEDED)

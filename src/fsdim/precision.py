@@ -481,51 +481,41 @@ class KdeltaOracleTable:
         return CAPPED
 
 
-_ZERO = Fraction(0)  # the ratio of every flagged row
-
-
-class ProfileRow(namedtuple("ProfileRow", "n cost ratio running_inf flags", defaults=("",))):
-    """One precision of a profile; flags is "cap", "unreachable" or
-    "insufficient" when nothing was found at this n."""
+class ProfileRow(namedtuple("ProfileRow", "n cost flags", defaults=("",))):
+    """What one precision's search found: the least cost at n, or cost -1
+    and flags "cap", "unreachable" or "insufficient" when nothing was found
+    at this n."""
 
     __slots__ = ()
 
 
 def profile_rows(grid, search) -> list[ProfileRow]:
-    """Rows (n, cost, cost/n, running infimum) for each n in grid, where
-    search(n) returns a CostResult.
+    """Rows (n, cost) for each n in grid, where search(n) returns a CostResult.
 
     A row whose search found nothing is flagged "cap" or "unreachable", and
     one whose point ran out of digits (InsufficientDigits) "insufficient".
-    Flagged rows carry the running infimum unchanged and are left out of
-    every estimate. The infimum is kept as the (cost, n) of the row that set
-    it and compared by exact integer cross-multiplication, c * n' < c' * n;
-    a row's running_inf is that row's ratio.
+    Flagged rows are left out of every estimate. A row holds only what its
+    search found: cost/n and the running infimum are built by the one reader
+    that needs them, `dimension.estimate` or `cli._profile_csv`.
     """
     rows = []
-    running, best_cost, best_n = _ZERO, -1, 1  # no found row yet
     for n in grid:
         try:
             res = search(n)
         except InsufficientDigits:
-            flags = "insufficient"
+            rows.append(ProfileRow(n, -1, "insufficient"))
+            continue
+        if res.status == FOUND:
+            rows.append(ProfileRow(n, res.cost))
         else:
-            if res.status == FOUND:
-                cost = res.cost
-                ratio = Fraction(cost, n)
-                if best_cost < 0 or cost * best_n < best_cost * n:
-                    running, best_cost, best_n = ratio, cost, n
-                rows.append(ProfileRow(n, cost, ratio, running))
-                continue
-            flags = "cap" if res.status == CAP_EXCEEDED else "unreachable"
-        rows.append(ProfileRow(n, -1, _ZERO, running, flags))
+            rows.append(ProfileRow(n, -1, "cap" if res.status == CAP_EXCEEDED else "unreachable"))
     return rows
 
 
 def kdelta_profile(ts, x: RealSpec, base: int, n_max: int, grid=None) -> list[ProfileRow]:
-    """Rows (n, min cost over the family, cost/n, running infimum) for
-    n = 1..n_max (or a supplied sub-grid) at delta = base**-n, from one
-    search per transducer, with the default input cap 4 * (n + 2).
+    """Rows (n, min cost over the family) for n = 1..n_max (or a supplied
+    sub-grid) at delta = base**-n, from one search per transducer, with the
+    default input cap 4 * (n + 2).
 
     A row where no transducer found an output is flagged "cap" when any of
     them hit a cap, else "unreachable"; see profile_rows.

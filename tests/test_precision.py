@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fsdim import dimension, separator
-from fsdim.cli import gen_pool
+from fsdim.cli import _profile_csv, gen_pool
 from fsdim.digits import MAX_PRECISION, FileDigitStream, RealSpec, parse_delta, real_value, seq_digits
 from fsdim.dimension import (
     _grid,
@@ -194,7 +194,7 @@ class TestProfile:
         t = make_periodic_decoder("01", 5, 2)
         rows = kdelta_profile([t], THIRD, 2, 5)
         assert rows[4].n == 5 and rows[4].cost == 1
-        assert rows[4].ratio == Fraction(1, 5)
+        assert Fraction(rows[4].cost, rows[4].n) == Fraction(1, 5)
 
     def test_an_empty_family_is_refused(self):
         with pytest.raises(FsdimError) as refusal:
@@ -206,11 +206,15 @@ class TestProfile:
         assert all(row.cost == 0 for row in rows)
 
     def test_running_infimum_monotone(self, identity2):
+        # the running infimum is a column of the profile CSV, its one reader
         rows = kdelta_profile([identity2], THIRD, 2, 12)
-        unflagged = [r for r in rows if not r.flags]
-        for a, b in zip(unflagged, unflagged[1:]):
-            assert b.running_inf <= a.running_inf
-            assert b.running_inf <= b.ratio
+        table = [line.split(",") for line in _profile_csv(rows).splitlines()[1:]]
+        unflagged = [(Fraction(ratio), Fraction(running)) for _, _, ratio, running, flags in table
+                     if not flags]
+        assert len(unflagged) == 12
+        for (_, a), (ratio, b) in zip(unflagged, unflagged[1:]):
+            assert b <= a
+            assert b <= ratio
 
     def test_family_min(self, identity2):
         t = make_periodic_decoder("01", 5, 2)

@@ -1,20 +1,25 @@
-"""Rows and estimates compare ratios cost/n by integer cross-multiplication.
+"""A row holds (n, cost, flags), and its readers compare ratios cost/n by
+integer cross-multiplication.
 
-A reference written here with `Fraction` comparisons and `min`, the way the
-row builder and the estimator once compared them, must give every field of
-every row, each member's value and the estimate; and an estimate makes a
-number of `Fraction` comparisons that grows with the family, not with the
-family times the grid."""
+A reference written here with `Fraction` ratios, comparisons and `min`, the
+way the row builder and the estimator once built and compared them, must
+give every field of every row, each member's value and the estimate, and
+every ratio and running infimum that the profile CSV prints. An estimate
+builds and compares a number of `Fraction`s that grows with the family and
+the points, not with the rows."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsdim import dimension
+from fsdim.cli import _profile_csv
 from fsdim.digits import RealSpec
-from fsdim.dimension import EstimateReport, _grid, dim_point_estimate, dim_seq_estimate, estimate
+from fsdim.dimension import (EstimateReport, _grid, dim_point_estimate, dim_seq_estimate,
+                             dim_set_estimate, estimate)
 from fsdim.errors import AllRowsFlagged, InsufficientDigits
 from fsdim.fst import make_identity
 from fsdim.infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult
@@ -46,7 +51,6 @@ def source(outcomes):
 
 def reference_rows(grid, search):
     rows = []
-    running = None
     for n in grid:
         try:
             res = search(n)
@@ -54,13 +58,26 @@ def reference_rows(grid, search):
             flags = "insufficient"
         else:
             if res.status == FOUND:
-                ratio = Fraction(res.cost, n)
-                running = ratio if running is None else min(running, ratio)
-                rows.append(ProfileRow(n, res.cost, ratio, running))
+                rows.append(ProfileRow(n, res.cost))
                 continue
             flags = "cap" if res.status == CAP_EXCEEDED else "unreachable"
-        rows.append(ProfileRow(n, -1, Fraction(0), Fraction(0) if running is None else running, flags))
+        rows.append(ProfileRow(n, -1, flags))
     return rows
+
+
+def reference_csv(rows):
+    """The profile CSV from `Fraction` ratios and a running `min`, printed as
+    the row builder's `Fraction`s once were."""
+    lines, running = ["n,cost,ratio,running_inf,flags"], None
+    for n, cost, flags in rows:
+        ratio = ""
+        if not flags:
+            exact = Fraction(cost, n)
+            running = exact if running is None else min(running, exact)
+            ratio = f"{float(exact):.6f}"
+        inf = f"{float(Fraction(0) if running is None else running):.6f}"
+        lines.append(f"{n},{'' if flags else cost},{ratio},{inf},{flags}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_estimate(members, points, n_max, window_frac, rows_of):
@@ -73,7 +90,8 @@ def reference_estimate(members, points, n_max, window_frac, rows_of):
             rows = rows_of(t, x, grid)
             if len(points) == 1:
                 profiles[name] = tuple(rows)
-            proxy = min((r.ratio for r in rows if not r.flags and r.n >= n_lo), default=None)
+            proxy = min((Fraction(r.cost, r.n) for r in rows if not r.flags and r.n >= n_lo),
+                        default=None)
             if proxy is None:
                 break
             worst = max(worst, proxy)
@@ -85,12 +103,12 @@ def reference_estimate(members, points, n_max, window_frac, rows_of):
 
 
 def _exact(rows):
-    """Every field of every row, the ratios as (numerator, denominator) of a
-    Fraction, so a float or an int in their place does not compare equal."""
+    """Every field of every row, each of its exact type: n and cost ints,
+    flags a str, so a Fraction or a float in their place does not pass."""
     for r in rows:
-        assert type(r.ratio) is Fraction and type(r.running_inf) is Fraction
-    return [(r.n, r.cost, r.ratio.as_integer_ratio(), r.running_inf.as_integer_ratio(), r.flags)
-            for r in rows]
+        assert type(r) is ProfileRow and r._fields == ("n", "cost", "flags")
+        assert (type(r.n), type(r.cost), type(r.flags)) == (int, int, str)
+    return [tuple(r) for r in rows]
 
 
 def _report(build):
@@ -105,6 +123,17 @@ def _report(build):
        outcomes=st.lists(OUTCOMES, min_size=1, max_size=8))
 def test_profile_rows_match_the_fraction_reference(grid, outcomes):
     assert _exact(profile_rows(grid, source(outcomes))) == _exact(reference_rows(grid, source(outcomes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.lists(st.integers(1, 60), unique=True).map(sorted),
+       outcomes=st.lists(OUTCOMES, min_size=1, max_size=8))
+# flagged rows of each kind before the first found row, and one after it
+@example(grid=[1, 2, 3, 4, 5], outcomes=[(CAP_EXCEEDED,), ("insufficient",), (UNREACHABLE,),
+                                         ("cost", 2), ("ratio", 1, 2)])
+def test_profile_csv_matches_the_fraction_reference(grid, outcomes):
+    rows = profile_rows(grid, source(outcomes))
+    assert _profile_csv(rows) == reference_csv(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,5 +192,31 @@ def test_an_estimate_makes_fraction_comparisons_per_member_not_per_row(compariso
     report = run()
     rows = [r for profile in report.profiles.values() for r in profile]
     assert len(rows) == F * G and sum(not r.flags for r in rows) > 2 * F
-    # one per (member, point) for the worst point and one per member for the best
-    assert comparisons[0] <= 2 * F
+    # the worst point is found in integers: only the best member is a Fraction min
+    assert comparisons[0] <= F
+
+
+def test_dim_set_builds_at_most_one_fraction_per_member_and_point(monkeypatch, pool):
+    family, n_max = pool[:20], 40
+    points = [RealSpec.parse(s) for s in ("rat:5/24", "rat:1/3", "periodic:001")]
+    run = lambda: dim_set_estimate(family, points, 2, n_max)
+    run()  # builds the shared queries and streams
+    built, rows = [0], []
+    new, profile = Fraction.__new__, dimension.kdelta_profile
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        out = profile(*args, **kwargs)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(dimension, "kdelta_profile", recorded)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = run()
+    monkeypatch.undo()
+    assert report.per_transducer
+    assert sum(not r.flags for r in rows) > 4 * len(family) * len(points)
+    assert built[0] <= len(family) * len(points)

@@ -25,9 +25,9 @@ CASES = {
         "CostResult(status='found', cost=2, witness_input='01', witness_output='01')",
     ),
     "ProfileRow": (
-        lambda: ProfileRow(5, -1, Fraction(0), Fraction(1, 2), "cap"),
-        lambda: ProfileRow(5, -1, Fraction(0), Fraction(1, 2), "unreachable"),
-        "ProfileRow(n=5, cost=-1, ratio=Fraction(0, 1), running_inf=Fraction(1, 2), flags='cap')",
+        lambda: ProfileRow(5, -1, "cap"),
+        lambda: ProfileRow(5, -1, "unreachable"),
+        "ProfileRow(n=5, cost=-1, flags='cap')",
     ),
     "RealSpec": (
         lambda: RealSpec.rational(1, 3),

@@ -129,6 +129,18 @@ MUTANTS = [
     Mutant("ends-at-refusal", "digits.py",
            "    if squares[-1]:\n        return None\n", "",
            ["tests/test_digits.py"]),
+    # the readers of profile rows: no float decides, and every view is exact
+    Mutant("csv-running-inf-takes-flagged-rows", "cli.py",
+           "if not flags and (least is None or cost * least[1] < least[0] * n):",
+           "if least is None or cost * least[1] < least[0] * n:",
+           ["tests/test_row_comparisons.py::test_profile_csv_matches_the_fraction_reference"]),
+    Mutant("grid-rounds-up", "dimension.py",
+           "n_lo + (2 * (span - 1) * i + w) // (2 * w)", "n_lo - (-(span - 1) * i // w)",
+           ["tests/test_exact_arithmetic.py::"
+            "test_the_integer_grid_equals_the_float_grid_and_the_bench_replica"]),
+    Mutant("estimate-compares-by-true-division", "dimension.py",
+           "least_cost * worst_n > worst_cost * least_n", "least_cost / least_n > worst_cost / worst_n",
+           ["tests/test_exact_arithmetic.py::test_float_only_in_output_formatters"]),
     # the oracles, which the searches are checked against
     Mutant("distinct-outputs-lex-largest-input", "infocontent.py",
            "for a, (q2, o) in enumerate(rows[cfg[0]]):",
