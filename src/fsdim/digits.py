@@ -23,10 +23,6 @@ from .errors import (
 MIN_BASE = 2
 MAX_BASE = 10
 
-#: the zeros a digit-only stream reads before `is_zero_from` gives up on
-#: confirming an all-zero tail
-DEFAULT_LOOKAHEAD = 64
-
 #: the largest precision n (delta = base**-n, or a profile's or estimate's
 #: n_max) any entry point accepts. Above it the work (base**n, n digits of x,
 #: n levels of search) is refused with an error before it starts; acceptance
@@ -145,10 +141,9 @@ class DigitStream:
     it and index it; callers never write to it, and a read past its end goes
     through `digit`. Reading past the point where the source runs dry raises
     InsufficientDigits. `value` is the exact rational value when known, else
-    None (digit-only streams: files, champernowne). `ends_at` is, for an
-    exact value, the least index from which its expansion is all zeros, or
-    None when the expansion never ends: the least m with the denominator
-    dividing base**m, found once per stream (`_ends_at`).
+    None (digit-only streams: files, champernowne). The two questions about
+    the point, `is_zero_from` and `compare`, are answered from the value when
+    there is one, and else from exactly the digits that decide them.
     """
 
     origin = "<digits>"
@@ -156,7 +151,6 @@ class DigitStream:
     def __init__(self, base: int, source=(), digits=b"", value: Fraction | None = None):
         self.base = base
         self.value = value
-        self.ends_at = None if value is None else _ends_at(value.denominator, base)
         self.buffer = bytearray(digits)
         self._source = iter(source)
 
@@ -191,72 +185,45 @@ class DigitStream:
     def prefix_str(self, m: int) -> str:
         return digits_to_str(self.prefix(m))
 
-    def exact_value_up_to(self, m: int) -> Fraction:
-        """Exact value of the first m digits (floor of the real to b**-m)."""
-        return Fraction(digits_to_int(self.prefix(m), self.base), self.base ** m)
-
     def is_zero_from(self, m: int) -> bool:
         """Whether every digit at index >= m is zero (the expansion terminates).
 
-        Digit-only streams can refute this by exhibiting a nonzero digit but can
-        never confirm it; they raise InsufficientDigits after DEFAULT_LOOKAHEAD
-        zeros.
+        An exact value p/q in lowest terms ends by m iff x * b**m is an
+        integer, that is iff q divides b**m: one modular power. A digit-only
+        stream reads on to its first nonzero digit from m; a file whose
+        digits from m are all zeros decides nothing and raises
+        InsufficientDigits, naming it.
         """
         if self.value is not None:
-            return self.ends_at is not None and m >= self.ends_at
-        for i in range(m, m + DEFAULT_LOOKAHEAD):
-            if self.digit(i) != 0:
-                return False
-        raise InsufficientDigits(
-            f"cannot confirm an all-zero tail from index {m} within {DEFAULT_LOOKAHEAD} digits"
-        )
+            return pow(self.base, m, self.value.denominator) == 0
+        return not any(map(self.digit, count(m)))
 
     def compare(self, r: Fraction) -> int:
         """Exact three-way comparison of this real against a rational r.
 
-        Returns -1, 0 or +1. A digit-only stream doubles the prefix it reads
-        until the cylinder [lo, lo + b**-m) around it separates from r. That
-        loop ends: a finite source, such as a digit file, raises
-        InsufficientDigits past its last digit, and Champernowne's constant,
-        the one infinite digit-only stream, is irrational, so it is not r and
-        the cylinder separates once b**-m <= |x - r|.
+        Returns -1, 0 or +1. A digit-only stream doubles the prefix it reads,
+        up to the digits it has, until the cylinder [lo, lo + b**-m) of the
+        reals that share it separates from r. A finite source, such as a
+        digit file, raises InsufficientDigits only when r lies in the
+        cylinder of all its digits, which they do not decide. Champernowne's
+        constant, the one infinite digit-only stream, is irrational, so it is
+        not r and the cylinder separates once b**-m <= |x - r|.
         """
         if self.value is not None:
             return (self.value > r) - (self.value < r)
-        if r < 0:
-            return 1
-        if r >= 1:
-            return -1
+        p, q = r.numerator, r.denominator
         m = 8
         while True:
-            lo = self.exact_value_up_to(m)
-            if r < lo:
+            have = self.available(m)
+            # x lies in [N, N + 1) / b**have and r = p / q: compare in integers
+            low, scaled = digits_to_int(self.prefix(have), self.base) * q, p * self.base ** have
+            if scaled < low:
                 return 1
-            if r >= lo + Fraction(1, self.base ** m):
+            if scaled >= low + q:
                 return -1
+            if have < m:
+                self._fill(m)  # raises InsufficientDigits, naming the source
             m *= 2
-
-
-def _ends_at(q: int, base: int) -> int | None:
-    """The least m with q dividing base**m, or None when there is none. A
-    prime of q appears in q fewer than q.bit_length() times, and in base**m at
-    least m times if it divides base, so q divides some power iff it divides
-    base**(2**K), 2**K >= q.bit_length(). Divisibility is monotone in m, so
-    the largest m it fails at is built from the top bit down with the squares
-    base**(2**k) mod q: about 2K multiplications."""
-    if q == 1:
-        return 0
-    squares = [base % q]
-    while 1 << (len(squares) - 1) < q.bit_length():
-        squares.append(squares[-1] * squares[-1] % q)
-    if squares[-1]:
-        return None
-    m, power = 0, 1  # power = base**m mod q, never 0
-    for k in reversed(range(len(squares) - 1)):
-        if power * squares[k] % q:
-            power = power * squares[k] % q
-            m += 1 << k
-    return m + 1
 
 
 class FractionStream(DigitStream):

@@ -34,7 +34,9 @@ a read past its end goes through `DigitStream.digit`, which fills it.
   the track without a check;
 - an output with D == -1 solves n up to j - 1;
 - an output on the track of g past g ends the emission on it (offset 0), or
-  above it, which solves g alone, or below it, outside every interval.
+  above it, which solves g alone, or below it, outside every interval;
+- a pos (-j, e) on the track of a goal below g is dropped at once: every
+  continuation of its output lies at or below x - b^-g.
 `_settle` decides how an emission ends. All decisions are exact; no floats.
 
 Each row still goes through `kdelta` with a `PrecisionQuery`, which
@@ -42,9 +44,10 @@ carries its exponent n. `PrecisionQuery.at_scale` builds one query per
 (point, base, n, cap) per process, shared by every transducer's row at that
 precision. It takes n from its caller, and builds delta = b^-n, once per
 (base, n), only when something reads it, which no row with an open search
-does; with the all-zero-tail test one comparison (`DigitStream.ends_at`), no
-row does work that grows with n. `kdelta_profile`, the estimators in
-`dimension` and `separator.dimf_estimate` (whose `ktf_delta` rows ask with
+does; with the all-zero-tail test of an exact point one modular power
+(`DigitStream.is_zero_from`), no row builds a number that grows with n.
+`kdelta_profile`, the estimators in `dimension` and
+`separator.dimf_estimate` (whose `ktf_delta` rows ask with
 the same queries) pass in the open search of the row's (transducer, point);
 without one, `kdelta` runs a fresh one-precision search on the same core. An
 accept writes the precisions it solves into `resolved`, all with one hit. Rows
@@ -200,25 +203,25 @@ class PrecisionSearch(Search):
         b, x = self.base, self.buffer
         if j < 0:  # (-j, e): D = -b**e on the track of the goal j - e
             j, e = -j, D
-            if j - e == g:  # on the track of g: D = o - b**(j - g) from here on
-                o = 0
-                for d in out:
+            if j - e != g:  # off the track of g: every continuation is at or below x - b**-g
+                return None
+            o = 0  # on the track of g: D = o - b**(j - g) from here on
+            for d in out:
+                try:
+                    xj = x[j]
+                except IndexError:
                     try:
-                        xj = x[j]
-                    except IndexError:
-                        try:
-                            xj = self.digit(j)
-                        except InsufficientDigits as exc:
-                            return self._cut(j, o - b ** (j - g), g, exc)
-                    o = b * o + d - xj
-                    j += 1
-                    if o < 0:  # below x - b**-g, so outside every interval
-                        return None
-                if o:  # 0 < o < b**(j - g - 1): inside the interval for g alone
-                    self._solve(g, g)
+                        xj = self.digit(j)
+                    except InsufficientDigits as exc:
+                        return self._cut(j, o - b ** (j - g), g, exc)
+                o = b * o + d - xj
+                j += 1
+                if o < 0:  # below x - b**-g, so outside every interval
                     return None
-                return -j, j - g
-            D = -b ** e  # off the track of g, so the bound drops it at its first digit
+            if o:  # 0 < o < b**(j - g - 1): inside the interval for g alone
+                self._solve(g, g)
+                return None
+            return -j, j - g
         # once |D| > b**max(0, j - g), every continuation is outside the
         # interval for g, and so for every finer precision
         p = b ** (j - g) if j > g else 1

@@ -108,7 +108,7 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
 
     def eval_fn(w: str) -> Fraction:  # real_value validates every w but 0^k
         if w and set(w) == {"0"}:
-            return stream.exact_value_up_to(_target_len(len(w)))
+            return real_value(stream.prefix_str(_target_len(len(w))), base)
         return real_value(w, base)
 
     def targeted_search(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,

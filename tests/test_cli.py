@@ -10,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fsdim
 from fsdim.cli import MAX_POOL_COUNT, MAX_POOL_SIZE, dispatch, gen_pool
 from fsdim.digits import MAX_PRECISION, RealSpec
 from fsdim.errors import FsdimError
 from fsdim.fst import format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(fsdim.__file__).resolve().parent.parent  # where the package under test is imported from
 HUGE = "100000000000"  # a precision far above MAX_PRECISION
 
 
@@ -474,7 +475,8 @@ class TestShortDigitFile:
 
     def test_a_zero_tail_past_the_file_is_insufficient(self, family_dir, id_fst, tmp_path, capsys):
         # x = 0.0 1^10 0^70: within 2**-11 of x asks whether x's digits from
-        # 11 on are all zeros, which 70 zeros cannot confirm; 2**-12 does not
+        # 11 on are all zeros, which a file that ends in zeros leaves
+        # undecided; 2**-12 does not ask it
         path = tmp_path / "d.txt"
         path.write_text("0" + "1" * 10 + "0" * 70 + "\n")
         x = f"digitfile:{path}"
@@ -484,6 +486,32 @@ class TestShortDigitFile:
         assert (rows[9][1], rows[11][1]) == ("1", "11")
         assert dispatch(["kdelta", "--fst", id_fst, "--x", x, "--n", "12"]) == 0
         assert capsys.readouterr().out == "found,11,01111111111\n"
+
+    def test_a_nonzero_digit_far_down_the_file_decides_a_tail(self, family_dir, id_fst, tmp_path,
+                                                              capsys):
+        # x = 0.0111 0^70 1: within 2**-4 of x asks whether x's digits from
+        # 4 on are all zeros, and digit 74 says they are not
+        path = tmp_path / "d.txt"
+        path.write_text("0111" + "0" * 70 + "1\n")
+        x = f"digitfile:{path}"
+        assert dispatch(["kdelta", "--fst", id_fst, "--x", x, "--n", "4"]) == 0
+        assert capsys.readouterr().out == "found,1,1\n"
+        assert dispatch(["profile", "--fsts", family_dir, "--x", x, "--nmax", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[4] == "4,1,0.250000,0.000000,"
+
+    @pytest.mark.parametrize("enumerator, estimate", [
+        ("targeted:rat:1/3", "estimate=0.333333\n"),
+        ("canonical", "estimate=0.500000\n"),
+    ])
+    def test_sedim_on_a_file_shorter_than_a_prefix(self, family_dir, tmp_path, capsys,
+                                                   enumerator, estimate):
+        # the targeted zero search compares each f(0^k) with x = 0.0101...,
+        # which its 4 digits decide
+        path = tmp_path / "d.txt"
+        path.write_text("0101")
+        assert dispatch(["sedim", "--f", enumerator, "--fsts", family_dir,
+                         "--x", f"digitfile:{path}", "--nmax", "4"]) == 0
+        assert capsys.readouterr().out == estimate
 
     def test_sedim_gives_its_own_answer(self, family_dir, digits, capsys):
         code = dispatch(["sedim", "--f", "canonical", "--fsts", family_dir, "--x", digits,

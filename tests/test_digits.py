@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsdim.digits import (
@@ -160,10 +160,9 @@ class TestStreams:
         s = ChampernowneStream(2)
         assert s.compare(Fraction(1, 2)) == 1  # word starts 1101...
         assert s.compare(Fraction(9, 10)) == -1
-
-    def test_exact_value_up_to(self):
-        s = FractionStream(Fraction(1, 3), 2)
-        assert s.exact_value_up_to(4) == Fraction(5, 16)
+        # a file shorter than the first prefix read still decides what its
+        # digits decide: 0.0101... lies in [5/16, 6/16), below 1/2
+        assert FileDigitStream([0, 1, 0, 1], 2).compare(Fraction(1, 2)) == -1
 
     def test_is_zero_from(self):
         assert FractionStream(Fraction(3, 8), 2).is_zero_from(3)
@@ -182,7 +181,9 @@ class TestStreams:
         (Fraction(1, 16), 8, 2),
     ])
     def test_ends_at(self, value, base, ends_at):
-        assert FractionStream(value, base).ends_at == ends_at
+        s = FractionStream(value, base)
+        assert [s.is_zero_from(m) for m in range(16)] == [
+            ends_at is not None and m >= ends_at for m in range(16)]
         _is_zero_from_meets_its_definition(value, base)
 
     @settings(max_examples=300, deadline=None)
@@ -197,13 +198,81 @@ class TestStreams:
         _is_zero_from_meets_its_definition(Fraction(p % q, q), base)
 
 
+@st.composite
+def file_digits(draw):
+    """(base, digits) of a digit file: runs of 0, of base - 1 and of any
+    digit, long ones included, and sometimes no digit at all."""
+    base = draw(st.integers(2, 10))
+    runs = draw(st.lists(st.tuples(st.sampled_from(["0", "top", "any"]), st.integers(1, 40)),
+                         max_size=4))
+    digits = []
+    for kind, length in runs:
+        if kind == "any":
+            digits += draw(st.lists(st.integers(0, base - 1), min_size=length, max_size=length))
+        else:
+            digits += [0 if kind == "0" else base - 1] * length
+    return base, digits
+
+
+def cylinder(base: int, digits: list) -> tuple:
+    """(lo, width) of [lo, lo + base**-L), the reals whose first L digits
+    are the L digits given."""
+    width = Fraction(1, base ** len(digits))
+    return sum(Fraction(d, base ** (i + 1)) for i, d in enumerate(digits)), width
+
+
+@st.composite
+def file_and_rational(draw):
+    """A digit file and a rational r below, in or above its cylinder, often
+    within a few steps of a finer scale of either end, and sometimes < 0 or
+    >= 1."""
+    base, digits = draw(file_digits())
+    lo, width = cylinder(base, digits)
+    kind = draw(st.sampled_from(["lo", "hi", "anywhere"]))
+    if kind == "anywhere":
+        return base, digits, Fraction(draw(st.integers(-30, 60)), draw(st.integers(1, 30)))
+    end = lo if kind == "lo" else lo + width
+    step = width / (base ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 3, 7, 27])))
+    return base, digits, end + draw(st.integers(-3 * base, 3 * base)) * step
+
+
+class TestFileStreamsDecideWhatTheirDigitsDecide:
+    """A digit file of L digits stands for every real in the cylinder
+    [lo, lo + b**-L) of its digits: a question about the point is answered
+    when they all give one answer, and raises InsufficientDigits when not."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=file_and_rational())
+    @example(case=(4, [3, 0, 3], Fraction(23, 27)))  # above [51/64, 52/64), so -1
+    def test_compare_raises_only_inside_the_cylinder(self, case):
+        base, digits, r = case
+        lo, width = cylinder(base, digits)
+        s = FileDigitStream(digits, base)
+        if lo <= r < lo + width:
+            with pytest.raises(InsufficientDigits):
+                s.compare(r)
+        else:
+            assert s.compare(r) == (1 if r < lo else -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=file_digits(), extra=st.integers(0, 3))
+    def test_is_zero_from_raises_only_on_a_zero_tail(self, file, extra):
+        base, digits = file
+        for m in range(len(digits) + extra + 1):
+            s = FileDigitStream(digits, base)
+            if not any(digits[m:]):
+                with pytest.raises(InsufficientDigits):
+                    s.is_zero_from(m)
+            else:
+                assert s.is_zero_from(m) is False
+
+
 def _is_zero_from_meets_its_definition(value: Fraction, base: int) -> None:
-    """ends_at is the least m with value * base**m an integer, and
-    is_zero_from(m) says whether m is such an index, at and around it. The
-    denominators drawn here end, if at all, by index 12."""
+    """is_zero_from(m) says whether value * base**m is an integer, at and
+    around the least such m. The denominators drawn here end, if at all, by
+    index 12."""
     s = FractionStream(value, base)
     ends = [m for m in range(16) if (value * base**m).denominator == 1]
-    assert s.ends_at == (ends[0] if ends else None)
     assert [s.is_zero_from(m) for m in range(16)] == [m in ends for m in range(16)]
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsdim
 from fsdim.digits import RealSpec
 from fsdim.fst import Fst, format_fst, make_identity
 from fsdim.infocontent import kt
@@ -20,7 +21,7 @@ from fsdim.precision import PrecisionQuery, kdelta
 
 from conftest import POOL_COUNT
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(fsdim.__file__).resolve().parent.parent  # where the package under test is imported from
 POINTS = [RealSpec.rational(1, 3), RealSpec.rational(5, 24), RealSpec.rational(0, 1),
           RealSpec.dyadic("101"), RealSpec.champernowne()]
 

@@ -18,8 +18,10 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fsdim"
-TOOLS = SRC.parent.parent / "tools"
+import fsdim
+
+SRC = Path(fsdim.__file__).resolve().parent  # the package under test, wherever it is imported from
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _private_imports(path: Path) -> list:

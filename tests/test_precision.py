@@ -141,6 +141,14 @@ class TestDigitStreamPath:
             b = kdelta_oracle(identity2, query(x, n, cap_in=12))
             assert a.found and b.found and a.cost == b.cost
 
+    def test_oracle_reads_a_file_shorter_than_its_first_prefix(self, tmp_path, identity2):
+        # x = 0.0101...: within 2**-2 of x is decided by the 4 digits
+        path = tmp_path / "d.txt"
+        path.write_text("0101")
+        q = PrecisionQuery.at_scale(RealSpec.digitfile(str(path)), 2, 2)
+        assert kdelta_oracle(identity2, q) == kdelta(identity2, q)
+        assert (kdelta(identity2, q).status, kdelta(identity2, q).cost) == (FOUND, 1)
+
     def test_digit_stream_needs_power_delta(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0101")

@@ -125,10 +125,32 @@ MUTANTS = [
     Mutant("dimf-estimate-in-base-2", "separator.py",
            "    base = f.base\n", "    base = 2\n",
            ["tests/test_separator.py::TestDimfEstimate"]),
-    # where an exact expansion ends
-    Mutant("ends-at-refusal", "digits.py",
-           "    if squares[-1]:\n        return None\n", "",
+    # the two questions about a point: where its expansion ends, and its side of r
+    Mutant("zero-tail-one-power-too-many", "digits.py",
+           "return pow(self.base, m, self.value.denominator) == 0",
+           "return pow(self.base, m + 1, self.value.denominator) == 0",
            ["tests/test_digits.py"]),
+    Mutant("zero-tail-within-64-digits", "digits.py",
+           "        return not any(map(self.digit, count(m)))\n",
+           "        if not any(map(self.digit, range(m, m + 64))):\n"
+           "            raise InsufficientDigits(f\"no nonzero digit from {m} within 64\")\n"
+           "        return False\n",
+           ["tests/test_cli.py::TestShortDigitFile::"
+            "test_a_nonzero_digit_far_down_the_file_decides_a_tail"]),
+    Mutant("compare-reads-past-the-file", "digits.py",
+           "have = self.available(m)", "have = m",
+           ["tests/test_digits.py::TestFileStreamsDecideWhatTheirDigitsDecide::"
+            "test_compare_raises_only_inside_the_cylinder"]),
+    # tests that must read the package under test, not src/ beside them
+    Mutant("separator-imports-a-private-name", "separator.py",
+           "from .precision import (\n", "from .precision import (\n    _stream,\n",
+           ["tests/test_module_boundaries.py"]),
+    Mutant("entry-point-exits-zero", "cli.py",
+           'if __name__ == "__main__":\n    main()\n', 'if __name__ == "__main__":\n    dispatch()\n',
+           ["tests/test_cli.py::test_python_m_entry_point_exits_with_one_line"]),
+    Mutant("json-keys-in-hash-order", "cli.py",
+           "json.dumps(json_obj, sort_keys=True)", "json.dumps({k: json_obj[k] for k in set(json_obj)})",
+           ["tests/test_metamorphic.py::TestHashSeedIndependence"]),
     # the readers of profile rows: no float decides, and every view is exact
     Mutant("csv-running-inf-takes-flagged-rows", "cli.py",
            "if not flags and (least is None or cost * least[1] < least[0] * n):",
