@@ -19,11 +19,17 @@ frontier configuration is on the track of g = S + 1, and none was accepted at
 the goal of the level that reached it, which is at most g. From j = g on that
 track is D = -b^(j-g); a configuration there holds e = j - g in place of D,
 as the pos (-j, e), and while one emission runs D is -b^e plus an offset
-below b^k after k digits. So `advance`, the pruning bound, `_through` and
-`_on_track` read only small integers, and a level costs the same however far
-past its goal an output has run: a walk is linear in its input cap. x's
-digits are read from the stream's buffer, which holds x[:hi] from the start;
-a read past its end goes through `DigitStream.digit`, which fills it.
+below b^k after k digits. So `advance`, the pruning bound and `_on_track`
+read only small integers, and a level costs the same however far past its
+goal an output has run: a walk is linear in its input cap. x[:j] solves
+every n <= j, and one unit below it every n < j, so a pos that `advance`
+reads while g <= hi takes one of three forms, and the helpers handle only
+these:
+- (j, 0) with j < g;
+- (j, -1) with j <= g;
+- (-j, e) with e >= 1, on the track of a goal j - e <= g.
+x's digits are read from the stream's buffer, which holds x[:hi] from the
+start; a read past its end goes through `DigitStream.digit`, which fills it.
 `advance` checks only what a transition can change:
 - an empty emission leaves its pos as it is, so it cannot be accepted; it is
   kept unchecked, and if an accept earlier in the level moved g, `_prune`
@@ -172,10 +178,11 @@ def _stream(x: RealSpec, base: int, stamp) -> DigitStream:
 class PrecisionSearch(Search):
     """`kdelta` at delta = b**-n for every n up to hi at one point x.
 
-    pos is (j, D), or (-j, e) on the track past a goal, as in the module
-    docstring. Each answer is the one a search for that precision alone
-    gives: the same cost, witness and status. hi is at most the number of
-    digits x has.
+    While a goal g = S + 1 <= hi is open, pos is (j, 0) with j < g,
+    (j, -1) with j <= g, or (-j, e) with e >= 1 on the track of a goal
+    j - e <= g, as in the module docstring. Each answer is the one a search
+    for that precision alone gives: the same cost, witness and status. hi is
+    at most the number of digits x has.
     """
 
     def __init__(self, t: Fst, x: RealSpec, stream: DigitStream, hi: int):
@@ -190,7 +197,7 @@ class PrecisionSearch(Search):
         self.digit = stream.digit
         self.zero_from = stream.is_zero_from
         self.hi = hi
-        self.S = self._through(0, 0, 0)  # every goal up to S is solved or given up
+        self.S = self._run(0, 0, hi)  # the empty output solves n while x[:n] is all zeros
         self.resolved = dict.fromkeys(range(self.S + 1), (0, None, None))  # the empty output
 
     def advance(self, pos, out):
@@ -223,8 +230,8 @@ class PrecisionSearch(Search):
                 return None
             return -j, j - g
         # once |D| > b**max(0, j - g), every continuation is outside the
-        # interval for g, and so for every finer precision
-        p = b ** (j - g) if j > g else 1
+        # interval for g, and so for every finer precision; j <= g here
+        p = 1
         for d in out:
             try:
                 xj = x[j]
@@ -252,7 +259,7 @@ class PrecisionSearch(Search):
             while top < hi and x[top] == 0:
                 top += 1
             if top >= g:
-                self._solve(g, min(top, hi))
+                self._solve(g, min(top, hi))  # top is j > hi when w runs past x[:hi]
                 if top >= hi:
                     return None
             return j, 0  # that digit lies below the open goals, so w is on the track
@@ -290,18 +297,12 @@ class PrecisionSearch(Search):
 
     def _through(self, j: int, D: int, g: int) -> int:
         """The largest n <= hi with |val(w) - x| < b**-n for the output w at
-        (j, D), or some value below g when that n is below g. Reads only the
-        digits that decide it."""
-        hi = self.hi
-        if j < 0:  # (-j, e): |D - t_j| = b**e + t_j is below b**(j - n) iff n < j - e
-            return min(-j - D - 1, hi)
-        if D == 0:  # w = x[:j]: within b**-n iff x[j:n] is all zeros
-            return self._run(j, 0, hi)
-        b = self.base
+        (j, D), j >= 0 and D not 0 or -1 (`_settle` decides those two), or
+        some value below g when that n is below g. Reads only the digits that
+        decide it."""
+        hi, b = self.hi, self.base
         if D == 1:  # n > j needs x[j:n] all b - 1 and x's tail from n nonzero
-            if j > hi:
-                return hi
-            r = self._run(j, b - 1, hi + 1)
+            r = self._run(j, b - 1, hi + 1)  # hi + 1 when j > hi: every n <= hi is solved
             if r > hi or r < g:
                 return min(r, hi)
             return r - 1 if self.zero_from(r) else r
@@ -313,16 +314,13 @@ class PrecisionSearch(Search):
         return min(top, hi)
 
     def _on_track(self, j: int, D: int, g: int) -> bool:
-        """Whether the output at (j, D) is a prefix of the expansion of
-        x - b**-g: D = -b**(j - g) from j = g on, before that -1 if x[j:g]
-        is all zeros and 0 if not."""
-        if j < 0:  # (-j, e) is on the track of the goal -j - e
+        """Whether the output at a pos of one of the three forms is a prefix
+        of the expansion of x - b**-g. (-j, e) is on the track of the goal
+        j - e; a (j, D), j <= g, is on it when D is -1 if x[j:g] is all zeros
+        and 0 if not."""
+        if j < 0:
             return -j - D == g
-        if j >= g:
-            return D == -self.base ** (j - g)
-        if D == 0:
-            return self._run(j, 0, g) < g
-        return D == -1 and self._run(j, 0, g) == g
+        return D == -(self._run(j, 0, g) == g)
 
     def _cut(self, j: int, D: int, g: int, exc: InsufficientDigits):
         """An emission that needs digit j of a point that has only j digits.

@@ -196,6 +196,9 @@ class _ZeroSearch(Search):
     [f(0^k), f(0^k) + b**-_target_len(k)); once that range misses the
     interval, no configuration with k' >= k can be accepted and all are
     dropped. With y, the target's exact value, the range is [f(0^k), y].
+    f(0^k) never decreases in k, so the accepted k form one interval: a k
+    rejected but not dead has f(0^k) <= x - delta, and so has every k' <= k.
+    `below` is the largest such k, and no k' <= below is evaluated again.
     """
 
     GOAL = "0^k"  # the one goal: some accepted all-zero output
@@ -204,24 +207,24 @@ class _ZeroSearch(Search):
         super().__init__(t, 0)
         self.f, self.delta, self.y = f, q.delta, y
         self.cmp = shared_stream(q.x, t.base).compare  # sign of x - r, exact
-        self.rejected: set = set()
+        self.below = 0  # the largest k with f(0^k) <= x - delta found; 0^0 is no output
         self.dead = None  # least k from which no all-zero output is accepted
 
     def advance(self, k, out):
         k2 = k + len(out)
         if self.resolved or any(out) or (self.dead is not None and k2 >= self.dead):
             return None
-        if k2 and k2 not in self.rejected:
+        if k2 > self.below:
             value = self.f.eval("0" * k2)
             below_high = self.cmp(value - self.delta) > 0
             if below_high and self.cmp(value + self.delta) < 0:
                 self.hits.append(self.GOAL)
                 return None
-            self.rejected.add(k2)
             reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y
             if not below_high or self.cmp(reach + self.delta) >= 0:
                 self.dead = k2
                 return None
+            self.below = k2
         return k2
 
 

@@ -6,12 +6,17 @@ g = S + 1, the least open goal. An empty emission leaves (j, D) as it is,
 and (j, D) was not accepted at a goal <= g when it was reached, so it cannot
 be accepted now; `advance` returns it at once, and when an accept earlier in
 the level moved g, the pruning hook that `walk` runs at the level's end
-drops it. A checking subclass walks one level at a time and asserts both
-facts at every level, over pool machines in bases 2, 3 and 10 and over
-rational, periodic, dyadic, Champernowne and finite digit-file points. A
-base-2 machine whose output follows the lower track past its goal at x = 1/2
-puts (-j, e) positions in the frontier, so the facts are checked on them
-too.
+drops it. Every pos that `advance` reads while g <= hi is (j, 0) with j < g,
+(j, -1) with j <= g, or (-j, e) with e >= 1 on the track of a goal
+j - e <= g; the search's helpers handle these three forms only. A checking
+subclass walks one level at a time and asserts, at every level, that the
+frontier is on the track, and on every `advance` call that the pos has one
+of the three forms and that its output is not within b**-g of x, worked out
+from x's digits alone. The checks run over pool machines in bases 2, 3 and
+10 and over rational, periodic, dyadic, Champernowne and finite digit-file
+points. A base-2 machine whose output follows the lower track past its goal
+at x = 1/2 puts (-j, e) positions in the frontier, so they are checked on
+those too.
 
 At a delta that is not b**-n, `kdelta` walks the expansion of x - delta
 instead; its answers, witnesses included, are checked against the
@@ -24,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from fsdim.cli import gen_pool
-from fsdim.digits import DigitStream, RealSpec, delta_exponent, seq_digits
+from fsdim.digits import DigitStream, RealSpec, delta_exponent, digits_to_int, seq_digits
 from fsdim.dimension import normality_report
 from fsdim.errors import InsufficientDigits
 from fsdim.fst import parse_fst
@@ -41,11 +46,39 @@ TRACK_PAST_GOAL = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
                             "t 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n")
 
 
+def in_a_form(pos, g: int) -> bool:
+    """Whether pos is (j, 0) with j < g, (j, -1) with j <= g, or (-j, e)
+    with e >= 1 on the track of a goal j - e <= g."""
+    j, D = pos
+    if j < 0:
+        return D >= 1 and -j - D <= g
+    return D == 0 and j < g or D == -1 and j <= g
+
+
+def within(digits: DigitStream, pos, g: int) -> bool:
+    """Whether the output w at pos lies strictly within b**-g of x, from x's
+    digits alone. w has j digits and val(w) = (floor(b**j x) + D) / b**j,
+    with D = -b**e at (-j, e). With k = max(j, g), N = floor(b**k x) and
+    t = b**k x - N in [0, 1), |val(w) - x| < b**-g iff |a - t| < B for the
+    integers a = b**(k - j) (floor(b**j x) + D) - N and B = b**(k - g): iff
+    -B < a < B, or a == B and x's digits from k are not all zero."""
+    b, (j, D) = digits.base, pos
+    if j < 0:
+        j, D = -j, -b ** D
+    k = max(j, g)
+    floor_x = digits_to_int(digits.prefix(k), b)
+    a = b ** (k - j) * (digits_to_int(digits.prefix(j), b) + D) - floor_x
+    B = b ** (k - g)
+    return -B < a < B or a == B and not digits.is_zero_from(k)
+
+
 class Checked:
     """Walks one level at a time, under `walk`'s own loop condition, and
-    asserts the level-start invariant before each level and that no empty
-    emission from the frontier is accepted during it. `checks` counts the
-    levels checked."""
+    asserts the level-start invariant before each level. On every `advance`
+    call with g <= hi it asserts that the pos has one of the three forms and
+    that its output is not within b**-g of x, on a digit stream of its own:
+    the frontier was not accepted when it was reached, so in particular no
+    empty emission is accepted. `checks` counts the levels checked."""
 
     checks = 0
 
@@ -60,13 +93,16 @@ class Checked:
 
     def advance(self, pos, out):
         g = self.S + 1
-        if not out and g <= self.hi:
-            assert self._through(*pos, g) < g, (self.level, pos, g)
+        if g <= self.hi:
+            assert in_a_form(pos, g), (self.level, pos, g)
+            assert not within(self.own_digits, pos, g), (self.level, pos, g)
         return super().advance(pos, out)
 
 
 class CheckedSearch(Checked, PrecisionSearch):
-    pass
+    def __init__(self, t, x, stream, hi):
+        super().__init__(t, x, stream, hi)
+        self.own_digits = x.stream(stream.base)
 
 
 def points(base: int, tmp_path) -> list:
@@ -102,6 +138,24 @@ def test_every_level_starts_on_the_track_of_the_least_open_goal(base, tmp_path):
             assert search.checks == search.level + (search.spent is not None), (t, x)
             checked += search.checks
     assert checked
+
+
+@pytest.mark.parametrize("base", sorted(SIZES))
+def test_the_digit_check_meets_its_definition(base):
+    # `within` against |val(w) - x| < b**-g in Fractions, at points whose
+    # tails are all zero from some index and at points whose tails are not
+    b = base
+    for x in [RealSpec.rational(1, 2), RealSpec.rational(1, b), RealSpec.rational(5, 24),
+              RealSpec.rational(1, 3), RealSpec.rational(0, 1)]:
+        digits, xval = x.stream(b), x.exact_value(b)
+        for j in range(6):
+            below = xval * b ** j // 1
+            positions = [(j, D) for D in range(-b - 2, b + 3)] + [(-j, e) for e in range(1, j)]
+            for pos in positions:
+                D = -b ** pos[1] if pos[0] < 0 else pos[1]
+                for g in range(1, 8):
+                    expected = abs(Fraction(below + D, b ** j) - xval) < Fraction(1, b ** g)
+                    assert within(digits, pos, g) == expected, (x, pos, g)
 
 
 #: base -> (pool machines, largest input cap) of the differential at deltas

@@ -68,6 +68,8 @@ MUTANTS = [
     Mutant("track-exponent-not-incremented", "precision.py",
            "return -j, j - g", "return -j, D",
            ["tests/test_level_invariant.py", "tests/test_cli.py::TestKdeltaCommand"]),
+    Mutant("track-end-as-plain-offset", "precision.py",
+           "return -j, j - g", "return j, -b ** (j - g)", ["tests/test_level_invariant.py"]),
     Mutant("track-cut-at-offset-only", "precision.py",
            "return self._cut(j, o - b ** (j - g), g, exc)", "return self._cut(j, o, g, exc)",
            ["tests/test_precision.py::TestSharedSearch::"
@@ -114,6 +116,18 @@ MUTANTS = [
     Mutant("zero-search-without-exact-target", "separator.py",
            "zeros = _ZeroSearch(f, t, q, stream.value)", "zeros = _ZeroSearch(f, t, q, None)",
            ["tests/test_separator.py"]),
+    Mutant("zero-search-below-before-dead-test", "separator.py",
+           "            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y\n"
+           "            if not below_high or self.cmp(reach + self.delta) >= 0:\n"
+           "                self.dead = k2\n"
+           "                return None\n"
+           "            self.below = k2\n",
+           "            self.below = k2\n"
+           "            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y\n"
+           "            if not below_high or self.cmp(reach + self.delta) >= 0:\n"
+           "                self.dead = k2\n"
+           "                return None\n",
+           ["tests/test_separator.py::TestKtfDeltaMatchesOracle::test_pool_slice"]),
     Mutant("ktf-delta-without-base-check", "separator.py",
            '    if f.base != q.base:\n'
            '        raise FsdimError(f"enumerator base {f.base} != query base {q.base}")\n',
