@@ -72,7 +72,8 @@ of `kdelta_profile` and of every estimator in `dimension` and `separator`.
 `kdelta` from `infocontent.distinct_outputs`, never from a search or the
 shared stream. Both read outputs through one value map: canonical values,
 or a separator enumerator f's, so `kdelta_oracle(t, q, f)`, which reads
-inputs up to q.cap_input as `kdelta` does, is also `ktf_delta`'s oracle.
+inputs up to q.cap_input as `kdelta` does, is also `ktf_delta`'s oracle, and
+`blockperm`'s search until it has one of its own.
 """
 
 from __future__ import annotations
@@ -123,7 +124,11 @@ class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input 
     takes n from its caller. A query keeps delta itself only when n is None,
     as `other_delta`, so equal fields mean an equal (x, base, delta, cap);
     base**-n is built only when `delta` is read, once per (base, n). The
-    repr shows delta and leaves n out."""
+    repr shows delta and leaves n out.
+
+    A point with no exact value, such as a digit file, is bounded only at
+    delta = base**-n, so at any other delta the query is refused
+    (`InsufficientDigits`): no search, and no enumerator's, is asked it."""
 
     __slots__ = ()
 
@@ -137,6 +142,8 @@ class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input 
             n = delta_exponent(delta, base)
             if n is not None:
                 delta = None
+            elif x.exact_value(base) is None:
+                raise InsufficientDigits(f"{x.describe()} has no exact value; delta must be base**-n")
         if cap_input is None:
             cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
         elif cap_input < 0:
@@ -417,8 +424,6 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
     stream = shared_stream(q.x, q.base)
     if n is not None:
         return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input, witness)
-    if stream.value is None:
-        raise InsufficientDigits(f"{q.x.describe()} has no exact value; delta must be base**-n")
     return _DeltaSearch(t, stream.value, q.delta).answer(_DeltaSearch.GOAL, q.cap_input, witness)
 
 

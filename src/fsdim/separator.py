@@ -11,29 +11,32 @@ dimension is untouched. Density of the image is guaranteed by construction
 for these kinds; it is declared, not verified.
 
 Each enumerator carries its kind's search, with `kdelta`'s signature, and
-`ktf_delta(t, f, q, search, witness)` is that signature with f in front. At
-the canonical enumerator the content is K_T(x, delta) itself, so its search
-is `kdelta`; the targeted one's is `kdelta` and one more search whose pos is
-the number of zeros emitted, which evaluates f(0^k) once per k. Neither
-uses a float or calls f per node.
+`ktf_delta(t, f, q, search, witness)` is that signature with f in front: it
+asks f's search and nothing else. At the canonical enumerator the content is
+K_T(x, delta) itself, so its search is `kdelta`; the targeted one's is
+`kdelta` and one more search whose pos is the number of zeros emitted, which
+evaluates f(0^k) once per k. Neither uses a float or calls f per node, and
+neither enumerates. Both refuse what `kdelta` refuses, since the query does:
+a digit-only point at a delta that is not base**-n cannot be asked.
 
 `ktf_delta`'s oracle is `precision.kdelta_oracle(t, q, f)`, under f's value
 map: one loop over `infocontent.distinct_outputs` for both quantities,
-independent of the searches it checks. It also answers every enumerator
-without a search (`blockperm`, any built by hand), and a digit-only point at
-a delta that is not base**-n, which `kdelta` cannot express. Its batch form is
+independent of the searches it checks. `blockperm` has no search of its own
+yet, so its search is that enumeration, exponential in the input cap: the one
+production call of an oracle. Its batch form is
 `precision.KdeltaOracleTable(t, max_len, f)`.
 
 `dimf_estimate` is `dimension.estimate` with `ktf_delta` rows in place of
-`kdelta` rows. For the canonical and targeted kinds it opens one
-`PrecisionSearch` per (transducer, point), so a profile walks each once. Its
-rows ask with `PrecisionQuery.at_scale`, built from n, so no row builds
-b^-n or recovers n from it; the targeted zero search reads delta, which the
-query builds once for every transducer's row at that n.
+`kdelta` rows. It opens one `PrecisionSearch` per (transducer, point), so a
+canonical or targeted profile walks each once; blockperm's search ignores
+it. Its rows ask with `PrecisionQuery.at_scale`, built from n, so no row
+builds b^-n or recovers n from it; the targeted zero search reads delta,
+which the query builds once for every transducer's row at that n.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .digits import RealSpec, content_lines, real_value, str_to_digits
@@ -54,19 +57,15 @@ from .precision import (
 DEFAULT_MAX_INPUT_LEN = 20
 
 
-class SeparatorEnumerator:
-    """Total map from digit strings to rationals in [0,1). `search` is the
-    kind's search, with `kdelta`'s signature (t, q, search, witness); None
-    leaves `ktf_delta` to the enumeration."""
+class SeparatorEnumerator(namedtuple("SeparatorEnumerator", "base kind value search")):
+    """Total map `value` from digit strings to rationals in [0,1), read
+    through `eval`. `search` answers `ktf_delta` for the kind, with
+    `kdelta`'s signature (t, q, search, witness)."""
 
-    def __init__(self, base: int, kind: str, eval_fn, search=None):
-        self.base = base
-        self.kind = kind
-        self._eval = eval_fn
-        self.search = search
+    __slots__ = ()
 
     def eval(self, w: str) -> Fraction:
-        return self._eval(w)
+        return self.value(w)
 
 
 def make_canonical(base: int) -> SeparatorEnumerator:
@@ -97,14 +96,19 @@ def make_block_permuted(block_len: int, permutation: dict, base: int) -> Separat
         permuted = "".join(permutation[w[i : i + block_len]] for i in range(0, len(w), block_len))
         return real_value(permuted, base)
 
-    return SeparatorEnumerator(base, "blockPermuted", eval_fn)
+    def enumeration(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
+                    witness: bool = True) -> CostResult:
+        return kdelta_oracle(t, q, f)  # exponential in q.cap_input (ROADMAP item 5)
+
+    f = SeparatorEnumerator(base, "blockPermuted", eval_fn, enumeration)
+    return f
 
 
 def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
     """Enumerator whose k-th all-zero string hits the first 2**k digits of x;
     every other string keeps its canonical value, so the image still contains
     all finite base-b rationals."""
-    stream = x.stream(base)
+    stream = shared_stream(x, base)
 
     def eval_fn(w: str) -> Fraction:  # real_value validates every w but 0^k
         if w and set(w) == {"0"}:
@@ -168,22 +172,17 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery, search: Precisi
               witness: bool = True) -> CostResult:
     """Minimal input length (at most q.cap_input) whose output w satisfies
     |f(w) - x| < delta, with the witness input and output unless `witness`
-    is false (the enumeration oracle has its witness either way). This is
-    `kdelta` with f in front: the query is in f's base, and `kdelta` or the
-    oracle refuses a T of another base.
+    is false (blockperm's enumeration has its witness either way). This is
+    `kdelta` with f in front: the query is in f's base, and f's search
+    refuses a T of another base.
 
-    The canonical and targeted enumerators are answered by their searches,
-    described in the module docstring; `search` is the open `kdelta` search
-    for T at q.x, if any. Everything else falls back to `kdelta_oracle(t, q,
-    f)`, the enumeration up to q.cap_input. Not found is `unreachable` when a
-    search proved that no input qualifies and `cap_exceeded` when the cap
-    stopped it.
+    f's search answers, as the module docstring describes for each kind;
+    `search` is the open `kdelta` search for T at q.x, if any. Not found is
+    `unreachable` when a search proved that no input qualifies and
+    `cap_exceeded` when the cap stopped it.
     """
     if f.base != q.base:
         raise FsdimError(f"enumerator base {f.base} != query base {q.base}")
-    # kdelta bounds a digit-only point's interval only at delta = base**-n
-    if f.search is None or (q.n is None and q.x.exact_value(q.base) is None):
-        return kdelta_oracle(t, q, f)
     return f.search(t, q, search, witness)
 
 
@@ -238,7 +237,7 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, n_max: int,
     points in f's base."""
     base = f.base
     def rows_of(t, x, grid):
-        search = None if f.search is None else open_search(t, x, base, max(grid))
+        search = open_search(t, x, base, max(grid))
         return profile_rows(grid, lambda n: ktf_delta(
             t, f, PrecisionQuery.at_scale(x, base, n, max_input_len), search, witness=False))
 

@@ -4,10 +4,12 @@ a leading underscore is private to the module that defines it, so
 (and the package's `__init__`) names the kinds of digit stream: every other
 module reads a `DigitStream` through its methods, such as `available`. And
 the enumeration oracles stay independent of the searches they check: no
-oracle, nor any module-level function or class it names, names a search.
-And every numeral goes through `digits`' one conversion: no other `int()`
-call passes a base, since from Python 3.11 such a call refuses a numeral of
-more than 4,300 digits in a base that is not a power of two. And only
+oracle, nor any module-level function or class it names, names a search;
+and no other function or class names an oracle, but blockperm's enumerator,
+whose search is still the enumeration. And every numeral goes through
+`digits`' one conversion: no other `int()` call passes a base, since from
+Python 3.11 such a call refuses a numeral of more than 4,300 digits in a
+base that is not a power of two. And only
 `cli.dispatch` builds an "error: " line, so every error line is cut to one
 bound in one place. And no module but the package's `__init__`, which
 re-exports, imports a name it never uses. And the package and `tools/`
@@ -126,6 +128,43 @@ class KdeltaOracleTable:
 """)
     assert _searches_in_oracles([path]) == ["KdeltaOracleTable: kdelta",
                                             "KdeltaOracleTable: open_search", "_helper: kt"]
+
+
+def _oracle_callers(paths) -> list:
+    """Each module-level function or class of `paths`, other than an oracle,
+    that names an oracle, as "module: name -> oracle"."""
+    return [f"{path.stem}: {node.name} -> {used}" for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in ORACLES
+            for used in sorted({_used_name(sub) for sub in ast.walk(node)} & ORACLES)]
+
+
+def test_only_blockperm_names_an_oracle():
+    # blockperm's search is the enumeration until it has a search of its own
+    assert _oracle_callers(sorted(SRC.glob("*.py"))) == [
+        "separator: make_block_permuted -> kdelta_oracle"]
+
+
+def test_the_guard_sees_a_function_or_class_name_an_oracle(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("""
+from .precision import kdelta_oracle
+
+def kt_oracle(t, w):
+    return distinct_outputs(t, len(w))
+
+def answer(t, q):
+    return kdelta_oracle(t, q) or infocontent.kt_oracle(t, "")
+
+class Checked:
+    def check(self, t):
+        return precision.KdeltaOracleTable(t, 4)
+
+def kdelta(t, q):
+    return within_at(q.x, q.base)
+""")
+    assert _oracle_callers([path]) == ["mod: answer -> kdelta_oracle", "mod: answer -> kt_oracle",
+                                       "mod: Checked -> KdeltaOracleTable"]
 
 
 #: the one function that may call int() with a base, per module

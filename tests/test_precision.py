@@ -150,11 +150,15 @@ class TestDigitStreamPath:
         assert (kdelta(identity2, q).status, kdelta(identity2, q).cost) == (FOUND, 1)
 
     def test_digit_stream_needs_power_delta(self, tmp_path):
+        # a point with no exact value is bounded only at delta = 2**-n, so
+        # the query refuses 1/3 when it is built, before kdelta is asked
         path = tmp_path / "d.txt"
         path.write_text("0101")
-        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 3), 8)
-        with pytest.raises(InsufficientDigits):
-            kdelta(make_identity(2), q)
+        for x in (RealSpec.digitfile(str(path)), RealSpec.champernowne()):
+            with pytest.raises(InsufficientDigits) as refusal:
+                PrecisionQuery(x, 2, Fraction(1, 3), 8)
+            assert str(refusal.value) == f"{x.describe()} has no exact value; delta must be base**-n"
+        assert kdelta(make_identity(2), PrecisionQuery(THIRD, 2, Fraction(1, 3), 8)).cost == 1
 
     def test_short_file_runs_out(self, tmp_path, identity2):
         path = tmp_path / "d.txt"

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from fsdim import cli, infocontent, precision
 from fsdim.digits import RealSpec, real_value, seq_digits
-from fsdim.errors import FsdimError, InvalidDigit, InvalidPermutation
-from fsdim.fst import Fst, make_identity
+from fsdim.errors import FsdimError, InsufficientDigits, InvalidDigit, InvalidPermutation
+from fsdim.fst import Fst, format_fst, make_identity
 from fsdim.precision import KdeltaOracleTable, PrecisionQuery, kdelta, kdelta_oracle, within_at
 from fsdim.separator import (
     SeparatorEnumerator,
@@ -242,13 +243,17 @@ class TestKtfDeltaMatchesOracle:
         res = ktf_delta(zeros, f, PrecisionQuery(RealSpec.rational(5, 16), 2, Fraction(1, 64), 20))
         assert (res.cost, res.witness_output) == (1, "00")
 
-    def test_digit_point_at_delta_not_power_of_base(self, pool, short_digits):
-        # kdelta bounds a digit-only point only at delta = 2**-n; 1/3 is enumerated
-        for name in ("canonical", "targeted(1/3)"):
-            f = ENUMERATORS[name]
-            for _, t in pool[:10]:
-                q = PrecisionQuery(short_digits, 2, Fraction(1, 3), 6)
-                assert ktf_delta(t, f, q) == kdelta_oracle(t, q, f)
+    def test_digit_point_at_delta_not_power_of_base(self, identity2, short_digits):
+        # kdelta bounds a digit-only point only at delta = 2**-n, and so does
+        # every enumerator: the query refuses 1/3 before any of them is asked
+        asked = []
+        f = SeparatorEnumerator(2, "asked", lambda w: asked.append(w) or Fraction(0),
+                                lambda *args: asked.append(args) or kdelta(*args))
+        with pytest.raises(InsufficientDigits) as refusal:
+            ktf_delta(identity2, f, PrecisionQuery(short_digits, 2, Fraction(1, 3), 6))
+        assert str(refusal.value) == (f"{short_digits.describe()} has no exact value;"
+                                      " delta must be base**-n")
+        assert asked == []
 
     def test_the_query_refuses_a_bad_delta_and_a_negative_cap(self):
         # ktf_delta and its oracle take the query, which owns both checks
@@ -266,14 +271,19 @@ class TestKtfDeltaMatchesOracle:
             ktf_delta(make_identity(3), make_canonical(2), q)
         assert str(refusal.value) == "enumerator base 2 != query base 3"
 
-    def test_an_enumerator_without_a_search_is_enumerated_at_every_delta(self, pool, short_digits):
+    def test_an_enumerator_needs_a_search_and_the_enumeration_is_one(self, pool, short_digits):
         calls = []
         canonical = make_canonical(2)
-        f = SeparatorEnumerator(2, "by hand", lambda w: calls.append(w) or canonical.eval(w))
+        value = lambda w: calls.append(w) or canonical.eval(w)
+        with pytest.raises(TypeError):
+            SeparatorEnumerator(2, "by hand", value)
+        f = SeparatorEnumerator(2, "by hand", value, lambda t, q, search, witness: kdelta_oracle(t, q, f))
         deltas = [Fraction(1, 2**n) for n in range(1, 7)] + [Fraction(1, 3), Fraction(1)]
         for _, t in pool[:5]:
             for x in (THIRD, RealSpec.rational(5, 24), short_digits):
                 for delta in deltas:
+                    if x is short_digits and delta == Fraction(1, 3):
+                        continue  # the query cannot be built
                     calls.clear()
                     q = PrecisionQuery(x, 2, delta, 6)
                     res = ktf_delta(t, f, q)
@@ -291,6 +301,66 @@ class TestKtfDeltaMatchesOracle:
         assert file_reads == [str(path)]
         assert res == kdelta_oracle(identity2, PrecisionQuery(THIRD, 2, Fraction(1, 2**6), 8), f)
         assert (res.status, res.cost, res.witness_output) == ("found", 5, "10100")
+
+
+def _queries(short_digits, cap=None):
+    """Queries at 2**-n, n <= 8, at three exact points and a digit file, and
+    at deltas 1/3 and 1/12 at the exact points."""
+    exact = [THIRD, RealSpec.rational(5, 24), RealSpec.periodic("001")]
+    return ([PrecisionQuery(x, 2, Fraction(1, 2**n), cap) for x in exact + [short_digits]
+             for n in range(1, 9)]
+            + [PrecisionQuery(x, 2, delta, cap) for x in exact
+               for delta in (Fraction(1, 3), Fraction(1, 12))])
+
+
+class TestKtfDeltaAsksOnlyItsSearch:
+    """`ktf_delta` asks f's search and nothing else: the canonical and
+    targeted searches never enumerate, and blockperm's is the enumeration."""
+
+    @pytest.fixture()
+    def enumerations(self, monkeypatch):
+        """The input caps of the `distinct_outputs` calls made while the test runs."""
+        calls = []
+        walk = infocontent.distinct_outputs
+
+        def counting(t, max_len, keep=None):
+            calls.append(max_len)
+            return walk(t, max_len, keep)
+
+        for module in (infocontent, precision):
+            monkeypatch.setattr(module, "distinct_outputs", counting)
+        return calls
+
+    def test_canonical_and_targeted_never_enumerate(self, pool, short_digits, enumerations):
+        queries = _queries(short_digits)
+        found = 0
+        for name in ("canonical", "targeted(1/3)", "targeted(5/24)"):
+            f = ENUMERATORS[name]
+            for _, t in pool[:40]:
+                found += sum(ktf_delta(t, f, q, witness=False).found for q in queries)
+        assert enumerations == []
+        assert found  # the searches answered
+
+    def test_blockperm_is_answered_by_the_enumeration(self, pool, short_digits, enumerations):
+        f = ENUMERATORS["blockperm(m=2)"]
+        for _, t in pool[:10]:
+            for q in _queries(short_digits, cap=6):
+                enumerations.clear()
+                assert ktf_delta(t, f, q) == kdelta_oracle(t, q, f)
+                assert enumerations == [6, 6]  # its search's, then the oracle's
+
+    def test_targeted_at_its_own_digit_file_reads_it_once(self, tmp_path, file_reads, capsys, pool):
+        # the enumerator's target and the searches read one stream of the point
+        path = tmp_path / "d.txt"
+        path.write_text(seq_digits(THIRD, 2, 40) + "\n")
+        fsts = tmp_path / "fsts"
+        fsts.mkdir()
+        for name, t in [("id.fst", make_identity(2))] + pool[:3]:
+            (fsts / name).write_text(format_fst(t))
+        code = cli.dispatch(["sedim", "--f", f"targeted:digitfile:{path}", "--fsts", str(fsts),
+                             "--x", f"digitfile:{path}", "--nmax", "8", "--max-input-len", "8"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert file_reads == [str(path)]
 
 
 class TestKtfOracleTable:
@@ -311,7 +381,7 @@ class TestKtfOracleTable:
     def test_evaluates_each_output_once(self, pool):
         calls = []
         canonical = make_canonical(2)
-        f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w))
+        f = SeparatorEnumerator(2, "counting", lambda w: calls.append(w) or canonical.eval(w), kdelta)
         KdeltaOracleTable(pool[0][1], 8, f)
         assert calls and len(calls) == len(set(calls))
 

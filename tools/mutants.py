@@ -88,6 +88,9 @@ MUTANTS = [
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
+    Mutant("query-accepts-digit-only-off-power", "precision.py",
+           "            elif x.exact_value(base) is None:\n", "            elif False:\n",
+           ["tests/test_precision.py::TestDigitStreamPath::test_digit_stream_needs_power_delta"]),
     Mutant("query-rebuild-drops-other-delta", "precision.py",
            "    @property\n    def delta(self) -> Fraction:\n",
            "    def __getnewargs__(self):\n"
@@ -128,6 +131,14 @@ MUTANTS = [
            "                self.dead = k2\n"
            "                return None\n",
            ["tests/test_separator.py::TestKtfDeltaMatchesOracle::test_pool_slice"]),
+    Mutant("blockperm-search-is-kdelta", "separator.py",
+           "return kdelta_oracle(t, q, f)", "return kdelta(t, q, search, witness)",
+           ["tests/test_separator.py::TestKtfDeltaAsksOnlyItsSearch::"
+            "test_blockperm_is_answered_by_the_enumeration"]),
+    Mutant("targeted-reads-its-own-stream", "separator.py",
+           "stream = shared_stream(x, base)", "stream = x.stream(base)",
+           ["tests/test_separator.py::TestKtfDeltaAsksOnlyItsSearch::"
+            "test_targeted_at_its_own_digit_file_reads_it_once"]),
     Mutant("ktf-delta-without-base-check", "separator.py",
            '    if f.base != q.base:\n'
            '        raise FsdimError(f"enumerator base {f.base} != query base {q.base}")\n',
