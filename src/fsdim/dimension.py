@@ -140,14 +140,12 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
     the sequence's longest prefix and answers every shorter one."""
     check_precision(n_max)  # before the prefix is read
     word = s.prefix_str(s.available(n_max))  # read once for the whole family
+    have = len(word)
 
-    def prefix(n):
-        return word[:n] if n <= len(word) else s.prefix_str(n)  # raises past a file's end
-
-    def rows_of(t, seq, grid):
+    def rows_of(t, seq, grid):  # a row past the word is past a file's end: prefix_str raises
         search = PrefixSearch(t, word)
-        return profile_rows(grid, lambda n: kt(t, prefix(n), cap=2 * n + 8, search=search,
-                                               witness=False))
+        return profile_rows(grid, lambda n: kt(t, word[:n] if n <= have else s.prefix_str(n),
+                                               cap=2 * n + 8, search=search, witness=False))
 
     return estimate(family, s.base, [s], n_max, window_frac, rows_of)
 

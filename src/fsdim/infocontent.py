@@ -23,6 +23,7 @@ it, so the two can be cross-checked.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache, lru_cache, partial
 
 from .digits import digits_to_str, str_to_digits
 from .errors import FsdimError, InsufficientDigits
@@ -45,9 +46,11 @@ class CostResult(namedtuple("CostResult", "status cost witness_input witness_out
         return self.status == FOUND
 
 
-#: the one result of each flag: answers share them, and build none per row
+#: the one result of each flag, and the one cost-only found result of each
+#: cost: answers share them, and build none per row
 CAPPED = CostResult(CAP_EXCEEDED)
 UNREACHED = CostResult(UNREACHABLE)
+_cost_only = cache(partial(CostResult, FOUND))
 
 
 class Search:
@@ -66,7 +69,9 @@ class Search:
 
     `answer(goal, cap)` answers a resolved goal at any cap and an open one
     only at a cap the search has not walked past; `capped` raises past it.
-    `precision.PrecisionSearch` also refuses a precision it gave up.
+    An exhausted search, with no frontier left and not spent, answers an
+    open goal `UNREACHED` at once. `precision.PrecisionSearch` also refuses
+    a precision it gave up.
 
     A level that runs out of digits (InsufficientDigits) spends the search:
     goals resolved before the failing transition keep that first resolution,
@@ -131,13 +136,19 @@ class Search:
 
     def answer(self, goal, cap: int, witness: bool = True) -> CostResult:
         """goal's result at input cap `cap`. A resolved goal is read off
-        `resolved` before the walk; an open one walks the search while it
-        stays open below the cap. A found result carries its witness only
-        when `witness` is true; a flagged one is `CAPPED` or `UNREACHED`."""
+        `resolved` before the walk. An open one, once `open` has accepted it,
+        is `UNREACHED` at once on an exhausted search at any cap >= its
+        level, and else walks the search while it stays open below the cap.
+        A found result carries its witness only when `witness` is true, and
+        a cost-only one is shared per cost, as the flagged `CAPPED` and
+        `UNREACHED` are."""
         hit = self.resolved.get(goal)
         if hit is None:
-            if self.open(goal) and self.spent is None and self.frontier and self.level < cap:
-                self.walk(goal, cap)
+            if self.open(goal) and self.spent is None:
+                if not self.frontier and self.level <= cap:
+                    return UNREACHED  # exhausted: no walk can resolve goal
+                if self.level < cap:
+                    self.walk(goal, cap)
             hit = self.resolved.get(goal)
             if hit is None:
                 if self.spent is not None:
@@ -145,7 +156,7 @@ class Search:
                 return CAPPED if self.capped(goal, cap) else UNREACHED
         if hit[0] > cap:
             return CAPPED
-        return self.witness(hit) if witness else CostResult(FOUND, hit[0])
+        return self.witness(hit) if witness else _cost_only(hit[0])
 
     def witness(self, hit) -> CostResult:
         """The found result of a resolved goal, with its input and output."""
@@ -179,6 +190,12 @@ def best_of(results) -> CostResult:
     return CAPPED if capped else UNREACHED
 
 
+@lru_cache(maxsize=16)
+def _word_digits(w: str, base: int) -> tuple:
+    """w's digits, converted once per (word, base) for every search of it."""
+    return tuple(str_to_digits(w, base))
+
+
 class PrefixSearch(Search):
     """`kt` for every prefix of one word w: pos is the matched length of w,
     and goal j resolves at the first transition whose output is w[:j].
@@ -192,7 +209,7 @@ class PrefixSearch(Search):
     def __init__(self, t: Fst, w: str):
         super().__init__(t, 0)
         self.word = w
-        self.target = tuple(str_to_digits(w, t.base))
+        self.target = _word_digits(w, t.base)
         self.resolved[0] = (0, None, None)
 
     def advance(self, i, out):

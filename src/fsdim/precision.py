@@ -511,10 +511,11 @@ def profile_rows(grid, search) -> list[ProfileRow]:
         except InsufficientDigits:
             rows.append(ProfileRow(n, -1, "insufficient"))
             continue
-        if res.status == FOUND:
-            rows.append(ProfileRow(n, res.cost))
+        status, cost, _, _ = res
+        if status == FOUND:
+            rows.append(ProfileRow(n, cost))
         else:
-            rows.append(ProfileRow(n, -1, "cap" if res.status == CAP_EXCEEDED else "unreachable"))
+            rows.append(ProfileRow(n, -1, "cap" if status == CAP_EXCEEDED else "unreachable"))
     return rows
 
 

@@ -14,9 +14,11 @@ Each enumerator carries its kind's search, with `kdelta`'s signature, and
 `ktf_delta(t, f, q, search, witness)` is that signature with f in front: it
 asks f's search and nothing else. At the canonical enumerator the content is
 K_T(x, delta) itself, so its search is `kdelta`; the targeted one's is
-`kdelta` and one more search whose pos is the number of zeros emitted, which
-evaluates f(0^k) once per k. Neither uses a float or calls f per node, and
-neither enumerates. Both refuse what `kdelta` refuses, since the query does:
+`kdelta` and one more search whose pos is the number of zeros emitted.
+Whether 0^k is accepted, below the interval or dead is decided once per
+(query, k) for every transducer's search, from one evaluation of f(0^k),
+and kept per stream of x, so a digit file that changes is decided afresh.
+Neither uses a float or calls f per node, and neither enumerates. Both refuse what `kdelta` refuses, since the query does:
 a digit-only point at a delta that is not base**-n cannot be asked.
 
 `ktf_delta`'s oracle is `precision.kdelta_oracle(t, q, f)`, under f's value
@@ -115,13 +117,19 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
             return real_value(stream.prefix_str(_target_len(len(w))), base)
         return real_value(w, base)
 
+    verdicts = {}  # (x's shared stream, query) -> its zero verdicts, for every transducer
+
     def targeted_search(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
                         witness: bool = True) -> CostResult:
         # f keeps the canonical value of an output with a nonzero digit, and
         # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
         # output but 0^k exactly, and _ZeroSearch completes the minimum
         best = kdelta(t, q, search, witness)
-        zeros = _ZeroSearch(f, t, q, stream.value)
+        x_stream = shared_stream(q.x, q.base)  # a digit file that changed has a new stream
+        zero = verdicts.get((x_stream, q))
+        if zero is None:
+            zero = verdicts[x_stream, q] = _ZeroVerdicts(f, q, x_stream.compare, stream.value)
+        zeros = _ZeroSearch(t, zero)
         cap = best.cost if best.found else q.cap_input
         return best_of((best, zeros.answer(zeros.GOAL, cap, witness)))
 
@@ -186,45 +194,70 @@ def ktf_delta(t: Fst, f: SeparatorEnumerator, q: PrecisionQuery, search: Precisi
     return f.search(t, q, search, witness)
 
 
-class _ZeroSearch(Search):
-    """Cheapest input whose output is 0^k, k >= 1, with |f(0^k) - x| < delta.
+_ACCEPT, _BELOW, _DEAD = "accept", "below", "dead"
 
-    pos is k; transitions that emit a nonzero digit are dropped and f(0^k) is
-    evaluated once per k. f(0^k) is the _target_len(k)-digit truncation of
-    the target, so every f(0^k') with k' >= k lies in
-    [f(0^k), f(0^k) + b**-_target_len(k)); once that range misses the
-    interval, no configuration with k' >= k can be accepted and all are
-    dropped. With y, the target's exact value, the range is [f(0^k), y].
-    f(0^k) never decreases in k, so the accepted k form one interval: a k
-    rejected but not dead has f(0^k) <= x - delta, and so has every k' <= k.
-    `below` is the largest such k, and no k' <= below is evaluated again.
+
+class _ZeroVerdicts:
+    """What the all-zero outputs 0^k, k >= 1, are at one query and one stream
+    of x, decided once per k for every transducer's `_ZeroSearch`: accepted
+    when |f(0^k) - x| < delta, else dead or below.
+
+    f(0^k) is the _target_len(k)-digit truncation of the target, so every
+    f(0^k') with k' >= k lies in [f(0^k), f(0^k) + b**-_target_len(k)); once
+    that range misses the interval, no k' >= k is accepted: k is dead. With
+    y, the target's exact value, the range is [f(0^k), y]. f(0^k) never
+    decreases in k, so the accepted k form one interval: a k rejected but
+    not dead has f(0^k) <= x - delta, and so has every k' <= k: k is below.
+    `below` is the largest k found below and `dead` the least found dead, so
+    f(0^k) is evaluated only for a k between them, and only once.
     """
+
+    def __init__(self, f: SeparatorEnumerator, q: PrecisionQuery, cmp, y):
+        self.f, self.base, self.delta, self.y = f, q.base, q.delta, y
+        self.cmp = cmp  # sign of x - r, exact
+        self.below = 0  # 0^0 is no output
+        self.dead = None
+        self.accepted = set()
+
+    def __call__(self, k: int) -> str:
+        if k <= self.below:
+            return _BELOW
+        if k in self.accepted:
+            return _ACCEPT
+        if self.dead is not None and k >= self.dead:
+            return _DEAD
+        value = self.f.eval("0" * k)
+        below_high = self.cmp(value - self.delta) > 0
+        if below_high and self.cmp(value + self.delta) < 0:
+            self.accepted.add(k)
+            return _ACCEPT
+        reach = value + Fraction(1, self.base ** _target_len(k)) if self.y is None else self.y
+        if not below_high or self.cmp(reach + self.delta) >= 0:
+            self.dead = k
+            return _DEAD
+        self.below = k
+        return _BELOW
+
+
+class _ZeroSearch(Search):
+    """Cheapest input whose output is 0^k, k >= 1, with |f(0^k) - x| < delta:
+    pos is k, transitions that emit a nonzero digit are dropped, and the
+    query's `_ZeroVerdicts` decides each k."""
 
     GOAL = "0^k"  # the one goal: some accepted all-zero output
 
-    def __init__(self, f: SeparatorEnumerator, t: Fst, q: PrecisionQuery, y):
+    def __init__(self, t: Fst, verdicts: _ZeroVerdicts):
         super().__init__(t, 0)
-        self.f, self.delta, self.y = f, q.delta, y
-        self.cmp = shared_stream(q.x, t.base).compare  # sign of x - r, exact
-        self.below = 0  # the largest k with f(0^k) <= x - delta found; 0^0 is no output
-        self.dead = None  # least k from which no all-zero output is accepted
+        self.verdicts = verdicts
 
     def advance(self, k, out):
         k2 = k + len(out)
-        if self.resolved or any(out) or (self.dead is not None and k2 >= self.dead):
+        if self.resolved or any(out):
             return None
-        if k2 > self.below:
-            value = self.f.eval("0" * k2)
-            below_high = self.cmp(value - self.delta) > 0
-            if below_high and self.cmp(value + self.delta) < 0:
-                self.hits.append(self.GOAL)
-                return None
-            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y
-            if not below_high or self.cmp(reach + self.delta) >= 0:
-                self.dead = k2
-                return None
-            self.below = k2
-        return k2
+        verdict = self.verdicts(k2)
+        if verdict is _ACCEPT:
+            self.hits.append(self.GOAL)
+        return k2 if verdict is _BELOW else None
 
 
 def dimf_estimate(family, f: SeparatorEnumerator, xs, n_max: int,

@@ -211,6 +211,19 @@ class TestPrefixSearch:
         assert kt(t, "00", 1, search).status == CAP_EXCEEDED == kt(t, "00", 1).status
         assert kt(t, "00", 2, search).status == UNREACHABLE == kt(t, "00", 2).status
 
+    def test_cost_only_answers_are_shared_per_cost(self, pool):
+        # a row builds no CostResult: each cost has one cost-only found answer
+        word = seq_digits(RealSpec.champernowne(), 2, 12)
+        by_cost = {}
+        for _, t in pool[:40]:
+            search = PrefixSearch(t, word)
+            for n in range(13):
+                res = kt(t, word[:n], 2 * n + 8, search, witness=False)
+                if res.found:
+                    assert res is by_cost.setdefault(res.cost, res), (t, n)
+                    assert res == (FOUND, res.cost, "", "")
+        assert len(by_cost) > 1
+
     def test_search_for_another_word_or_transducer_is_refused(self, identity2):
         search = PrefixSearch(identity2, "0110")
         with pytest.raises(FsdimError):

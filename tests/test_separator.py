@@ -243,6 +243,23 @@ class TestKtfDeltaMatchesOracle:
         res = ktf_delta(zeros, f, PrecisionQuery(RealSpec.rational(5, 16), 2, Fraction(1, 64), 20))
         assert (res.cost, res.witness_output) == (1, "00")
 
+    def test_a_digit_file_rewritten_between_two_calls_is_read_afresh(self, tmp_path):
+        # the zero verdicts of one query are kept per stream of x, and a file
+        # that changed on disk has a new stream: at x = 1/3, f(0^3), the
+        # 8-digit truncation of 1/3, is the first within 1/64; at x = 5/16,
+        # f(0^2) = 0.0101 already is
+        zeros = Fst(2, 1, 0, (((0, (0,)), (0, (0,))),))
+        f = make_targeted(THIRD, 2)
+        path = tmp_path / "x.txt"
+        path.write_text(seq_digits(THIRD, 2, 40) + "\n")
+        q = PrecisionQuery(RealSpec.digitfile(str(path)), 2, Fraction(1, 64), 12)
+        first = ktf_delta(zeros, f, q)
+        assert (first.cost, first.witness_output) == (3, "000")
+        path.write_text("0101" + "0" * 37 + "\n")
+        second = ktf_delta(zeros, f, q)
+        assert (second.cost, second.witness_output) == (2, "00")
+        assert second == kdelta_oracle(zeros, q, f)
+
     def test_digit_point_at_delta_not_power_of_base(self, identity2, short_digits):
         # kdelta bounds a digit-only point only at delta = 2**-n, and so does
         # every enumerator: the query refuses 1/3 before any of them is asked

@@ -16,7 +16,8 @@ commands on the same inputs.
 The recorder writes the benchmark's inputs (`bench/inputs.py`, read, not
 edited) and its own: seeded pools in bases 2, 3 and 10, one digit file per
 base, a digit file whose tail is decided only by its last digit, a digit
-file of four digits, and a block permutation. Then it runs every command of the record sets below through
+file of four digits, a block permutation, and a machine whose outputs run
+on the track of a goal past it. Then it runs every command of the record sets below through
 `fsdim.cli.dispatch`, with `--json` where the command has it, and writes a
 canonical text record of each: its argv, exit code, stdout and stderr, and,
 on a line of its own, its work: the levels walked, summed over every
@@ -72,6 +73,17 @@ SEDIM = [  # (enumerator, base, points, nmax, max input length)
 ]
 SEDIM_MEMBERS = 6  # the first machines of each pool
 PERMUTATION = {"00": "10", "01": "00", "10": "11", "11": "01"}
+DIM_SEQ = [3, 10]  # `dim seq` runs over these pools and the identity, at each point below
+DIM_SEQ_POINTS = ["champernowne", "rat:1/3", "digitfile:short.txt", "digitfile:zero-run.txt"]
+DIM_SEQ_NMAX = [6, 16]  # windows [3, 6] and [8, 16]: partly and wholly past the end of short.txt
+NORMALITY = [(x, base) for x in ("champernowne", "rat:1/3") for base in (2, 3)]
+NORMALITY_NMAX = 40
+#: from x = 1/2 its outputs 011 0 0 0 ... run on the lower track of goal 3,
+#: and at 13/24 and 1/6 its output 0110... is x - delta; the machine
+#: TRACK_PAST_GOAL of tests/test_level_invariant.py
+TRACK_PAST_GOAL = "fst 1\nbase 2\nstates 2\nstart 0\nt 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n"
+TRACK_POINTS = ["rat:1/2", "rat:13/24", "rat:1/6", "rat:1/3", "digitfile:short.txt"]
+TRACK_DELTAS = ["1/3", "1/6", "1/12"]
 
 
 def _load(path: Path):
@@ -119,12 +131,19 @@ def write_inputs(work: Path) -> dict:
             for name, start, rows in members:
                 (work / directory / name).write_text(bench.fst_text(base, start, rows, rng), encoding="ascii")
         pools[base] = [name for name, _, _ in pool]
+        if base in DIM_SEQ:  # the pool and the identity, which has a row at every n
+            shutil.copytree(work / f"pool-{base}", work / f"seq-{base}")
+            identity = (tuple((0, (d,)) for d in range(base)),)
+            (work / f"seq-{base}" / "identity.fst").write_text(bench.fst_text(base, 0, identity, rng),
+                                                               encoding="ascii")
         digits = "".join(str(rng.randrange(base)) for _ in range(60))
         (work / f"digits-{base}.txt").write_text(digits + "\n", encoding="ascii")
     (work / "zero-run.txt").write_text(ZERO_RUN + "\n", encoding="ascii")
     (work / "short.txt").write_text(SHORT + "\n", encoding="ascii")
     (work / "perm-2.txt").write_text("".join(f"{a} -> {b}\n" for a, b in PERMUTATION.items()),
                                      encoding="ascii")
+    (work / "track").mkdir()
+    (work / "track" / "track-past-goal.fst").write_text(TRACK_PAST_GOAL, encoding="ascii")
     return pools
 
 
@@ -149,6 +168,17 @@ def commands(pools: dict) -> list:
     for f, base, points, nmax, cap in SEDIM:
         argvs += [["sedim", "--f", f, "--fsts", f"subset-{base}", "--x", x, "--base", str(base),
                    "--nmax", str(nmax), "--max-input-len", str(cap), "--json"] for x in points]
+    argvs += [["dim", "seq", "--fsts", f"seq-{base}", "--x", x, "--base", str(base),
+               "--nmax", str(nmax), "--json"]
+              for base in DIM_SEQ for x in DIM_SEQ_POINTS for nmax in DIM_SEQ_NMAX]
+    argvs += [["normality", "--x", x, "--base", str(base), "--nmax", str(NORMALITY_NMAX), "--json"]
+              for x, base in NORMALITY]
+    track = ["--fst", "track/track-past-goal.fst"]
+    for x in TRACK_POINTS:
+        argvs += [["kdelta", *track, "--x", x, "--n", str(n), "--json"] for n in PRECISIONS]
+        argvs += [["kdelta", *track, "--x", x, "--n", "3", "--cap-in", "200", "--json"]]
+        argvs += [["kdelta", *track, "--x", x, "--delta", d, "--json"] for d in TRACK_DELTAS]
+        argvs += [["profile", "--fsts", "track", "--x", x, "--nmax", str(PROFILE_NMAX)]]
     return argvs
 
 

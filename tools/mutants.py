@@ -47,6 +47,11 @@ MUTANTS = [
     Mutant("walk-past-resolved-goal", "infocontent.py",
            "while goal not in resolved and self.frontier and self.level < cap:",
            "while self.frontier and self.level < cap:", ["tests/test_walk.py"]),
+    Mutant("exhausted-search-answers-below-its-level", "infocontent.py",
+           "if not self.frontier and self.level <= cap:", "if not self.frontier:",
+           ["tests/test_infocontent.py::TestPrefixSearch::test_asking_back",
+            "tests/test_precision.py::TestSharedSearch::test_asking_back",
+            "tests/test_exhausted_search.py"]),
     Mutant("walk-one-level-past-cap", "infocontent.py",
            "while goal not in resolved and self.frontier and self.level < cap:",
            "while goal not in resolved and self.frontier and self.level <= cap:",
@@ -116,21 +121,34 @@ MUTANTS = [
            "    base = train.base\n", "    base = 2\n",
            ["tests/test_closed_forms.py"]),
     # the separator layer
-    Mutant("zero-search-without-exact-target", "separator.py",
-           "zeros = _ZeroSearch(f, t, q, stream.value)", "zeros = _ZeroSearch(f, t, q, None)",
+    Mutant("zero-verdicts-without-exact-target", "separator.py",
+           "_ZeroVerdicts(f, q, x_stream.compare, stream.value)",
+           "_ZeroVerdicts(f, q, x_stream.compare, None)",
            ["tests/test_separator.py"]),
-    Mutant("zero-search-below-before-dead-test", "separator.py",
-           "            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y\n"
-           "            if not below_high or self.cmp(reach + self.delta) >= 0:\n"
-           "                self.dead = k2\n"
-           "                return None\n"
-           "            self.below = k2\n",
-           "            self.below = k2\n"
-           "            reach = value + Fraction(1, self.t.base ** _target_len(k2)) if self.y is None else self.y\n"
-           "            if not below_high or self.cmp(reach + self.delta) >= 0:\n"
-           "                self.dead = k2\n"
-           "                return None\n",
+    Mutant("zero-verdicts-below-before-dead-test", "separator.py",
+           "        reach = value + Fraction(1, self.base ** _target_len(k)) if self.y is None else self.y\n"
+           "        if not below_high or self.cmp(reach + self.delta) >= 0:\n"
+           "            self.dead = k\n"
+           "            return _DEAD\n"
+           "        self.below = k\n",
+           "        self.below = k\n"
+           "        reach = value + Fraction(1, self.base ** _target_len(k)) if self.y is None else self.y\n"
+           "        if not below_high or self.cmp(reach + self.delta) >= 0:\n"
+           "            self.dead = k\n"
+           "            return _DEAD\n",
            ["tests/test_separator.py::TestKtfDeltaMatchesOracle::test_pool_slice"]),
+    Mutant("zero-verdicts-keyed-by-k-alone", "separator.py",
+           "zero = verdicts.get((x_stream, q))", "zero = next(iter(verdicts.values()), None)",
+           ["tests/test_separator.py::TestKtfDeltaMatchesOracle::test_pool_slice[targeted(1/3)]"]),
+    Mutant("zero-verdicts-keyed-by-the-query-alone", "separator.py",
+           "        zero = verdicts.get((x_stream, q))\n"
+           "        if zero is None:\n"
+           "            zero = verdicts[x_stream, q] = ",
+           "        zero = verdicts.get(q)\n"
+           "        if zero is None:\n"
+           "            zero = verdicts[q] = ",
+           ["tests/test_separator.py::TestKtfDeltaMatchesOracle::"
+            "test_a_digit_file_rewritten_between_two_calls_is_read_afresh"]),
     Mutant("blockperm-search-is-kdelta", "separator.py",
            "return kdelta_oracle(t, q, f)", "return kdelta(t, q, search, witness)",
            ["tests/test_separator.py::TestKtfDeltaAsksOnlyItsSearch::"
