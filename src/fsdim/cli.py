@@ -68,15 +68,24 @@ def gen_pool(seed: int, count: int, max_states: int, base: int, max_burst: int) 
 
 
 def _load_fst(path: str) -> Fst:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_fst(fh.read())
+    with open(path, "rb") as fh:
+        return parse_fst(fh.read().decode("ascii"))
 
 
 def _load_family(directory: str) -> list[tuple[str, Fst]]:
+    """Every .fst file of the directory, by name; a member that is refused
+    is named by its path in the one error line."""
     names = sorted(f for f in os.listdir(directory) if f.endswith(".fst"))
     if not names:
         raise FsdimError(f"no .fst files in {directory}")
-    return [(name, _load_fst(os.path.join(directory, name))) for name in names]
+    family = []
+    for name in names:
+        path = os.path.join(directory, name)
+        try:
+            family.append((name, _load_fst(path)))
+        except (FsdimError, UnicodeDecodeError) as exc:
+            raise FsdimError(f"{path}: {exc}") from None
+    return family
 
 
 def _write(args, text: str) -> None:
@@ -252,21 +261,17 @@ def _int_arg(least: int | None = None):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fsdim",
-                                     description="finite-state information content and dimension estimates")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p):
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.add_argument("--out", help="write the result to a file")
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--out", help="write the result to a file")
 
-    p = sub.add_parser("fst", help="transducer file utilities")
+def _add_fst(p):
     fst_sub = p.add_subparsers(dest="fst_command", required=True)
     pv = fst_sub.add_parser("validate")
     pv.add_argument("--fst", required=True)
     pv.add_argument("--burst-limit", type=_int_arg(0), default=DEFAULT_BURST_WARNING)
-    common(pv)
+    _common(pv)
     pv.set_defaults(func=cmd_fst_validate)
     pg = fst_sub.add_parser("gen")
     pg.add_argument("--kind", required=True, choices=["identity", "periodic", "huffman"])
@@ -279,14 +284,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_fst_gen)
 
-    p = sub.add_parser("kt", help="shortest input producing an exact output")
+
+def _add_kt(p):
     p.add_argument("--fst", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--cap", type=_int_arg(), default=64)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_kt)
 
-    p = sub.add_parser("kdelta", help="cheapest output within delta of a real")
+
+def _add_kdelta(p):
     p.add_argument("--fst", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--base", type=_int_arg(), default=2)
@@ -295,10 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--delta")
     p.add_argument("--cap-in", type=_int_arg(),
                    help="input-length cap; default 4(n + 2), and 64 for a delta not base**-n")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_kdelta)
 
-    p = sub.add_parser("profile", help="per-precision cost profile")
+
+def _add_profile(p):
     p.add_argument("--fsts", required=True, help="directory of .fst files")
     p.add_argument("--x", required=True)
     p.add_argument("--base", type=_int_arg(), default=2)
@@ -306,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("dim", help="dimension upper-bound estimates")
+
+def _add_dim(p):
     p.add_argument("what", choices=["point", "seq", "set"])
     p.add_argument("--fsts", required=True)
     p.add_argument("--x", action="append", required=True)
@@ -314,30 +323,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_int_arg(), required=True)
     p.add_argument("--window-frac", type=_window_frac_arg, default=dimension.DEFAULT_WINDOW_FRAC,
                    help="exact rational in (0, 1]: the tail share of precisions read")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("normality", help="compression-evidence report")
+
+def _add_normality(p):
     p.add_argument("--x", required=True)
     p.add_argument("--base", type=_int_arg(), default=2)
     p.add_argument("--nmax", type=_int_arg(), required=True)
     p.add_argument("--k", type=_int_arg(0), default=4, help="largest huffman block length")
     p.add_argument("--threshold", type=_fraction_arg, default=dimension.NORMALITY_THRESHOLD,
                    help="exact rational, e.g. 0.95 or 19/20")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_normality)
 
-    p = sub.add_parser("sedim", help="separator-enumerator dimension estimate")
+
+def _add_sedim(p):
     p.add_argument("--f", required=True, help="canonical | blockperm:m:PERMFILE | targeted:SPEC")
     p.add_argument("--fsts", required=True)
     p.add_argument("--x", action="append", required=True)
     p.add_argument("--base", type=_int_arg(), default=2)
     p.add_argument("--nmax", type=_int_arg(), required=True)
     p.add_argument("--max-input-len", type=_int_arg(), default=separator.DEFAULT_MAX_INPUT_LEN)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_sedim)
 
-    p = sub.add_parser("pool", help="seeded random transducer pool")
+
+def _add_pool(p):
     p.add_argument("--seed", type=_int_arg(), required=True)
     p.add_argument("--count", type=_int_arg(), required=True)
     p.add_argument("--max-states", type=_int_arg(1), default=4)
@@ -346,13 +358,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pool)
 
+
+#: each subcommand's help line and the one function that adds its flags
+_SUBCOMMANDS = {
+    "fst": ("transducer file utilities", _add_fst),
+    "kt": ("shortest input producing an exact output", _add_kt),
+    "kdelta": ("cheapest output within delta of a real", _add_kdelta),
+    "profile": ("per-precision cost profile", _add_profile),
+    "dim": ("dimension upper-bound estimates", _add_dim),
+    "normality": ("compression-evidence report", _add_normality),
+    "sedim": ("separator-enumerator dimension estimate", _add_sedim),
+    "pool": ("seeded random transducer pool", _add_pool),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: fsdim and every subcommand's parser."""
+    parser = argparse.ArgumentParser(prog="fsdim",
+                                     description="finite-state information content and dimension estimates")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add) in _SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list):
+    """argv's namespace. A known subcommand is parsed by its own parser alone,
+    built by the adder and with the prog of the full tree's, so its help and
+    errors are the same bytes. Anything else, and arguments that parser leaves
+    over, go to the full tree, which reports them at the top level."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        _, add = _SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"fsdim {argv[0]}")
+        add(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def dispatch(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "dim" and args.what != "set" and len(args.x) > 1:

@@ -8,6 +8,7 @@ construction and `run` is pure.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .digits import (
@@ -97,8 +98,9 @@ def format_fst(t: Fst) -> str:
 
 
 def parse_fst(text: str) -> Fst:
-    """Parse the canonical file format; inverse of format_fst on valid machines.
-    It checks the text; `Fst` checks the machine: state count, start, targets."""
+    """Parse the canonical file format in one pass over its lines; inverse of
+    format_fst on valid machines. It checks the text; `Fst` checks the
+    machine: state count, start, targets."""
     directives = [(lineno, line.split()) for lineno, line in content_lines(text.splitlines())]
 
     def expect(idx, keyword, argc):
@@ -122,7 +124,9 @@ def parse_fst(text: str) -> Fst:
     base, states, start = header
     check_base(base)
 
-    table: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    # state -> its base slots, made when a line first names the state, so
+    # memory follows the lines and not the header's state count
+    rows: dict[int, list] = {}
     for lineno, parts in directives[4:]:
         if parts[0] != "t" or len(parts) != 5:
             raise FstSyntaxError(f"expected transition line 't q a q2 out'", line=lineno)
@@ -134,24 +138,34 @@ def parse_fst(text: str) -> Fst:
             raise StateOutOfRange(f"state out of range in transition", line=lineno)
         if not (0 <= a < base):
             raise InvalidDigit(f"input symbol {a} out of base {base}", line=lineno)
-        if (q, a) in table:
+        row = rows.get(q)
+        if row is None:
+            row = rows[q] = [None] * base
+        elif row[a] is not None:
             raise DuplicateTransition(f"transition ({q},{a}) defined twice", line=lineno)
-        out_s = parts[4]
-        out = () if out_s == "-" else tuple(ord(c) - 48 for c in out_s)
-        for c, d in zip(out_s, out):
-            if not (0 <= d < base):
-                raise InvalidDigit(f"output digit {c!r} out of base {base}", line=lineno)
-        table[(q, a)] = (nxt, out)
+        try:
+            row[a] = (nxt, _output(parts[4], base))
+        except ValueError as bad:
+            raise InvalidDigit(f"output digit {bad.args[0]!r} out of base {base}", line=lineno) from None
 
-    rows = []
     for q in range(states):
-        row = []
-        for a in range(base):
-            if (q, a) not in table:
-                raise MissingTransition(f"transition ({q},{a}) missing")
-            row.append(table[(q, a)])
-        rows.append(tuple(row))
-    return Fst(base, states, start, tuple(rows))
+        row = rows.get(q, (None,))
+        if None in row:
+            raise MissingTransition(f"transition ({q},{row.index(None)}) missing")
+    return Fst(base, states, start, tuple(tuple(rows[q]) for q in range(states)))
+
+
+@lru_cache(maxsize=1024)
+def _output(field: str, base: int) -> tuple[int, ...]:
+    """The digits of a transition line's output field ("-" for none); a
+    ValueError carries the first character that is no digit of the base."""
+    if field == "-":
+        return ()
+    out = tuple(ord(c) - 48 for c in field)
+    for c, d in zip(field, out):
+        if not (0 <= d < base):
+            raise ValueError(c)
+    return out
 
 
 def make_identity(base: int) -> Fst:

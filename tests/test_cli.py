@@ -562,6 +562,41 @@ class TestPool:
             assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
 
+class TestFamilyMembers:
+    """A refused member of a --fsts family is named by its path in the one
+    error line; the single-file commands keep their messages."""
+
+    MISSING = b"fst 1\nbase 2\nstates 1\nstart 0\nt 0 0 0 0\n"
+    NON_ASCII = "fst 1\nbase 2\nstates 1\nstart 0\n# é\nt 0 0 0 0\nt 0 1 0 1\n".encode("utf-8")
+    DECODE = "'ascii' codec can't decode byte 0xc3 in position 32: ordinal not in range(128)"
+
+    @pytest.mark.parametrize("content, message", [
+        (MISSING, "transition (0,1) missing"), (NON_ASCII, DECODE),
+    ], ids=["missing-transition", "non-ascii"])
+    @pytest.mark.parametrize("what", ["point", "set"])
+    def test_a_bad_member_names_its_file(self, tmp_path, monkeypatch, capsys, content, message, what):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("fam")
+        Path("fam/a.fst").write_text(format_fst(make_identity(2)))
+        bad = Path("fam/b.fst")
+        bad.write_bytes(content)
+        argv = ["dim", what, "--fsts", "fam", "--x", "rat:1/3", "--nmax", "4"]
+        assert dispatch(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [f"error: {os.path.join('fam', 'b.fst')}: {message}"]
+        assert dispatch(["fst", "validate", "--fst", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_a_long_member_path_keeps_the_line_bound(self, tmp_path, capsys):
+        fam = tmp_path / ("f" * 150)
+        fam.mkdir()
+        (fam / "b.fst").write_bytes(self.NON_ASCII)
+        assert dispatch(["profile", "--fsts", str(fam), "--x", "rat:1/3", "--nmax", "4"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        head = f"error: {fam / 'b.fst'}: {self.DECODE}"
+        assert line == f"{head[:120]}... ({len(head)} characters)"
+
+
 class TestOtherCommands:
     def test_validate(self, id_fst, capsys):
         assert dispatch(["fst", "validate", "--fst", id_fst]) == 0

@@ -142,6 +142,18 @@ class TestFileFormat:
         out, err = capsys.readouterr()
         assert not out and err.splitlines() == [f"error: {message}"]
 
+    def test_an_output_field_is_read_in_its_own_base(self):
+        # the field "2" is a digit in base 3 and not in base 2, in either order
+        base3 = "fst 1\nbase 3\nstates 1\nstart 0\nt 0 0 0 2\nt 0 1 0 2\nt 0 2 0 2\n"
+        base2 = IDENTITY_TEXT.replace("t 0 1 0 1", "t 0 1 0 2")
+        for text in (base2, base3, base2):
+            if text == base3:
+                assert parse_fst(text).run("01") == "22"
+                continue
+            with pytest.raises(InvalidDigit) as refusal:
+                parse_fst(text)
+            assert str(refusal.value) == "output digit '2' out of base 2 (line 6)"
+
     @pytest.mark.parametrize("args, error, message", [
         ((1, 1, 0, IDENTITY_ROWS), InvalidBase, "base must be an integer in [2, 10], got 1"),
         ((2, 0, 0, ()), FsdimError, "an FST needs at least one state"),

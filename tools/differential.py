@@ -16,9 +16,12 @@ commands on the same inputs.
 The recorder writes the benchmark's inputs (`bench/inputs.py`, read, not
 edited) and its own: seeded pools in bases 2, 3 and 10, one digit file per
 base, a digit file whose tail is decided only by its last digit, a digit
-file of four digits, a block permutation, and a machine whose outputs run
-on the track of a goal past it. Then it runs every command of the record sets below through
-`fsdim.cli.dispatch`, with `--json` where the command has it, and writes a
+file of four digits, a block permutation, a machine whose outputs run
+on the track of a goal past it, and `.fst` files that are refused or whose
+bytes are odd (line breaks, non-ASCII), each alone and in a copy of the
+base-2 pool. Then it runs every command of the record sets below through
+`fsdim.cli.dispatch`, with `--json` where the command has it and COLUMNS
+fixed for argparse's help, and writes a
 canonical text record of each: its argv, exit code, stdout and stderr, and,
 on a line of its own, its work: the levels walked, summed over every
 `infocontent.Search` the command built, and its `PrecisionSearch.advance`
@@ -84,6 +87,55 @@ NORMALITY_NMAX = 40
 TRACK_PAST_GOAL = "fst 1\nbase 2\nstates 2\nstart 0\nt 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n"
 TRACK_POINTS = ["rat:1/2", "rat:13/24", "rat:1/6", "rat:1/3", "digitfile:short.txt"]
 TRACK_DELTAS = ["1/3", "1/6", "1/12"]
+#: the command line itself: help, usage errors and the argparse corners a
+#: parser must read alike (`--`, an abbreviated flag, a repeated flag)
+SUBCOMMANDS = ["fst", "kt", "kdelta", "profile", "dim", "normality", "sedim", "pool"]
+PARSER_CASES = [[name, "-h"] for name in SUBCOMMANDS] + [
+    ["fst", "gen", "-h"], ["fst", "validate", "--help"], ["fst"], ["dim"], [], ["-h"],
+    ["kt", "--fst", "m.fst"],
+    ["kdelta", "--fst", "m.fst", "--x", "rat:1/3"],
+    ["dim", "point", "--fsts", "pool", "--x", "rat:1/3", "--nmax", "3.5"],
+    ["dim", "line", "--fsts", "pool", "--x", "rat:1/3", "--nmax", "3"],
+    ["fst", "gen", "--kind", "square"],
+    ["fst", "check", "--fst", "m.fst"],
+    ["profile", "--fsts", "pool", "--x", "rat:1/3", "--nmax", "3", "--nope"],
+    ["sedim", "--f", "canonical", "--fsts", "subset", "--x", "rat:1/3", "--nmax", "3", "extra"],
+    ["fst", "gen", "--kind", "identity", "extra"],
+    ["kdelta", "--fst", "m.fst", "--x", "rat:1/3", "--n", "3", "--delta", "1/8"],
+    ["kt", "--fst", "track/track-past-goal.fst", "--w", "--", "011"],
+    ["kt", "--fst", "track/track-past-goal.fst", "--", "--w", "011"],
+    ["dim", "point", "--fsts", "subset", "--x", "rat:1/3", "--nm", "12", "--json"],
+    ["dim", "set", "--fsts", "subset", "--x", "rat:1/3", "--x", "rat:1/5", "--nmax", "8", "--json"],
+    ["dim", "point", "--fsts", "subset", "--x", "rat:1/3", "--x", "rat:1/5", "--nmax", "8"],
+    ["kt", "--fst", "track/track-past-goal.fst", "--w", "0110", "--cap", "5", "--cap", "6"],
+    ["--json", "kt", "--fst", "track/track-past-goal.fst", "--w", "01"],
+    ["dimension", "point"],
+]
+IDENTITY = "fst 1\nbase 2\nstates 1\nstart 0\nt 0 0 0 0\nt 0 1 0 1\n"
+#: the malformed machines of tests/test_fst.py's refusals, as edits of IDENTITY
+REFUSED = {
+    "empty": (IDENTITY, ""), "no-states-line": (IDENTITY, "fst 1\nbase 2\n"),
+    "wrong-directive": ("fst 1", "fsx 1"), "version-2": ("fst 1", "fst 2"),
+    "header-field": ("states 1", "states one"), "transition-shape": ("t 0 1 0 1", "t 0 1 0"),
+    "transition-field": ("t 0 1 0 1", "t 0 1 x 1"), "state-range": ("t 0 1 0 1", "t 1 1 0 1"),
+    "symbol-range": ("t 0 1 0 1", "t 0 2 0 1"), "output-range": ("t 0 1 0 1", "t 0 1 0 2"),
+    "output-letter": ("t 0 1 0 1", "t 0 1 0 1x"),
+    "no-states": (IDENTITY, "fst 1\nbase 2\nstates 0\nstart 0\n"),
+    "start-range": ("start 0", "start 1"), "target-range": ("t 0 1 0 1", "t 0 1 5 1"),
+    "missing": ("t 0 1 0 1\n", ""), "duplicate": ("t 0 1 0 1\n", "t 0 1 0 1\nt 0 1 0 1\n"),
+}
+#: files whose bytes, not their directives, are odd: every line break
+#: and a byte that is not ASCII, near the head and past 8 KiB
+ODD_FILES = {
+    "non-ascii": IDENTITY.replace("t 0 0", "# \u00e9\nt 0 0").encode("utf-8"),
+    "non-ascii-far": ("# " + "x" * 9000 + "\n" + IDENTITY + "# \u00e9\n").encode("utf-8"),
+    "crlf": IDENTITY.replace("\n", "\r\n").encode("ascii"),
+    "crlf-missing": IDENTITY.replace("t 0 1 0 1\n", "").replace("\n", "\r\n").encode("ascii"),
+    "lone-cr": IDENTITY.replace("\n", "\r").encode("ascii"),
+    "lone-cr-field": IDENTITY.replace("t 0 1 0 1", "t 0 1 x 1").replace("\n", "\r").encode("ascii"),
+    "comments": b"# a machine\n# of comments only\n",
+    "commented": ("# head\n" + IDENTITY.replace("\n", "  # note\n\n")).encode("ascii"),
+}
 
 
 def _load(path: Path):
@@ -144,6 +196,12 @@ def write_inputs(work: Path) -> dict:
                                      encoding="ascii")
     (work / "track").mkdir()
     (work / "track" / "track-past-goal.fst").write_text(TRACK_PAST_GOAL, encoding="ascii")
+    (work / "files").mkdir()
+    files = {name: IDENTITY.replace(old, new).encode("ascii") for name, (old, new) in REFUSED.items()}
+    for name, content in {**files, **ODD_FILES}.items():
+        (work / "files" / f"{name}.fst").write_bytes(content)
+        shutil.copytree(work / "pool-2", work / f"family-{name}")  # one odd member of eleven
+        (work / f"family-{name}" / f"{name}.fst").write_bytes(content)
     return pools
 
 
@@ -179,6 +237,11 @@ def commands(pools: dict) -> list:
         argvs += [["kdelta", *track, "--x", x, "--n", "3", "--cap-in", "200", "--json"]]
         argvs += [["kdelta", *track, "--x", x, "--delta", d, "--json"] for d in TRACK_DELTAS]
         argvs += [["profile", "--fsts", "track", "--x", x, "--nmax", str(PROFILE_NMAX)]]
+    argvs += PARSER_CASES
+    for name in [*REFUSED, *ODD_FILES]:
+        argvs += [["fst", "validate", "--fst", f"files/{name}.fst", "--json"],
+                  ["kt", "--fst", f"files/{name}.fst", "--w", "01", "--json"],
+                  ["dim", "point", "--fsts", f"family-{name}", "--x", "rat:1/3", "--nmax", "6", "--json"]]
     return argvs
 
 
@@ -241,7 +304,7 @@ def run_side(side: Path, tmp: Path, name: str) -> tuple[str, float]:
     work = tmp / f"{name}-work"
     work.mkdir()
     out = tmp / f"{name}.record"
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", COLUMNS="100",
                PYTHONPATH=os.pathsep.join([str(side / "src"), str(TOOLS)]))
     argv = [sys.executable, "-B", "-c",
             "import sys, differential; sys.exit(differential.record(*sys.argv[1:]))",

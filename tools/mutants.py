@@ -111,6 +111,14 @@ MUTANTS = [
     Mutant("fst-without-target-check", "fst.py",
            "if not (0 <= nxt < state_count):", "if False:",
            ["tests/test_fst.py"]),
+    Mutant("fst-duplicate-transition-unchecked", "fst.py",
+           "        elif row[a] is not None:\n", "        elif False:\n",
+           ["tests/test_fst.py"]),
+    Mutant("fst-output-memo-ignores-base", "fst.py",
+           "@lru_cache(maxsize=1024)\n",
+           "@lambda f: lambda field, base, memo={}: memo[field] if field in memo "
+           "else memo.setdefault(field, f(field, base))\n",
+           ["tests/test_fst.py::TestFileFormat::test_an_output_field_is_read_in_its_own_base"]),
     Mutant("content-lines-keeps-comments", "digits.py",
            'line = raw.split("#", 1)[0].strip()', "line = raw.strip()",
            ["tests/test_separator.py", "tests/test_fst.py"]),
@@ -191,6 +199,9 @@ MUTANTS = [
     Mutant("entry-point-exits-zero", "cli.py",
            'if __name__ == "__main__":\n    main()\n', 'if __name__ == "__main__":\n    dispatch()\n',
            ["tests/test_cli.py::test_python_m_entry_point_exits_with_one_line"]),
+    Mutant("one-parser-ignores-leftover-args", "cli.py",
+           "        if not extra:\n", "        if True:\n",
+           ["tests/test_one_parser.py::test_the_one_parser_path_is_the_full_tree_byte_for_byte"]),
     Mutant("json-keys-in-hash-order", "cli.py",
            "json.dumps(json_obj, sort_keys=True)", "json.dumps({k: json_obj[k] for k in set(json_obj)})",
            ["tests/test_metamorphic.py::TestHashSeedIndependence"]),
