@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from .digits import DigitStream, RealSpec, check_base, check_precision
 from .errors import AllRowsFlagged, FsdimError
@@ -137,15 +138,13 @@ def dim_seq_estimate(family, s: DigitStream, n_max: int,
     """Upper-bound estimate of the finite-state dimension of a digit sequence:
     min over the family of the min kt(prefix of length n)/n over the window,
     each kt search capped at 2n + 8 inputs. One search per transducer walks
-    the sequence's longest prefix and answers every shorter one."""
+    the longest prefix and answers every shorter one, each sliced once."""
     check_precision(n_max)  # before the prefix is read
     word = s.prefix_str(s.available(n_max))  # read once for the whole family
-    have = len(word)
-
-    def rows_of(t, seq, grid):  # a row past the word is past a file's end: prefix_str raises
+    prefix = cache(lambda n: word[:n] if n <= len(word) else s.prefix_str(n))  # past a file's end: raises
+    def rows_of(t, seq, grid):
         search = PrefixSearch(t, word)
-        return profile_rows(grid, lambda n: kt(t, word[:n] if n <= have else s.prefix_str(n),
-                                               cap=2 * n + 8, search=search, witness=False))
+        return profile_rows(grid, lambda n: kt(t, prefix(n), 2 * n + 8, search, False))
 
     return estimate(family, s.base, [s], n_max, window_frac, rows_of)
 

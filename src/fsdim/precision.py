@@ -45,28 +45,27 @@ start; a read past its end goes through `DigitStream.digit`, which fills it.
   continuation of its output lies at or below x - b^-g.
 `_settle` decides how an emission ends. All decisions are exact; no floats.
 
-Each row still goes through `kdelta` with a `PrecisionQuery`, which
-carries its exponent n. `PrecisionQuery.at_scale` builds one query per
-(point, base, n, cap) per process, shared by every transducer's row at that
+Each row goes through `kdelta` with a `PrecisionQuery`, which carries its
+exponent n, and through `profile_rows`, the one row builder, which shares
+one `ProfileRow` per (n, cost, flags): a row's query, answer and row are
+shared values. `at_scale`, the one process-wide query cache, builds one
+query per (point, base, n, cap) for every transducer's row at that
 precision. It takes n from its caller, and builds delta = b^-n, once per
 (base, n), only when something reads it, which no row with an open search
 does; with the all-zero-tail test of an exact point one modular power
 (`DigitStream.is_zero_from`), no row builds a number that grows with n.
-`kdelta_profile`, the estimators in `dimension` and
-`separator.dimf_estimate` (whose `ktf_delta` rows ask with
-the same queries) pass in the open search of the row's (transducer, point);
-without one, `kdelta` runs a fresh one-precision search on the same core. An
-accept writes the precisions it solves into `resolved`, all with one hit. Rows
-ask with `witness=False` and read the cost off that hit, so no row builds a
-witness; only a caller that prints one, such as the `kdelta` command, asks
-for it. One n <= S missing there was given up; giving up goals on an empty
-frontier prunes nothing. A finite digit file gives `InsufficientDigits` for
-a precision that its digits do not decide; a level of the shared search
-that they do not decide spends it, and each open row goes to a fresh search
-for its precision alone.
-
-`profile_rows` turns a row source into profile rows; it is the row builder
-of `kdelta_profile` and of every estimator in `dimension` and `separator`.
+`kdelta_profile`, whose members' searches read one stream of x, the
+estimators in `dimension` and `separator.dimf_estimate` (whose `ktf_delta`
+rows ask with the same queries) pass in the open search of the row's
+(transducer, point); without one, `kdelta` runs a fresh one-precision search
+on the same core. An accept writes the precisions it solves into `resolved`,
+all with one hit. Rows ask with `witness=False` and read the cost off that
+hit, so no row builds a witness; only a caller that prints one, such as the
+`kdelta` command, asks for it. One n <= S missing there was given up; giving
+up goals on an empty frontier prunes nothing. A finite digit file gives
+`InsufficientDigits` for a precision that its digits do not decide; a level
+of the shared search that they do not decide spends it, and each open row
+goes to a fresh search for its precision alone.
 
 `kdelta_oracle` and `KdeltaOracleTable`, the one interval table, re-derive
 `kdelta` from `infocontent.distinct_outputs`, never from a search or the
@@ -82,7 +81,7 @@ import os
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .digits import (
     DigitStream,
@@ -495,27 +494,29 @@ class ProfileRow(namedtuple("ProfileRow", "n cost flags", defaults=("",))):
     __slots__ = ()
 
 
+_row = lru_cache(maxsize=1024)(ProfileRow)  # shared rows; a long profile keeps only 1,024
+
+
 def profile_rows(grid, search) -> list[ProfileRow]:
     """Rows (n, cost) for each n in grid, where search(n) returns a CostResult.
 
     A row whose search found nothing is flagged "cap" or "unreachable", and
     one whose point ran out of digits (InsufficientDigits) "insufficient".
     Flagged rows are left out of every estimate. A row holds only what its
-    search found: cost/n and the running infimum are built by the one reader
-    that needs them, `dimension.estimate` or `cli._profile_csv`.
+    search found, and equal rows are one object while among the last 1,024
+    distinct rows; `dimension.estimate` and `cli._profile_csv` build its views.
     """
     rows = []
     for n in grid:
         try:
-            res = search(n)
+            status, cost, _, _ = search(n)
         except InsufficientDigits:
-            rows.append(ProfileRow(n, -1, "insufficient"))
+            rows.append(_row(n, -1, "insufficient"))
             continue
-        status, cost, _, _ = res
         if status == FOUND:
-            rows.append(ProfileRow(n, cost))
+            rows.append(_row(n, cost, ""))
         else:
-            rows.append(ProfileRow(n, -1, "cap" if status == CAP_EXCEEDED else "unreachable"))
+            rows.append(_row(n, -1, "cap" if status == CAP_EXCEEDED else "unreachable"))
     return rows
 
 
@@ -533,17 +534,17 @@ def kdelta_profile(ts, x: RealSpec, base: int, n_max: int, grid=None) -> list[Pr
     check_precision(n_max)
     if grid is None:
         grid = range(1, n_max + 1)
-    searches = [open_search(t, x, base, max(grid, default=0)) for t in ts]
+    stream = shared_stream(x, base)  # one stream: every member reads the same digits
+    hi = stream.available(max(grid, default=0))
+    searches = [PrecisionSearch(t, x, stream, hi) for t in ts]
 
     if len(ts) == 1:  # every estimator's call: the one search's answer is the row
         t, search = ts[0], searches[0]
-
         def row(n):
-            q = PrecisionQuery.at_scale(x, base, n)
-            return kdelta(t, q, search, witness=False)
+            return kdelta(t, PrecisionQuery.at_scale(x, base, n), search, False)
     else:
         def row(n):
             q = PrecisionQuery.at_scale(x, base, n)
-            return best_of(kdelta(t, q, search, witness=False) for t, search in zip(ts, searches))
+            return best_of(kdelta(t, q, search, False) for t, search in zip(ts, searches))
 
     return profile_rows(grid, row)

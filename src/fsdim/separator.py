@@ -272,6 +272,6 @@ def dimf_estimate(family, f: SeparatorEnumerator, xs, n_max: int,
     def rows_of(t, x, grid):
         search = open_search(t, x, base, max(grid))
         return profile_rows(grid, lambda n: ktf_delta(
-            t, f, PrecisionQuery.at_scale(x, base, n, max_input_len), search, witness=False))
+            t, f, PrecisionQuery.at_scale(x, base, n, max_input_len), search, False))
 
     return estimate(family, base, xs, n_max, DEFAULT_WINDOW_FRAC, rows_of)

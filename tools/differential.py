@@ -15,23 +15,24 @@ commands on the same inputs.
 
 The recorder writes the benchmark's inputs (`bench/inputs.py`, read, not
 edited) and its own: seeded pools in bases 2, 3 and 10, one digit file per
-base, a digit file whose tail is decided only by its last digit, a digit
-file of four digits, a block permutation, a machine whose outputs run
-on the track of a goal past it, and `.fst` files that are refused or whose
-bytes are odd (line breaks, non-ASCII), each alone and in a copy of the
-base-2 pool. Then it runs every command of the record sets below through
-`fsdim.cli.dispatch`, with `--json` where the command has it and COLUMNS
-fixed for argparse's help, and writes a
-canonical text record of each: its argv, exit code, stdout and stderr, and,
-on a line of its own, its work: the levels walked, summed over every
-`infocontent.Search` the command built, and its `PrecisionSearch.advance`
-calls. It counts them by wrapping `Search.__init__` and `advance` in its own
-process.
+base, a digit file longer than the largest precision asked, a digit file
+whose tail is decided only by its last digit, a digit file of four digits,
+a block permutation, a machine whose outputs run on the track of a goal
+past it, and `.fst` files that are refused or whose bytes are odd (line
+breaks, non-ASCII), each alone and in a copy of the base-2 pool. Then it
+runs every command of the record sets below through `fsdim.cli.dispatch`,
+with `--json` where the command has it and COLUMNS fixed for argparse's
+help, and writes a canonical text record of each: its argv, exit code,
+stdout and stderr, and, on a line of its own, its work: the levels walked,
+summed over every `infocontent.Search` the command built, and its
+`PrecisionSearch.advance` calls. It counts them by wrapping
+`Search.__init__` and `advance` in its own process.
 
-The two records are compared command by command. A change in answers and a
-change in work are reported on lines of their own, the first differences in
-full. The exit status is 1 on any difference, 2 when a side cannot be
-extracted or recorded, else 0. Standard library only.
+The two records are compared command by command. Every change in answers
+and every change in work is printed in full on lines of its own, and a
+summary line of the counts comes last. The exit status is 1 on any
+difference, 2 when a side cannot be extracted or recorded, else 0.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
-SHOWN = 10  # differences printed in full
 
 # the record sets: machines, points and commands, all fixed here
 POOLS = {2: (10, 3, 3), 3: (6, 3, 3), 10: (4, 2, 2)}  # base: (count, max states, max burst)
@@ -87,6 +87,12 @@ NORMALITY_NMAX = 40
 TRACK_PAST_GOAL = "fst 1\nbase 2\nstates 2\nstart 0\nt 0 0 1 011\nt 0 1 1 011\nt 1 0 1 0\nt 1 1 1 0\n"
 TRACK_POINTS = ["rat:1/2", "rat:13/24", "rat:1/6", "rat:1/3", "digitfile:short.txt"]
 TRACK_DELTAS = ["1/3", "1/6", "1/12"]
+#: `kdelta` far past the default caps, at the cap 6(n + 2) + 20, on the
+#: benchmark's base-2 pool and TRACK_PAST_GOAL; long-2.txt holds more digits
+#: than n. The recorder's own base-2 pool follows none of these points there
+LARGE_N = [100, 400]
+LARGE_N_POINTS = ["rat:1/3", "periodic:001", "champernowne", "digitfile:long-2.txt"]
+LONG_DIGITS = 450
 #: the command line itself: help, usage errors and the argparse corners a
 #: parser must read alike (`--`, an abbreviated flag, a repeated flag)
 SUBCOMMANDS = ["fst", "kt", "kdelta", "profile", "dim", "normality", "sedim", "pool"]
@@ -194,6 +200,8 @@ def write_inputs(work: Path) -> dict:
     (work / "short.txt").write_text(SHORT + "\n", encoding="ascii")
     (work / "perm-2.txt").write_text("".join(f"{a} -> {b}\n" for a, b in PERMUTATION.items()),
                                      encoding="ascii")
+    (work / "long-2.txt").write_text("".join(str(rng.randrange(2)) for _ in range(LONG_DIGITS)) + "\n",
+                                     encoding="ascii")
     (work / "track").mkdir()
     (work / "track" / "track-past-goal.fst").write_text(TRACK_PAST_GOAL, encoding="ascii")
     (work / "files").mkdir()
@@ -205,8 +213,9 @@ def write_inputs(work: Path) -> dict:
     return pools
 
 
-def commands(pools: dict) -> list:
-    """Every argv of the record sets, in the order they run."""
+def commands(pools: dict, work: Path) -> list:
+    """Every argv of the record sets, in the order they run, on the inputs
+    written to `work`."""
     plan = json.loads((ROOT / "bench" / "workloads.json").read_text(encoding="ascii"))
     argvs = [cmd["argv"] for workload in plan["workloads"].values() for cmd in workload["commands"]]
     for base, names in pools.items():
@@ -237,6 +246,9 @@ def commands(pools: dict) -> list:
         argvs += [["kdelta", *track, "--x", x, "--n", "3", "--cap-in", "200", "--json"]]
         argvs += [["kdelta", *track, "--x", x, "--delta", d, "--json"] for d in TRACK_DELTAS]
         argvs += [["profile", "--fsts", "track", "--x", x, "--nmax", str(PROFILE_NMAX)]]
+    for fst in [*(f"pool/{name}" for name in sorted(os.listdir(work / "pool"))), "track/track-past-goal.fst"]:
+        argvs += [["kdelta", "--fst", fst, "--x", x, "--n", str(n), "--cap-in", str(6 * (n + 2) + 20),
+                   "--json"] for x in LARGE_N_POINTS for n in LARGE_N]
     argvs += PARSER_CASES
     for name in [*REFUSED, *ODD_FILES]:
         argvs += [["fst", "validate", "--fst", f"files/{name}.fst", "--json"],
@@ -268,7 +280,7 @@ def record(work: str, out: str, src: str) -> int:
     infocontent.Search.__init__ = counting_init
     precision.PrecisionSearch.advance = counting_advance
     lines = []
-    for argv in commands(write_inputs(work)):
+    for argv in commands(write_inputs(work), work):
         searches.clear()
         advances[0] = 0
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -359,7 +371,7 @@ def main(argv: list) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     diffs = compare(records["base"], records["other"])
-    for line in diffs[:SHOWN]:
+    for line in diffs:
         print(line)
     answers = sum(d.startswith(("answers", "only")) for d in diffs)
     print(f"{len(diffs)} differences: {answers} in answers, {len(diffs) - answers} in work")

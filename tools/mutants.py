@@ -205,6 +205,27 @@ MUTANTS = [
     Mutant("json-keys-in-hash-order", "cli.py",
            "json.dumps(json_obj, sort_keys=True)", "json.dumps({k: json_obj[k] for k in set(json_obj)})",
            ["tests/test_metamorphic.py::TestHashSeedIndependence"]),
+    # the row builders: one shared row per (n, cost, flags), one stream per profile
+    Mutant("rows-built-per-row", "precision.py",
+           "_row = lru_cache(maxsize=1024)(ProfileRow)", "_row = ProfileRow",
+           ["tests/test_shared_rows.py::test_rows_equal_fresh_rows_and_equal_rows_are_one_object"]),
+    Mutant("row-cache-drops-the-flags", "precision.py",
+           "_row = lru_cache(maxsize=1024)(ProfileRow)",
+           "_row = lambda n, cost, flags, memo={}: memo.setdefault((n, cost), ProfileRow(n, cost, flags))",
+           ["tests/test_shared_rows.py::test_flagged_rows_keep_their_flags_at_one_precision"]),
+    Mutant("row-table-unbounded", "precision.py",
+           "_row = lru_cache(maxsize=1024)(ProfileRow)", "_row = lru_cache(maxsize=None)(ProfileRow)",
+           ["tests/test_shared_rows.py::test_a_long_profile_keeps_a_bounded_row_table"]),
+    Mutant("profile-hi-from-n-max", "precision.py",
+           "hi = stream.available(max(grid, default=0))", "hi = max(grid, default=0)",
+           ["tests/test_shared_rows.py::test_flagged_rows_keep_their_flags_at_one_precision"]),
+    Mutant("profile-stream-per-member", "precision.py",
+           "searches = [PrecisionSearch(t, x, stream, hi) for t in ts]",
+           "searches = [open_search(t, x, base, hi) for t in ts]",
+           ["tests/test_shared_rows.py::test_one_stream_per_family_profile"]),
+    Mutant("seq-prefix-past-the-file-is-the-word", "dimension.py",
+           "word[:n] if n <= len(word) else s.prefix_str(n)", "word[:n]",
+           ["tests/test_shared_rows.py::test_rows_equal_fresh_rows_and_equal_rows_are_one_object"]),
     # the readers of profile rows: no float decides, and every view is exact
     Mutant("csv-running-inf-takes-flagged-rows", "cli.py",
            "if not flags and (least is None or cost * least[1] < least[0] * n):",
