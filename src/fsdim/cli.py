@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import dimension, separator
-from .digits import RealSpec, check_base, inverse_power, parse_delta
+from .digits import RealSpec, check_base, parse_delta
 from .errors import FsdimError
 from .fst import Fst, format_fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
 from .infocontent import CostResult, kt
@@ -166,8 +166,8 @@ def cmd_kt(args) -> int:
 def cmd_kdelta(args) -> int:
     t = _load_fst(args.fst)
     x = RealSpec.parse(args.x)
-    delta = parse_delta(args.delta, args.base) if args.n is None else inverse_power(args.base, args.n)
-    _cost_out(args, kdelta(t, PrecisionQuery(x, args.base, delta, args.cap_in)))
+    delta = None if args.delta is None else parse_delta(args.delta, args.base)
+    _cost_out(args, kdelta(t, PrecisionQuery(x, args.base, delta, args.cap_in, args.n)))
     return 0
 
 

@@ -50,29 +50,34 @@ exponent n, and through `profile_rows`, the one row builder, which shares
 one `ProfileRow` per (n, cost, flags): a row's query, answer and row are
 shared values. `at_scale`, the one process-wide query cache, builds one
 query per (point, base, n, cap) for every transducer's row at that
-precision. It takes n from its caller, and builds delta = b^-n, once per
-(base, n), only when something reads it, which no row with an open search
-does; with the all-zero-tail test of an exact point one modular power
+precision. It takes n from its caller, and builds delta = b^-n only when
+something reads it, which no row with an open search does; with the
+all-zero-tail test of an exact point one modular power
 (`DigitStream.is_zero_from`), no row builds a number that grows with n.
 `kdelta_profile`, whose members' searches read one stream of x, the
 estimators in `dimension` and `separator.dimf_estimate` (whose `ktf_delta`
 rows ask with the same queries) pass in the open search of the row's
 (transducer, point); without one, `kdelta` runs a fresh one-precision search
-on the same core. An accept writes the precisions it solves into `resolved`,
-all with one hit. Rows ask with `witness=False` and read the cost off that
-hit, so no row builds a witness; only a caller that prints one, such as the
-`kdelta` command, asks for it. One n <= S missing there was given up; giving
-up goals on an empty frontier prunes nothing. A finite digit file gives
-`InsufficientDigits` for a precision that its digits do not decide; a level
-of the shared search that they do not decide spends it, and each open row
-goes to a fresh search for its precision alone.
+on the same core. A search keeps the stream it was opened on, and every
+later read of x for its (transducer, point) goes through it (`stream_of`),
+so one search reads one version of a digit file. An accept writes the
+precisions it solves into `resolved`, all with one hit. Rows ask with
+`witness=False` and read the cost off that hit, so no row builds a witness;
+only a caller that prints one, such as the `kdelta` command, asks for it.
+One n <= S missing there was given up; giving up goals on an empty frontier
+prunes nothing. A finite digit file gives `InsufficientDigits` for a
+precision that its digits do not decide; a level of the shared search that
+they do not decide spends it, and each open row goes to a fresh search for
+its precision alone, on the same stream.
 
 `kdelta_oracle` and `KdeltaOracleTable`, the one interval table, re-derive
 `kdelta` from `infocontent.distinct_outputs`, never from a search or the
 shared stream. Both read outputs through one value map: canonical values,
 or a separator enumerator f's, so `kdelta_oracle(t, q, f)`, which reads
 inputs up to q.cap_input as `kdelta` does, is also `ktf_delta`'s oracle, and
-`blockperm`'s search until it has one of its own.
+`blockperm`'s search until it has one of its own. Under canonical values
+the oracle walks only the outputs whose cylinder meets the interval, so it
+answers at n in the hundreds; under f it enumerates every output.
 """
 
 from __future__ import annotations
@@ -93,7 +98,6 @@ from .digits import (
     digits_to_int,
     digits_to_str,
     floor_log,
-    inverse_power,
 )
 from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
@@ -111,9 +115,6 @@ from .infocontent import (
 #: the n whose default input cap a delta that is not base**-n gets
 FALLBACK_SCALE = 14
 
-#: delta = base**-n, built once per (base, n) by the queries that read it
-_inverse_power = cache(inverse_power)
-
 
 class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input n")):
     """The interval (x - delta, x + delta) in base `base`, searched with at
@@ -122,8 +123,8 @@ class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input 
     FALLBACK_SCALE. The constructor sets n from delta; given delta None, it
     takes n from its caller. A query keeps delta itself only when n is None,
     as `other_delta`, so equal fields mean an equal (x, base, delta, cap);
-    base**-n is built only when `delta` is read, once per (base, n). The
-    repr shows delta and leaves n out.
+    base**-n is built only when `delta` is read. The repr shows delta and
+    leaves n out.
 
     A point with no exact value, such as a digit file, is bounded only at
     delta = base**-n, so at any other delta the query is refused
@@ -151,7 +152,7 @@ class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input 
 
     @property
     def delta(self) -> Fraction:
-        return self.other_delta if self.n is None else _inverse_power(self.base, self.n)
+        return self.other_delta if self.n is None else Fraction(1, self.base ** self.n)
 
     def __repr__(self):
         return (f"PrecisionQuery(x={self.x!r}, base={self.base!r}, delta={self.delta!r},"
@@ -199,9 +200,8 @@ class PrecisionSearch(Search):
         super().__init__(t, (0, 0))
         self.x = x
         self.base = t.base
-        self.buffer = stream.buffer  # holds x[:hi] at least; a miss goes to `digit`
-        self.digit = stream.digit
-        self.zero_from = stream.is_zero_from
+        self.stream = stream  # every read of x for this (transducer, point) goes through it
+        self.buffer = stream.buffer  # holds x[:hi] at least; a miss goes to `stream.digit`
         self.hi = hi
         self.S = self._run(0, 0, hi)  # the empty output solves n while x[:n] is all zeros
         self.resolved = dict.fromkeys(range(self.S + 1), (0, None, None))  # the empty output
@@ -224,7 +224,7 @@ class PrecisionSearch(Search):
                     xj = x[j]
                 except IndexError:
                     try:
-                        xj = self.digit(j)
+                        xj = self.stream.digit(j)
                     except InsufficientDigits as exc:
                         return self._cut(j, o - b ** (j - g), g, exc)
                 o = b * o + d - xj
@@ -243,7 +243,7 @@ class PrecisionSearch(Search):
                 xj = x[j]
             except IndexError:
                 try:
-                    xj = self.digit(j)
+                    xj = self.stream.digit(j)
                 except InsufficientDigits as exc:
                     return self._cut(j, D, g, exc)
             D = b * D + d - xj
@@ -298,7 +298,7 @@ class PrecisionSearch(Search):
             while j < stop and x[j] == v:
                 j += 1
         except IndexError:  # only x[hi] can lie past the buffer, and stop <= hi + 1
-            j += self.digit(j) == v
+            j += self.stream.digit(j) == v
         return min(j, stop)
 
     def _through(self, j: int, D: int, g: int) -> int:
@@ -311,11 +311,11 @@ class PrecisionSearch(Search):
             r = self._run(j, b - 1, hi + 1)  # hi + 1 when j > hi: every n <= hi is solved
             if r > hi or r < g:
                 return min(r, hi)
-            return r - 1 if self.zero_from(r) else r
+            return r - 1 if self.stream.is_zero_from(r) else r
         size = D if D > 0 else 1 - D
         m, power = floor_log(b, size)
         top = j - m if power == size else j - m - 1  # b**(j - top) is the least power >= size
-        if D > 0 and power == D and g <= top <= hi and self.zero_from(j):
+        if D > 0 and power == D and g <= top <= hi and self.stream.is_zero_from(j):
             top -= 1  # t_j = 0 needs b**(j - n) >= D + 1
         return min(top, hi)
 
@@ -408,22 +408,30 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
     `search`, an open `PrecisionSearch` for T at q.x, answers delta = b**-n
     for n up to its largest precision. A row the shared search cannot decide
     because a finite digit file runs out is left to a fresh search for that
-    precision alone, as is every row without a search.
+    precision alone, on the stream the shared search read, as is every row
+    without a search, on `shared_stream`'s. At a delta that is not b**-n the
+    walk reads x's exact value, which the query has checked it has.
     """
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
-    n = q.n
-    if search is not None and n is not None and n <= search.hi:
+    if q.n is None:  # q.x has an exact value: the query refuses a digit-only point here
+        walk = _DeltaSearch(t, q.x.exact_value(q.base), q.delta)
+        return walk.answer(walk.GOAL, q.cap_input, witness)
+    if search is not None and q.n <= search.hi:
         if search.t is not t or (search.x is not q.x and search.x != q.x):
             raise FsdimError("the search is for another transducer or point")
         try:
-            return search.answer(n, q.cap_input, witness)
-        except InsufficientDigits:
+            return search.answer(q.n, q.cap_input, witness)
+        except InsufficientDigits:  # the search is spent: n alone, on the digits it read
             pass
-    stream = shared_stream(q.x, q.base)
-    if n is not None:
-        return PrecisionSearch(t, q.x, stream, n).answer(n, q.cap_input, witness)
-    return _DeltaSearch(t, stream.value, q.delta).answer(_DeltaSearch.GOAL, q.cap_input, witness)
+    return PrecisionSearch(t, q.x, stream_of(q, search), q.n).answer(q.n, q.cap_input, witness)
+
+
+def stream_of(q: PrecisionQuery, search: PrecisionSearch = None) -> DigitStream:
+    """The stream of q.x that `search` was opened on when it is a search at
+    q.x, else `shared_stream`'s: so a row with a search reads the version of
+    a digit file that its search read."""
+    return search.stream if search is not None and search.x == q.x else shared_stream(q.x, q.base)
 
 
 def within_at(x: RealSpec, base: int):
@@ -454,11 +462,20 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, f=None) -> CostResult:
     """The first distinct output, inputs up to q.cap_input in length-then-lex
     order, whose value falls strictly inside the interval: its canonical
     value, or f.eval's for a separator enumerator f (`ktf_delta`'s oracle).
-    The cost is exponential in the cap, so callers ask with small caps."""
+
+    Under canonical values an output w is kept only while its cylinder
+    [val(w), val(w) + b**-|w|) meets the interval, that is while the
+    cylinder's midpoint is within delta + b**-|w| / 2 of x. That keeps every
+    prefix of an inside output, so the answer is the full enumeration's, and
+    at most one output per length that is not inside, the one whose cylinder
+    holds x - delta: the walk is polynomial in the cap. Under f it
+    enumerates every output, so callers ask with small caps."""
     value = _value_map(t, q.base, f)
     near = within_at(q.x, q.base)
     delta = q.delta
-    for pi, out in distinct_outputs(t, q.cap_input):
+    half = lambda out: Fraction(1, 2 * q.base ** len(out))  # half of out's cylinder
+    keep = None if f is not None else lambda out: near(value(out) + half(out), delta + half(out))
+    for pi, out in distinct_outputs(t, q.cap_input, keep):
         if near(value(out), delta):
             return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
     return CAPPED

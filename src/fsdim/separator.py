@@ -17,9 +17,14 @@ K_T(x, delta) itself, so its search is `kdelta`; the targeted one's is
 `kdelta` and one more search whose pos is the number of zeros emitted.
 Whether 0^k is accepted, below the interval or dead is decided once per
 (query, k) for every transducer's search, from one evaluation of f(0^k),
-and kept per stream of x, so a digit file that changes is decided afresh.
-Neither uses a float or calls f per node, and neither enumerates. Both refuse what `kdelta` refuses, since the query does:
-a digit-only point at a delta that is not base**-n cannot be asked.
+and kept per stream of x. The verdicts read x through the stream the row's
+search was opened on, so a row reads one version of a digit file, and a
+file that changes is decided afresh for a search opened after it changed.
+f(0^k) reads the first 2**k digits of the target, so it is refused once
+2**k passes the precision ceiling, before any is read. Neither search uses
+a float or calls f per node, and neither enumerates. Both refuse what
+`kdelta` refuses, since the query does: a digit-only point at a delta that
+is not base**-n cannot be asked.
 
 `ktf_delta`'s oracle is `precision.kdelta_oracle(t, q, f)`, under f's value
 map: one loop over `infocontent.distinct_outputs` for both quantities,
@@ -32,8 +37,8 @@ production call of an oracle. Its batch form is
 `kdelta` rows. It opens one `PrecisionSearch` per (transducer, point), so a
 canonical or targeted profile walks each once; blockperm's search ignores
 it. Its rows ask with `PrecisionQuery.at_scale`, built from n, so no row
-builds b^-n or recovers n from it; the targeted zero search reads delta,
-which the query builds once for every transducer's row at that n.
+builds b^-n or recovers n from it; the targeted zero verdicts read delta
+once per query, for every transducer's row at that n.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .digits import RealSpec, content_lines, real_value, str_to_digits
+from .digits import RealSpec, check_precision, content_lines, real_value, str_to_digits
 from .dimension import DEFAULT_WINDOW_FRAC, EstimateReport, estimate
 from .errors import FsdimError, InvalidPermutation
 from .fst import Fst
@@ -54,6 +59,7 @@ from .precision import (
     open_search,
     profile_rows,
     shared_stream,
+    stream_of,
 )
 
 DEFAULT_MAX_INPUT_LEN = 20
@@ -114,10 +120,11 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
 
     def eval_fn(w: str) -> Fraction:  # real_value validates every w but 0^k
         if w and set(w) == {"0"}:
+            check_precision(_target_len(len(w)))  # refused before 2**k digits are read
             return real_value(stream.prefix_str(_target_len(len(w))), base)
         return real_value(w, base)
 
-    verdicts = {}  # (x's shared stream, query) -> its zero verdicts, for every transducer
+    verdicts = {}  # (x's stream, query) -> its zero verdicts, for every transducer
 
     def targeted_search(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
                         witness: bool = True) -> CostResult:
@@ -125,13 +132,12 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
         # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
         # output but 0^k exactly, and _ZeroSearch completes the minimum
         best = kdelta(t, q, search, witness)
-        x_stream = shared_stream(q.x, q.base)  # a digit file that changed has a new stream
+        x_stream = stream_of(q, search)  # the stream the row's search read
         zero = verdicts.get((x_stream, q))
         if zero is None:
             zero = verdicts[x_stream, q] = _ZeroVerdicts(f, q, x_stream.compare, stream.value)
         zeros = _ZeroSearch(t, zero)
-        cap = best.cost if best.found else q.cap_input
-        return best_of((best, zeros.answer(zeros.GOAL, cap, witness)))
+        return best_of((best, zeros.answer(zeros.GOAL, best.cost if best.found else q.cap_input, witness)))
 
     f = SeparatorEnumerator(base, "targeted", eval_fn, targeted_search)
     return f
@@ -215,9 +221,7 @@ class _ZeroVerdicts:
     def __init__(self, f: SeparatorEnumerator, q: PrecisionQuery, cmp, y):
         self.f, self.base, self.delta, self.y = f, q.base, q.delta, y
         self.cmp = cmp  # sign of x - r, exact
-        self.below = 0  # 0^0 is no output
-        self.dead = None
-        self.accepted = set()
+        self.below, self.dead, self.accepted = 0, None, set()  # 0^0 is no output
 
     def __call__(self, k: int) -> str:
         if k <= self.below:

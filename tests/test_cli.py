@@ -679,6 +679,25 @@ class TestOtherCommands:
         obj = json.loads(capsys.readouterr().out)
         assert obj["estimate_float"] <= 0.5
 
+    @pytest.mark.parametrize("zeros", [16, 17, 24])
+    def test_sedim_targeted_refuses_an_all_zero_output_past_the_ceiling(self, zeros, tmp_path, capsys):
+        # the only member outputs 0^zeros per input, and f(0^k) is the first
+        # 2**k digits of the target: 2**16 digits lie within MAX_PRECISION,
+        # and 2**17 are refused before any is read. Each added zero took about
+        # 3.5 times as long, 4.3 s at 21 zeros on a 2-core host
+        fdir = tmp_path / "fam"
+        fdir.mkdir()
+        (fdir / "zeros.fst").write_text(format_fst(make_periodic_decoder("0", zeros, 2)))
+        argv = ["sedim", "--f", "targeted:rat:1/3", "--fsts", str(fdir), "--x", "rat:1/3",
+                "--nmax", "4", "--max-input-len", "4"]
+        if 2 ** zeros <= MAX_PRECISION:
+            assert dispatch_within(3, argv) == 0
+            assert capsys.readouterr().out == "estimate=0.250000\n"
+        else:
+            assert dispatch_within(3, argv) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: precision {2 ** zeros} exceeds the largest supported, {MAX_PRECISION}"]
+
 
 class TestOutFile:
     """Every command with --out writes to the file the bytes it would print."""

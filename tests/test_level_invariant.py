@@ -21,6 +21,13 @@ those too.
 At a delta that is not b**-n, `kdelta` walks the expansion of x - delta
 instead; its answers, witnesses included, are checked against the
 enumeration oracle.
+
+At n = 50, 100 and 200 and the default caps, where the full enumeration
+could not run, the shared search's answers are checked against the oracle
+that keeps only the outputs whose cylinder meets the interval: pool
+machines in bases 2 and 3 at rational, periodic and Champernowne points,
+and the base-2 machine at points where its outputs run on the track of
+goal n past n up to the cap.
 """
 
 from collections import Counter
@@ -33,8 +40,11 @@ from fsdim.digits import DigitStream, RealSpec, delta_exponent, digits_to_int, s
 from fsdim.dimension import normality_report
 from fsdim.errors import InsufficientDigits
 from fsdim.fst import parse_fst
-from fsdim.infocontent import CAPPED, UNREACHABLE
-from fsdim.precision import PrecisionQuery, PrecisionSearch, kdelta, kdelta_oracle, shared_stream
+from fsdim.infocontent import CAP_EXCEEDED, CAPPED, FOUND, UNREACHABLE
+from fsdim.precision import (PrecisionQuery, PrecisionSearch, kdelta, kdelta_oracle, open_search,
+                             shared_stream)
+
+from conftest import POOL_SEED
 
 #: base -> (pool machines, largest precision)
 SIZES = {2: (60, 32), 3: (30, 16), 10: (20, 8)}
@@ -193,6 +203,42 @@ def test_a_walk_that_leaves_the_track_outside_is_unreachable():
     for cap in (1, 3, 8):
         q = PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 3), cap)
         assert kdelta(t, q).status == UNREACHABLE, cap
+
+
+#: base -> the first machines of the acceptance pool's seed in that base,
+#: each asked at every point below at n = 50, 100 and 200 with the default
+#: cap 4(n + 2), against the oracle that keeps only the outputs whose
+#: cylinder meets the interval
+LARGE_N_POOLS = {2: 40, 3: 20}
+LARGE_N = [50, 100, 200]
+LARGE_N_POINTS = ["rat:1/3", "periodic:001", "rat:5/24", "champernowne"]
+
+
+def track_point(n: int) -> RealSpec:
+    """x = 3/8 + 2**-n, whose x - 2**-n is 3/8: TRACK_PAST_GOAL's outputs
+    011 0 0 ... run on the track of goal n from digit n to the cap."""
+    return RealSpec.parse("dyadic:011" + "0" * (n - 4) + "1")
+
+
+@pytest.mark.parametrize("base", sorted(LARGE_N_POOLS))
+def test_kdelta_matches_the_filtered_oracle_at_large_n(base):
+    machines = [t for _, t in gen_pool(POOL_SEED, LARGE_N_POOLS[base], 4, base, 2)]
+    if base == 2:
+        machines.append(TRACK_PAST_GOAL)
+    cases = [(t, RealSpec.parse(x), LARGE_N) for t in machines for x in LARGE_N_POINTS]
+    if base == 2:
+        cases += [(TRACK_PAST_GOAL, track_point(n), [n]) for n in LARGE_N]
+    statuses = Counter()
+    for t, x, ns in cases:
+        search = open_search(t, x, base, max(ns))
+        for n in ns:
+            q = PrecisionQuery.at_scale(x, base, n)
+            res = kdelta(t, q, search)
+            statuses[res.status] += 1
+            # enumeration never proves unreachability: its not found is cap_exceeded
+            assert (CAPPED if res.status == UNREACHABLE else res) == kdelta_oracle(t, q), (t, x, n)
+    assert statuses[FOUND] and statuses[UNREACHABLE], statuses
+    assert statuses[CAP_EXCEEDED] == (len(LARGE_N) if base == 2 else 0), statuses
 
 
 #: the work `normality_report(champernowne, 2, 500)` did before the

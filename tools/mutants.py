@@ -61,7 +61,7 @@ MUTANTS = [
            ["tests/test_other_bases.py"]),
     Mutant("buffer-miss-reads-zero", "precision.py",
            "                try:\n"
-           "                    xj = self.digit(j)\n"
+           "                    xj = self.stream.digit(j)\n"
            "                except InsufficientDigits as exc:\n"
            "                    return self._cut(j, D, g, exc)\n",
            "                xj = 0\n",
@@ -75,6 +75,9 @@ MUTANTS = [
            ["tests/test_level_invariant.py", "tests/test_cli.py::TestKdeltaCommand"]),
     Mutant("track-end-as-plain-offset", "precision.py",
            "return -j, j - g", "return j, -b ** (j - g)", ["tests/test_level_invariant.py"]),
+    Mutant("track-offset-zero-is-inside", "precision.py",
+           "            if o:  # 0 < o", "            if o >= 0:  # 0 < o",
+           ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n"]),
     Mutant("track-cut-at-offset-only", "precision.py",
            "return self._cut(j, o - b ** (j - g), g, exc)", "return self._cut(j, o, g, exc)",
            ["tests/test_precision.py::TestSharedSearch::"
@@ -90,6 +93,15 @@ MUTANTS = [
            "        if self.resolved:  # the first hit answers the goal; no later one may overwrite it\n"
            "            return None\n",
            "", ["tests/test_level_invariant.py::test_a_delta_that_is_not_a_power_matches_the_oracle"]),
+    Mutant("spent-search-row-on-the-shared-stream", "precision.py",
+           "PrecisionSearch(t, q.x, stream_of(q, search), q.n)",
+           "PrecisionSearch(t, q.x, shared_stream(q.x, q.base), q.n)",
+           ["tests/test_one_stream.py::"
+            "test_a_spent_search_leaves_its_row_to_a_search_on_the_digits_it_read"]),
+    Mutant("delta-search-opens-a-stream", "precision.py",
+           "_DeltaSearch(t, q.x.exact_value(q.base), q.delta)",
+           "_DeltaSearch(t, shared_stream(q.x, q.base).value, q.delta)",
+           ["tests/test_one_stream.py::test_a_delta_that_is_not_a_power_reads_the_exact_value"]),
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
@@ -102,6 +114,10 @@ MUTANTS = [
            "        return self.x, self.base, None, self.cap_input, self.n\n\n"
            "    @property\n    def delta(self) -> Fraction:\n",
            ["tests/test_value_types.py::test_a_query_keeps_its_n_true"]),
+    Mutant("kdelta-n-through-b-to-the-minus-n", "cli.py",
+           "delta = None if args.delta is None else parse_delta(args.delta, args.base)",
+           "delta = Fraction(1, args.base ** args.n) if args.delta is None else parse_delta(args.delta, args.base)",
+           ["tests/test_one_stream.py::test_kdelta_n_builds_its_query_from_n"]),
     Mutant("fraction-arg-without-exponent-bound", "cli.py",
            "if e and abs(int(exponent)) > MAX_EXPONENT:", "if False:",
            ["tests/test_cli.py::TestBadValuesExitCleanly"]),
@@ -157,6 +173,14 @@ MUTANTS = [
            "            zero = verdicts[q] = ",
            ["tests/test_separator.py::TestKtfDeltaMatchesOracle::"
             "test_a_digit_file_rewritten_between_two_calls_is_read_afresh"]),
+    Mutant("zero-verdicts-on-a-fresh-stream", "separator.py",
+           "x_stream = stream_of(q, search)", "x_stream = shared_stream(q.x, q.base)",
+           ["tests/test_one_stream.py::test_a_targeted_estimate_looks_up_one_stream_per_transducer_and_point",
+            "tests/test_one_stream.py::test_a_targeted_row_answers_from_the_digits_its_search_read"]),
+    Mutant("target-read-past-the-ceiling", "separator.py",
+           "            check_precision(_target_len(len(w)))", "            pass",
+           ["tests/test_cli.py::TestOtherCommands::"
+            "test_sedim_targeted_refuses_an_all_zero_output_past_the_ceiling"]),
     Mutant("blockperm-search-is-kdelta", "separator.py",
            "return kdelta_oracle(t, q, f)", "return kdelta(t, q, search, witness)",
            ["tests/test_separator.py::TestKtfDeltaAsksOnlyItsSearch::"
@@ -244,8 +268,11 @@ MUTANTS = [
            "for a, (q2, o) in reversed(list(enumerate(rows[cfg[0]]))):",
            ["tests/test_infocontent.py"]),
     Mutant("kdelta-oracle-depth-12", "precision.py",
-           "distinct_outputs(t, q.cap_input)", "distinct_outputs(t, 12)",
+           "distinct_outputs(t, q.cap_input, keep)", "distinct_outputs(t, 12, keep)",
            ["tests/test_precision.py::TestKdeltaOracle"]),
+    Mutant("oracle-keeps-only-inside-outputs", "precision.py",
+           "near(value(out) + half(out), delta + half(out))", "near(value(out), delta)",
+           ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n"]),
     Mutant("kdelta-oracle-twice-delta", "precision.py",
            "if near(value(out), delta):", "if near(value(out), 2 * delta):",
            ["tests/test_precision.py"]),
