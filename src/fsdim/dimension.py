@@ -8,8 +8,9 @@ is an upper bound on that reading over all transducers. It is not a bound,
 either way, on the liminf over n in the paper's characterization of dimension.
 Nothing in this module claims a lower bound.
 
-Every estimator is `estimate` with one row source: a point is a set of one,
-a digit sequence is a point whose rows come from `kt` on its prefixes, and
+Every estimator is `estimate` with one row source: a point is a set of one
+(`dim_point_estimate` is `dim_set_estimate` at [x]), a digit sequence is a
+point whose rows come from `kt` on its prefixes, and
 `separator.dimf_estimate` reads `ktf_delta` rows.
 """
 
@@ -121,16 +122,11 @@ def estimate(family, base: int, points, n_max: int, window_frac: Fraction, rows_
     return EstimateReport(min(per.values()), per, (n_lo, n_max), profiles=profiles)
 
 
-def _kdelta_rows(base: int, n_max: int):
-    """The point and set estimators' rows: one kdelta_profile per point."""
-    return lambda t, x, grid: kdelta_profile([t], x, base, n_max, grid=grid)
-
-
 def dim_point_estimate(family, x: RealSpec, base: int, n_max: int,
                        window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
     """Upper-bound estimate of the base-b finite-state dimension of a point:
     min over the family of the min cost/n over the tail window."""
-    return estimate(family, base, [x], n_max, window_frac, _kdelta_rows(base, n_max))
+    return dim_set_estimate(family, [x], base, n_max, window_frac)
 
 
 def dim_seq_estimate(family, s: DigitStream, n_max: int,
@@ -153,7 +149,8 @@ def dim_set_estimate(family, xs, base: int, n_max: int,
                      window_frac: Fraction = DEFAULT_WINDOW_FRAC) -> EstimateReport:
     """Upper-bound estimate for a finite set: per transducer take the worst
     point (sup inside), then the best transducer (inf outside)."""
-    return estimate(family, base, xs, n_max, window_frac, _kdelta_rows(base, n_max))
+    return estimate(family, base, xs, n_max, window_frac,
+                    lambda t, x, grid: kdelta_profile([t], x, base, n_max, grid=grid))
 
 
 def detect_periods(s: DigitStream) -> list[int]:

@@ -17,7 +17,8 @@ witness is built from parent pointers only for a goal asked.
 
 `distinct_outputs` is the one enumeration every oracle reads, independent
 of `Search`; `kt_oracle` and `kt_oracle_table` re-derive kt's answers from
-it, so the two can be cross-checked.
+it, so the two can be cross-checked. A walk that empties before its cap
+proves unreachable, as an exhausted search does (`first_output`).
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def distinct_outputs(t: Fst, max_len: int, keep=None):
     first by its least input: every continuation of a later path into it is
     no shorter and, at equal length, lexicographically larger. `keep(out)`,
     if given, must be prefix-closed; outputs it rejects are neither yielded
-    nor expanded.
+    nor expanded. The walk returns True when a level empties at or before
+    max_len: every configuration that keep admits has been walked, so no
+    input of any length has an output it did not yield. It returns False
+    when the level at max_len is live.
     """
     if max_len < 0:
         raise FsdimError(f"max_len must be >= 0, got {max_len}")
@@ -263,6 +267,8 @@ def distinct_outputs(t: Fst, max_len: int, keep=None):
     seen, outputs = {start}, set()
     level = [((), start)] if keep is None or keep(()) else []
     for length in range(max_len + 1):
+        if not level:
+            return True
         nxt = []
         for pi, cfg in level:
             out = cfg[1]
@@ -277,17 +283,30 @@ def distinct_outputs(t: Fst, max_len: int, keep=None):
                     seen.add(cfg2)
                     nxt.append((pi + (a,), cfg2))
         level = nxt
+    return False
+
+
+def first_output(walk, accept) -> CostResult:
+    """The first (input, output) of a `distinct_outputs` walk that
+    accept(input, output) takes, as a found result. Not found is `UNREACHED`
+    when a level of the walk emptied, and `CAPPED` when one was live at its
+    cap."""
+    while True:
+        try:
+            pi, out = next(walk)
+        except StopIteration as end:
+            return UNREACHED if end.value else CAPPED
+        if accept(pi, out):
+            return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
 
 
 def kt_oracle(t: Fst, w: str, max_len: int = 12) -> CostResult:
-    """The first distinct output equal to w, inputs in length-then-lex order.
-    Enumeration never proves unreachability: not found is cap_exceeded."""
+    """The first distinct output equal to w, inputs in length-then-lex order;
+    not found is unreachable when no output that is a prefix of w is left
+    to extend, else cap_exceeded."""
     target = tuple(str_to_digits(w, t.base))
     keep = lambda out: target[: len(out)] == out
-    for pi, out in distinct_outputs(t, max_len, keep):
-        if out == target:
-            return CostResult(FOUND, len(pi), digits_to_str(pi), w)
-    return CAPPED
+    return first_output(distinct_outputs(t, max_len, keep), lambda pi, out: out == target)
 
 
 def kt_oracle_table(t: Fst, max_len: int, max_out_len: int) -> dict:

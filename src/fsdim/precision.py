@@ -46,9 +46,11 @@ start; a read past its end goes through `DigitStream.digit`, which fills it.
 `_settle` decides how an emission ends. All decisions are exact; no floats.
 
 Each row goes through `kdelta` with a `PrecisionQuery`, which carries its
-exponent n, and through `profile_rows`, the one row builder, which shares
-one `ProfileRow` per (n, cost, flags): a row's query, answer and row are
-shared values. `at_scale`, the one process-wide query cache, builds one
+exponent n and an input cap of at most `MAX_CAP_INPUT`, the default cap at
+the largest precision (a walk's time and memory grow linearly with its
+cap), and through `profile_rows`, the one row builder, which shares one
+`ProfileRow` per (n, cost, flags): a row's query, answer and row are shared
+values. `at_scale`, the one process-wide query cache, builds one
 query per (point, base, n, cap) for every transducer's row at that
 precision. It takes n from its caller, and builds delta = b^-n only when
 something reads it, which no row with an open search does; with the
@@ -57,18 +59,21 @@ all-zero-tail test of an exact point one modular power
 `kdelta_profile`, whose members' searches read one stream of x, the
 estimators in `dimension` and `separator.dimf_estimate` (whose `ktf_delta`
 rows ask with the same queries) pass in the open search of the row's
-(transducer, point); without one, `kdelta` runs a fresh one-precision search
-on the same core. A search keeps the stream it was opened on, and every
-later read of x for its (transducer, point) goes through it (`stream_of`),
-so one search reads one version of a digit file. An accept writes the
+(transducer, point). `kdelta` refuses a search for another transducer or
+point once, before it picks a path; without a search it runs a fresh
+one-precision search on the same core, on `shared_stream`'s stream. A
+search keeps the stream it was opened on, and a row that passes it reads x
+through that stream alone, so one search reads one version of a digit
+file. An accept writes the
 precisions it solves into `resolved`, all with one hit. Rows ask with
 `witness=False` and read the cost off that hit, so no row builds a witness;
 only a caller that prints one, such as the `kdelta` command, asks for it.
 One n <= S missing there was given up; giving up goals on an empty frontier
 prunes nothing. A finite digit file gives `InsufficientDigits` for a
-precision that its digits do not decide; a level of the shared search that
-they do not decide spends it, and each open row goes to a fresh search for
-its precision alone, on the same stream.
+precision past its last digit, or one that its digits do not decide; a
+level of the shared search that they do not decide spends it, and each
+open row goes to a fresh search for its precision alone, on the same
+stream.
 
 `kdelta_oracle` and `KdeltaOracleTable`, the one interval table, re-derive
 `kdelta` from `infocontent.distinct_outputs`, never from a search or the
@@ -77,7 +82,10 @@ or a separator enumerator f's, so `kdelta_oracle(t, q, f)`, which reads
 inputs up to q.cap_input as `kdelta` does, is also `ktf_delta`'s oracle, and
 `blockperm`'s search until it has one of its own. Under canonical values
 the oracle walks only the outputs whose cylinder meets the interval, so it
-answers at n in the hundreds; under f it enumerates every output.
+answers at n in the hundreds; under f it enumerates every output. Either
+walk proves unreachable when a level of it empties before the cap, and
+reads cap_exceeded only while the level at the cap is live, as a search
+does.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .digits import (
+    MAX_PRECISION,
     DigitStream,
     RealSpec,
     check_base,
@@ -103,28 +112,31 @@ from .errors import FsdimError, InsufficientDigits
 from .fst import Fst
 from .infocontent import (
     CAP_EXCEEDED,
-    CAPPED,
     FOUND,
     CostResult,
     Search,
     best_of,
     distinct_outputs,
+    first_output,
 )
 
 
 #: the n whose default input cap a delta that is not base**-n gets
 FALLBACK_SCALE = 14
+#: the largest input cap, the default cap at the largest precision: a walk
+#: costs time and memory linear in its cap
+MAX_CAP_INPUT = 4 * (MAX_PRECISION + 2)
 
 
 class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input n")):
     """The interval (x - delta, x + delta) in base `base`, searched with at
-    most cap_input inputs, by default 4 * (n + 2). n is the exponent with
-    delta == base**-n, else None, and then the default cap reads n as
-    FALLBACK_SCALE. The constructor sets n from delta; given delta None, it
-    takes n from its caller. A query keeps delta itself only when n is None,
-    as `other_delta`, so equal fields mean an equal (x, base, delta, cap);
-    base**-n is built only when `delta` is read. The repr shows delta and
-    leaves n out.
+    most cap_input inputs, by default 4 * (n + 2), and refused above
+    `MAX_CAP_INPUT`. n is the exponent with delta == base**-n, else None,
+    and then the default cap reads n as FALLBACK_SCALE. The constructor sets
+    n from delta; given delta None, it takes n from its caller. A query
+    keeps delta itself only when n is None, as `other_delta`, so equal
+    fields mean an equal (x, base, delta, cap); base**-n is built only when
+    `delta` is read. The repr shows delta and leaves n out.
 
     A point with no exact value, such as a digit file, is bounded only at
     delta = base**-n, so at any other delta the query is refused
@@ -148,6 +160,8 @@ class PrecisionQuery(namedtuple("PrecisionQuery", "x base other_delta cap_input 
             cap_input = 4 * ((FALLBACK_SCALE if n is None else n) + 2)
         elif cap_input < 0:
             raise FsdimError(f"the input cap must be >= 0, got {cap_input}")
+        elif cap_input > MAX_CAP_INPUT:
+            raise FsdimError(f"the input cap must be <= {MAX_CAP_INPUT}, got {cap_input}")
         return super().__new__(cls, x, base, delta, cap_input, n)
 
     @property
@@ -405,33 +419,29 @@ def kdelta(t: Fst, q: PrecisionQuery, search: PrecisionSearch = None,
     (x - delta, x + delta), with the witness input and output unless
     `witness` is false.
 
-    `search`, an open `PrecisionSearch` for T at q.x, answers delta = b**-n
-    for n up to its largest precision. A row the shared search cannot decide
-    because a finite digit file runs out is left to a fresh search for that
-    precision alone, on the stream the shared search read, as is every row
-    without a search, on `shared_stream`'s. At a delta that is not b**-n the
-    walk reads x's exact value, which the query has checked it has.
+    `search`, if given, must be an open `PrecisionSearch` for T at q.x; one
+    for another transducer or point is refused before any path is picked.
+    It answers delta = b**-n for n up to its largest precision. A precision
+    past it, or one the search cannot decide because a finite digit file
+    runs out, is left to a fresh search for that precision alone, on the
+    stream the search read; a row without a search reads `shared_stream`'s.
+    At a delta that is not b**-n the walk reads x's exact value, which the
+    query has checked it has.
     """
     if t.base != q.base:
         raise FsdimError(f"transducer base {t.base} != query base {q.base}")
+    if search is not None and (search.t is not t or (search.x is not q.x and search.x != q.x)):
+        raise FsdimError("the search is for another transducer or point")
     if q.n is None:  # q.x has an exact value: the query refuses a digit-only point here
         walk = _DeltaSearch(t, q.x.exact_value(q.base), q.delta)
         return walk.answer(walk.GOAL, q.cap_input, witness)
     if search is not None and q.n <= search.hi:
-        if search.t is not t or (search.x is not q.x and search.x != q.x):
-            raise FsdimError("the search is for another transducer or point")
         try:
             return search.answer(q.n, q.cap_input, witness)
         except InsufficientDigits:  # the search is spent: n alone, on the digits it read
             pass
-    return PrecisionSearch(t, q.x, stream_of(q, search), q.n).answer(q.n, q.cap_input, witness)
-
-
-def stream_of(q: PrecisionQuery, search: PrecisionSearch = None) -> DigitStream:
-    """The stream of q.x that `search` was opened on when it is a search at
-    q.x, else `shared_stream`'s: so a row with a search reads the version of
-    a digit file that its search read."""
-    return search.stream if search is not None and search.x == q.x else shared_stream(q.x, q.base)
+    stream = shared_stream(q.x, q.base) if search is None else search.stream
+    return PrecisionSearch(t, q.x, stream, q.n).answer(q.n, q.cap_input, witness)
 
 
 def within_at(x: RealSpec, base: int):
@@ -475,23 +485,20 @@ def kdelta_oracle(t: Fst, q: PrecisionQuery, f=None) -> CostResult:
     delta = q.delta
     half = lambda out: Fraction(1, 2 * q.base ** len(out))  # half of out's cylinder
     keep = None if f is not None else lambda out: near(value(out) + half(out), delta + half(out))
-    for pi, out in distinct_outputs(t, q.cap_input, keep):
-        if near(value(out), delta):
-            return CostResult(FOUND, len(pi), digits_to_str(pi), digits_to_str(out))
-    return CAPPED
+    return first_output(distinct_outputs(t, q.cap_input, keep), lambda pi, out: near(value(out), delta))
 
 
 class KdeltaOracleTable:
     """Exact values of the distinct outputs of T up to an input length,
     sorted per least input length: canonical values, or f.eval's for a
     separator enumerator f. Batch form of kdelta_oracle: one walk answers
-    every (x, delta)."""
+    every (x, delta), and not found is unreachable when that walk emptied."""
 
     def __init__(self, t: Fst, max_len: int, f=None):
         value = _value_map(t, t.base, f)
         self.by_cost: list[list[Fraction]] = [[] for _ in range(max_len + 1)]
-        for pi, out in distinct_outputs(t, max_len):
-            self.by_cost[len(pi)].append(value(out))
+        record = lambda pi, out: self.by_cost[len(pi)].append(value(out))  # takes none: walks to the end
+        self.none_found = first_output(distinct_outputs(t, max_len), record)
         for values in self.by_cost:
             values.sort()
 
@@ -500,7 +507,7 @@ class KdeltaOracleTable:
             i = bisect_right(values, x - delta)
             if i < len(values) and values[i] < x + delta:
                 return CostResult(FOUND, cost)
-        return CAPPED
+        return self.none_found
 
 
 class ProfileRow(namedtuple("ProfileRow", "n cost flags", defaults=("",))):

@@ -17,9 +17,11 @@ K_T(x, delta) itself, so its search is `kdelta`; the targeted one's is
 `kdelta` and one more search whose pos is the number of zeros emitted.
 Whether 0^k is accepted, below the interval or dead is decided once per
 (query, k) for every transducer's search, from one evaluation of f(0^k),
-and kept per stream of x. The verdicts read x through the stream the row's
-search was opened on, so a row reads one version of a digit file, and a
-file that changes is decided afresh for a search opened after it changed.
+and kept per stream of x. The verdicts read x through the stream of the
+row's search, which `kdelta` has checked is a search at x, or through
+`shared_stream`'s without one: so a row reads one version of a digit file,
+and a file that changes is decided afresh for a search opened after it
+changed.
 f(0^k) reads the first 2**k digits of the target, so it is refused once
 2**k passes the precision ceiling, before any is read. Neither search uses
 a float or calls f per node, and neither enumerates. Both refuse what
@@ -59,7 +61,6 @@ from .precision import (
     open_search,
     profile_rows,
     shared_stream,
-    stream_of,
 )
 
 DEFAULT_MAX_INPUT_LEN = 20
@@ -132,7 +133,7 @@ def make_targeted(x: RealSpec, base: int) -> SeparatorEnumerator:
         # 0^k (k >= 1) has canonical value f(empty): kdelta answers every
         # output but 0^k exactly, and _ZeroSearch completes the minimum
         best = kdelta(t, q, search, witness)
-        x_stream = stream_of(q, search)  # the stream the row's search read
+        x_stream = shared_stream(q.x, q.base) if search is None else search.stream  # what kdelta read
         zero = verdicts.get((x_stream, q))
         if zero is None:
             zero = verdicts[x_stream, q] = _ZeroVerdicts(f, q, x_stream.compare, stream.value)

@@ -126,6 +126,33 @@ class TestKdeltaCommand:
         assert capsys.readouterr().out == "cap_exceeded,,\n"
 
 
+class TestInputCapCeiling:
+    """An input cap above 4 * (MAX_PRECISION + 2), the default cap at the
+    largest precision, is refused before any walk: a walk's time and memory
+    grow linearly with its cap. Without the ceiling, the machine of
+    `test_an_output_on_the_track_past_its_goal_costs_constant_work_per_level`
+    took 5.0 s and 294 MB at a cap of 10**6 on a 2-core host."""
+
+    def test_the_ceiling_itself_is_taken(self, id_fst, capsys):
+        argv = ["kdelta", "--fst", id_fst, "--x", "rat:1/3", "--n", "3", "--cap-in", "400008"]
+        assert dispatch_within(3, argv) == 0
+        assert capsys.readouterr().out == "found,2,01\n"
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["kdelta", "--fst", "FST", "--x", "rat:1/3", "--n", "3", "--cap-in", "400009"], "400009"),
+        (["kdelta", "--fst", "FST", "--x", "rat:1/3", "--n", "3", "--cap-in", "9" * 4000], "9" * 4000),
+        (["sedim", "--f", "canonical", "--fsts", "FAM", "--x", "rat:1/3", "--nmax", "4",
+          "--max-input-len", "400009"], "400009"),
+    ], ids=["kdelta", "kdelta-4000-digits", "sedim"])
+    def test_a_cap_past_the_ceiling_exits_1_with_one_line(self, id_fst, family_dir, argv, cap, capsys):
+        argv = [{"FST": id_fst, "FAM": family_dir}.get(a, a) for a in argv]
+        assert dispatch_within(3, argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()  # a long line is cut, and says so
+        assert line.startswith(f"error: the input cap must be <= 400008, got {cap[:70]}")
+
+
 class TestBadValuesExitCleanly:
     @pytest.mark.parametrize("argv", [
         ["kdelta", "--x", "rat:1/3", "--n", "-2"],

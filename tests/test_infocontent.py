@@ -69,8 +69,13 @@ class TestKtOracle:
         res = kt_oracle(doubling2, "0011", max_len=4)
         assert (res.status, res.cost, res.witness_input) == (FOUND, 2, "01")
 
-    def test_never_proves_unreachable(self, doubling2):
-        assert kt_oracle(doubling2, "000", max_len=6).status == CAP_EXCEEDED
+    def test_unreachable_once_a_level_empties(self, doubling2):
+        # outputs are 00 and 11 per input: after 00, no output is a prefix
+        # of 000, so the walk empties at length 2, while 0011 at cap 1 is
+        # still live
+        assert kt_oracle(doubling2, "000", max_len=6).status == UNREACHABLE
+        assert kt_oracle(doubling2, "000", max_len=1).status == CAP_EXCEEDED
+        assert kt_oracle(doubling2, "0011", max_len=1).status == CAP_EXCEEDED
 
     def test_table_matches_single_queries(self, pool):
         for _, t in pool[:10]:

@@ -25,9 +25,14 @@ enumeration oracle.
 At n = 50, 100 and 200 and the default caps, where the full enumeration
 could not run, the shared search's answers are checked against the oracle
 that keeps only the outputs whose cylinder meets the interval: pool
-machines in bases 2 and 3 at rational, periodic and Champernowne points,
-and the base-2 machine at points where its outputs run on the track of
-goal n past n up to the cap.
+machines in bases 2, 3 and 10 at rational, periodic, dyadic and
+Champernowne points, the base-2 machine at points where its outputs run on
+the track of goal n past n up to the cap, the normality family at
+Champernowne, digit files that end before n or in 0^70 1, and two machines
+built to reach an output off the track of a goal that moved in its level
+and an output one unit below x's prefix. There a fresh search's answers are
+checked too, and all three statuses compare exactly: the oracle proves
+unreachable when its walk empties.
 """
 
 from collections import Counter
@@ -37,10 +42,10 @@ import pytest
 
 from fsdim.cli import gen_pool
 from fsdim.digits import DigitStream, RealSpec, delta_exponent, digits_to_int, seq_digits
-from fsdim.dimension import normality_report
+from fsdim.dimension import normality_family, normality_report
 from fsdim.errors import InsufficientDigits
 from fsdim.fst import parse_fst
-from fsdim.infocontent import CAP_EXCEEDED, CAPPED, FOUND, UNREACHABLE
+from fsdim.infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE
 from fsdim.precision import (PrecisionQuery, PrecisionSearch, kdelta, kdelta_oracle, open_search,
                              shared_stream)
 
@@ -175,7 +180,6 @@ DELTA_SIZES = {2: (40, 8), 3: (12, 5), 10: (4, 3)}
 
 @pytest.mark.parametrize("base", sorted(DELTA_SIZES))
 def test_a_delta_that_is_not_a_power_matches_the_oracle(base):
-    # enumeration never proves unreachability: its not found is cap_exceeded
     count, cap = DELTA_SIZES[base]
     machines = [t for _, t in gen_pool(base, count, 4, base, 3)]
     if base == 2:
@@ -190,19 +194,19 @@ def test_a_delta_that_is_not_a_power_matches_the_oracle(base):
                 for c in range(cap + 1):
                     q = PrecisionQuery(x, base, delta, c)
                     res = kdelta(t, q)
-                    assert (CAPPED if res.status == UNREACHABLE else res) == kdelta_oracle(t, q), q
+                    assert res == kdelta_oracle(t, q), q
 
 
 def test_a_walk_that_leaves_the_track_outside_is_unreachable():
     # at x = 1/2 and delta = 1/3, x - delta = 1/6 = 0.00101...; this machine
     # emits 000, below it, or 111, at 7/8 >= x + delta, and then nothing, so
-    # its frontier empties at level 1. The oracle cannot tell this from
-    # cap_exceeded
+    # its frontier empties at level 1, and so does the oracle's filtered walk
     t = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
                   "t 0 0 1 000\nt 0 1 1 111\nt 1 0 1 -\nt 1 1 1 -\n")
     for cap in (1, 3, 8):
         q = PrecisionQuery(RealSpec.rational(1, 2), 2, Fraction(1, 3), cap)
         assert kdelta(t, q).status == UNREACHABLE, cap
+        assert kdelta_oracle(t, q).status == UNREACHABLE, cap
 
 
 #: base -> the first machines of the acceptance pool's seed in that base,
@@ -235,10 +239,72 @@ def test_kdelta_matches_the_filtered_oracle_at_large_n(base):
             q = PrecisionQuery.at_scale(x, base, n)
             res = kdelta(t, q, search)
             statuses[res.status] += 1
-            # enumeration never proves unreachability: its not found is cap_exceeded
-            assert (CAPPED if res.status == UNREACHABLE else res) == kdelta_oracle(t, q), (t, x, n)
+            assert res == kdelta_oracle(t, q), (t, x, n)
     assert statuses[FOUND] and statuses[UNREACHABLE], statuses
     assert statuses[CAP_EXCEEDED] == (len(LARGE_N) if base == 2 else 0), statuses
+
+
+#: x = 2**-50 + 2**-100, so x - 2**-50 = 0.0^99 1: a point for the two
+#: machines below
+OFF_TRACK_POINT = RealSpec.parse("dyadic:" + "0" * 49 + "1" + "0" * 49 + "1")
+#: at OFF_TRACK_POINT, n = 50: input 0 emits 0^10, on the track of goal 50,
+#: and input 1 emits 0^60, on it past 50. At level 2, 0^10 0^39 1 = 2**-50 is
+#: accepted and solves 50..99, and then 0^60 1 is off the track of goal 100,
+#: far below x - 2**-100; nothing is within 2**-100 of x
+OFF_TRACK = parse_fst("fst 1\nbase 2\nstates 4\nstart 0\n"
+                      f"t 0 0 1 {'0' * 10}\nt 0 1 2 {'0' * 60}\n"
+                      f"t 1 0 3 {'0' * 39}1\nt 1 1 3 {'0' * 39}1\n"
+                      "t 2 0 3 1\nt 2 1 3 1\nt 3 0 3 -\nt 3 1 3 -\n")
+#: at OFF_TRACK_POINT, its one output 0^50 1 is one unit below x[:51]
+#: (D == -1 at j = 51): within 2**-50 of x, and of no finer precision
+ONE_BELOW = parse_fst("fst 1\nbase 2\nstates 2\nstart 0\n"
+                      f"t 0 0 1 {'0' * 50}1\nt 0 1 1 {'0' * 50}1\nt 1 0 1 -\nt 1 1 1 -\n")
+#: a digit file of this many digits ends before the largest n; ZERO_RUN is
+#: decided at n = 50 only by its last digit
+SHORT_FILE_DIGITS = 120
+ZERO_RUN = "0111" + "0" * 70 + "1"
+
+
+def _answer(ask):
+    try:
+        return ask()
+    except InsufficientDigits:
+        return "insufficient"
+
+
+def test_kdelta_matches_the_filtered_oracle_at_large_n_on_more_points(tmp_path):
+    # the shared search and a fresh one against the filtered oracle, at
+    # n = 50, 100 and 200 and the default caps: pool machines in base 10,
+    # dyadic points, the normality family at Champernowne, digit files that
+    # end before n or in 0^70 1, and two machines built to reach the
+    # large-n paths at OFF_TRACK_POINT. Past a file's end the search refuses
+    # every precision, while the oracle proves unreachable where no output
+    # comes near x, so there the machines are the normality family trained
+    # on the 120-digit file, whose outputs follow it: all three are
+    # insufficient at n = 200
+    short, zero_run = tmp_path / "short.txt", tmp_path / "zero-run.txt"
+    short.write_text(seq_digits(RealSpec.rational(5, 7), 2, SHORT_FILE_DIGITS) + "\n")
+    zero_run.write_text(ZERO_RUN + "\n")
+    champernowne = RealSpec.champernowne()
+    pool2 = [t for _, t in gen_pool(POOL_SEED, 12, 4, 2, 2)] + [TRACK_PAST_GOAL]
+    cases = [(t, RealSpec.parse(x), 10, LARGE_N) for _, t in gen_pool(POOL_SEED, 8, 4, 10, 2)
+             for x in ("rat:1/3", "rat:1/8", "champernowne")]
+    cases += [(t, RealSpec.parse(x), 2, LARGE_N) for t in pool2 for x in ("dyadic:0101", "dyadic:1")]
+    cases += [(t, champernowne, 2, LARGE_N) for _, t in normality_family(champernowne, 2, max(LARGE_N))]
+    short, zero_run = RealSpec.digitfile(str(short)), RealSpec.digitfile(str(zero_run))
+    cases += [(t, short, 2, LARGE_N) for _, t in normality_family(short, 2, max(LARGE_N))]
+    cases += [(t, short, 2, LARGE_N[:2]) for t in pool2[:6]]
+    cases += [(t, zero_run, 2, LARGE_N[:1]) for t in pool2[:6] + [t for _, t in normality_family(zero_run, 2, 50)]]
+    cases += [(OFF_TRACK, OFF_TRACK_POINT, 2, LARGE_N), (ONE_BELOW, OFF_TRACK_POINT, 2, [50, 51, 200])]
+    statuses = Counter()
+    for t, x, base, ns in cases:
+        search = open_search(t, x, base, max(ns))
+        for n in ns:
+            q = PrecisionQuery.at_scale(x, base, n)
+            shared = _answer(lambda: kdelta(t, q, search))
+            statuses[getattr(shared, "status", shared)] += 1
+            assert shared == _answer(lambda: kdelta(t, q)) == _answer(lambda: kdelta_oracle(t, q)), (t, x, n)
+    assert statuses[FOUND] and statuses[UNREACHABLE] and statuses["insufficient"], statuses
 
 
 #: the work `normality_report(champernowne, 2, 500)` did before the

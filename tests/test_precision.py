@@ -17,7 +17,7 @@ from fsdim.dimension import (
 )
 from fsdim.errors import FsdimError, InsufficientDigits
 from fsdim.fst import Fst, make_block_huffman, make_identity, make_periodic_decoder, parse_fst
-from fsdim.infocontent import CAP_EXCEEDED, FOUND, CostResult, PrefixSearch, Search, kt
+from fsdim.infocontent import CAP_EXCEEDED, FOUND, UNREACHABLE, CostResult, PrefixSearch, Search, kt
 from fsdim.precision import (
     FALLBACK_SCALE,
     KdeltaOracleTable,
@@ -109,6 +109,10 @@ class TestKdeltaOracle:
         assert res == kdelta(identity2, q)
 
     def test_table_matches_per_call(self, pool):
+        # the per-call walk keeps only the outputs whose cylinder meets the
+        # interval, so its levels empty where the table's full walk may not:
+        # it proves unreachable where the table reads cap_exceeded, and the
+        # table's unreachable is the per-call oracle's too
         for _, t in pool[:15]:
             table = KdeltaOracleTable(t, max_len=8)
             for x in [Fraction(0), Fraction(1, 3), Fraction(5, 24)]:
@@ -116,7 +120,7 @@ class TestKdeltaOracle:
                 for n in range(1, 5):
                     a = kdelta_oracle(t, query(spec, n, cap_in=8))
                     b = table.query(x, Fraction(1, 2**n))
-                    assert a.status == b.status
+                    assert a.status == b.status or (a.status, b.status) == (UNREACHABLE, CAP_EXCEEDED)
                     if a.found:
                         assert a.cost == b.cost
 
@@ -317,7 +321,7 @@ class TestSharedSearch:
                 for n in range(1, hi + 1):
                     res = search.answer(n, cap)
                     oracle = kdelta_oracle(t, PrecisionQuery.at_scale(x, 2, n, cap))
-                    assert oracle == res if res.status == FOUND else oracle.status == CAP_EXCEEDED
+                    assert oracle == res
                 grew += len(stream.buffer) > hi
         assert grew == 9, grew  # searches whose walk read past their buffer
 
@@ -411,6 +415,18 @@ class TestSharedSearch:
         with pytest.raises(FsdimError):
             kdelta(identity2, query(ZERO, 3), search)
 
+    @pytest.mark.parametrize("ask", ["point past hi", "transducer past hi", "point off a power"])
+    def test_a_search_for_another_ask_is_refused_on_every_path(self, identity2, doubling2, ask):
+        # refused before kdelta picks a path: past the search's largest
+        # precision, where a fresh search answers, and at a delta that is
+        # not b**-n, where the walk on x - delta answers
+        search = open_search(identity2, THIRD, 2, 8)
+        t, q = {"point past hi": (identity2, query(ZERO, 12)),
+                "transducer past hi": (doubling2, query(THIRD, 12)),
+                "point off a power": (identity2, PrecisionQuery(ZERO, 2, Fraction(1, 3), 8))}[ask]
+        with pytest.raises(FsdimError, match="the search is for another transducer or point"):
+            kdelta(t, q, search)
+
     def test_dim_set_builds_one_search_per_transducer_and_point(self, monkeypatch, pool):
         # the estimator drops a transducer at its first point without a usable
         # row, so it profiles 29 of the 60 (transducer, point) pairs here
@@ -482,7 +498,7 @@ class TestExactPowerBoundary:
         for q, shared, fresh in rows:
             assert shared == fresh, q
             oracle = kdelta_oracle(t, PrecisionQuery.at_scale(q.x, 2, q.n, 10))
-            assert oracle == shared if shared.status == FOUND else oracle.status == CAP_EXCEEDED, q
+            assert oracle == shared, q
 
 
 class TestSharedInterval:
@@ -599,6 +615,16 @@ class TestPrecisionCeiling:
     def test_make_block_huffman(self):
         with pytest.raises(FsdimError, match="exceeds the largest supported"):
             make_block_huffman(THIRD.stream(2), MAX_PRECISION + 1, 2)
+
+    def test_an_input_cap_above_the_default_cap_at_the_ceiling_is_refused(self):
+        # a walk's time and memory grow linearly with its input cap
+        assert PrecisionQuery.at_scale(THIRD, 2, 3, 4 * (MAX_PRECISION + 2)).cap_input == 400_008
+        for make in (lambda cap: PrecisionQuery.at_scale(THIRD, 2, 3, cap),
+                     lambda cap: PrecisionQuery(THIRD, 2, Fraction(1, 3), cap)):
+            with pytest.raises(FsdimError, match="the input cap must be <= 400008, got 400009"):
+                make(400_009)
+            with pytest.raises(FsdimError, match="the input cap must be >= 0, got -1"):
+                make(-1)
 
 
 class TestPerRowWork:

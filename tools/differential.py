@@ -18,7 +18,8 @@ edited) and its own: seeded pools in bases 2, 3 and 10, one digit file per
 base, a digit file longer than the largest precision asked, a digit file
 whose tail is decided only by its last digit, a digit file of four digits,
 a block permutation, a machine whose outputs run on the track of a goal
-past it, two one-member families whose member outputs only zeros, and
+past it, two one-member families whose member outputs only zeros, a
+one-member identity family, and
 `.fst` files that are refused or whose bytes are odd (line
 breaks, non-ASCII), each alone and in a copy of the base-2 pool. Then it
 runs every command of the record sets below through `fsdim.cli.dispatch`,
@@ -81,6 +82,9 @@ SEDIM_MEMBERS = 6  # the first machines of each pool
 #: 0^17 asks for more than the precision ceiling allows. Larger bursts are
 #: left out: a revision that reads those digits takes minutes
 ZERO_BURSTS = [16, 17]
+#: input caps at the ceiling 4 * (MAX_PRECISION + 2) and one past it, asked
+#: of the identity by `kdelta`, and by `sedim` past it
+CAP_CEILING = [400_008, 400_009]
 PERMUTATION = {"00": "10", "01": "00", "10": "11", "11": "01"}
 DIM_SEQ = [3, 10]  # `dim seq` runs over these pools and the identity, at each point below
 DIM_SEQ_POINTS = ["champernowne", "rat:1/3", "digitfile:short.txt", "digitfile:zero-run.txt"]
@@ -213,6 +217,8 @@ def write_inputs(work: Path) -> dict:
         (work / f"zeros-{k}" / "zeros.fst").write_text(
             "fst 1\nbase 2\nstates 1\nstart 0\n" + f"t 0 0 0 {'0' * k}\nt 0 1 0 {'0' * k}\n",
             encoding="ascii")
+    (work / "identity").mkdir()
+    (work / "identity" / "identity.fst").write_text(IDENTITY, encoding="ascii")
     (work / "track").mkdir()
     (work / "track" / "track-past-goal.fst").write_text(TRACK_PAST_GOAL, encoding="ascii")
     (work / "files").mkdir()
@@ -248,6 +254,10 @@ def commands(pools: dict, work: Path) -> list:
                    "--nmax", str(nmax), "--max-input-len", str(cap), "--json"] for x in points]
     argvs += [["sedim", "--f", "targeted:rat:1/3", "--fsts", f"zeros-{k}", "--x", "rat:1/3", "--nmax", "4",
                "--max-input-len", "4", "--json"] for k in ZERO_BURSTS]
+    argvs += [["kdelta", "--fst", "identity/identity.fst", "--x", "rat:1/3", "--n", "3", "--cap-in", str(cap),
+               "--json"] for cap in CAP_CEILING]
+    argvs += [["sedim", "--f", "canonical", "--fsts", "identity", "--x", "rat:1/3", "--nmax", "4",
+               "--max-input-len", str(CAP_CEILING[1]), "--json"]]
     argvs += [["dim", "seq", "--fsts", f"seq-{base}", "--x", x, "--base", str(base),
                "--nmax", str(nmax), "--json"]
               for base in DIM_SEQ for x in DIM_SEQ_POINTS for nmax in DIM_SEQ_NMAX]

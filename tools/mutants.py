@@ -78,6 +78,12 @@ MUTANTS = [
     Mutant("track-offset-zero-is-inside", "precision.py",
            "            if o:  # 0 < o", "            if o >= 0:  # 0 < o",
            ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n"]),
+    Mutant("off-track-past-a-moved-goal-kept", "precision.py",
+           "if j - e != g:", "if False:",
+           ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n_on_more_points"]),
+    Mutant("settle-minus-one-short-of-j", "precision.py",
+           "self._solve(g, min(j - 1, hi))", "self._solve(g, min(j - 2, hi))",
+           ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n_on_more_points"]),
     Mutant("track-cut-at-offset-only", "precision.py",
            "return self._cut(j, o - b ** (j - g), g, exc)", "return self._cut(j, o, g, exc)",
            ["tests/test_precision.py::TestSharedSearch::"
@@ -94,14 +100,21 @@ MUTANTS = [
            "            return None\n",
            "", ["tests/test_level_invariant.py::test_a_delta_that_is_not_a_power_matches_the_oracle"]),
     Mutant("spent-search-row-on-the-shared-stream", "precision.py",
-           "PrecisionSearch(t, q.x, stream_of(q, search), q.n)",
-           "PrecisionSearch(t, q.x, shared_stream(q.x, q.base), q.n)",
+           "stream = shared_stream(q.x, q.base) if search is None else search.stream",
+           "stream = shared_stream(q.x, q.base)",
            ["tests/test_one_stream.py::"
             "test_a_spent_search_leaves_its_row_to_a_search_on_the_digits_it_read"]),
     Mutant("delta-search-opens-a-stream", "precision.py",
            "_DeltaSearch(t, q.x.exact_value(q.base), q.delta)",
            "_DeltaSearch(t, shared_stream(q.x, q.base).value, q.delta)",
            ["tests/test_one_stream.py::test_a_delta_that_is_not_a_power_reads_the_exact_value"]),
+    Mutant("search-refused-only-up-to-its-hi", "precision.py",
+           "    if search is not None and (search.t is not t",
+           "    if search is not None and q.n is not None and q.n <= search.hi and (search.t is not t",
+           ["tests/test_precision.py::TestSharedSearch::test_a_search_for_another_ask_is_refused_on_every_path"]),
+    Mutant("query-without-cap-ceiling", "precision.py",
+           "        elif cap_input > MAX_CAP_INPUT:\n", "        elif False:\n",
+           ["tests/test_cli.py::TestInputCapCeiling"]),
     Mutant("query-without-cap-check", "precision.py",
            "        elif cap_input < 0:\n", "        elif False:\n",
            ["tests/test_separator.py"]),
@@ -174,7 +187,8 @@ MUTANTS = [
            ["tests/test_separator.py::TestKtfDeltaMatchesOracle::"
             "test_a_digit_file_rewritten_between_two_calls_is_read_afresh"]),
     Mutant("zero-verdicts-on-a-fresh-stream", "separator.py",
-           "x_stream = stream_of(q, search)", "x_stream = shared_stream(q.x, q.base)",
+           "x_stream = shared_stream(q.x, q.base) if search is None else search.stream",
+           "x_stream = shared_stream(q.x, q.base)",
            ["tests/test_one_stream.py::test_a_targeted_estimate_looks_up_one_stream_per_transducer_and_point",
             "tests/test_one_stream.py::test_a_targeted_row_answers_from_the_digits_its_search_read"]),
     Mutant("target-read-past-the-ceiling", "separator.py",
@@ -274,11 +288,14 @@ MUTANTS = [
            "near(value(out) + half(out), delta + half(out))", "near(value(out), delta)",
            ["tests/test_level_invariant.py::test_kdelta_matches_the_filtered_oracle_at_large_n"]),
     Mutant("kdelta-oracle-twice-delta", "precision.py",
-           "if near(value(out), delta):", "if near(value(out), 2 * delta):",
+           "lambda pi, out: near(value(out), delta)", "lambda pi, out: near(value(out), 2 * delta)",
            ["tests/test_precision.py"]),
     Mutant("oracle-table-closed-below", "precision.py",
            "i = bisect_right(values, x - delta)", "i = bisect_left(values, x - delta)",
            ["tests/test_separator.py", "tests/test_precision.py"]),
+    Mutant("oracle-unreachable-while-a-level-is-live", "infocontent.py",
+           "        level = nxt\n    return False\n", "        level = nxt\n    return True\n",
+           ["tests/test_infocontent.py::TestKtOracle", "tests/test_precision.py::TestKdeltaOracle"]),
     Mutant("kt-oracle-table-short-outputs", "infocontent.py",
            "lambda out: len(out) <= max_out_len", "lambda out: len(out) < max_out_len",
            ["tests/test_infocontent.py", "tests/test_other_bases.py"]),
